@@ -25,7 +25,6 @@ from .finfield import (
     ExpanderVerdict,
     FiniteFieldRep,
     Subspace,
-    batch_rank,
     dual_rep,
     enumerate_subspaces,
     gaussian_binomial,
@@ -33,8 +32,6 @@ from .finfield import (
     image_sum_dim,
     is_expander_rep,
     random_rep,
-    rank_mod,
-    rref_mod,
 )
 from .kronecker import (
     ClosedFormInapplicableError,
@@ -84,7 +81,6 @@ __all__ = [
     "StabilityFunction",
     "SubdimCache",
     "Subspace",
-    "batch_rank",
     "beta",
     "c_d_ceil",
     "c_d_exact",
@@ -109,8 +105,6 @@ __all__ = [
     "make_kronecker",
     "parse_quiver",
     "random_rep",
-    "rank_mod",
-    "rref_mod",
     "symmetrized_form",
     "theta_epsilon_supremum",
     "theta_expander_exists",

@@ -14,6 +14,7 @@ the exact theory are statistical by nature.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expander import ExpanderParams
-from .quiver import Quiver, make_kronecker
+from .quiver import PRIME_BOUND, Quiver, make_kronecker
 
 DEFAULT_BUDGET = 10**7
 
@@ -66,14 +67,69 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p: int) -> int:
-    if not isinstance(p, (int, np.integer)) or not _is_prime(int(p)):
-        raise ValueError(f"p must be prime, got {p}")
+    # the bound comes first: trial division on a huge p would not finish
+    is_int = isinstance(p, (int, np.integer))
+    if not (is_int and p < PRIME_BOUND and _is_prime(int(p))):
+        raise ValueError(f"p must be a prime below 2**20, got {p}")
     return int(p)
 
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod p
 # ---------------------------------------------------------------------------
+
+
+class _Echelon:
+    """The reduced row-echelon basis of a subspace of F_p^n, grown in place.
+
+    Rows are lists of Python ints sorted by pivot column.  ``insert``
+    replaces rows instead of mutating them, so ``copy`` may share them.
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int, rows=(), pivots=()):
+        self.p = p
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    def copy(self) -> "_Echelon":
+        return _Echelon(self.p, self.rows, self.pivots)
+
+    def insert(self, vec) -> bool:
+        """Add vec to the span in O(rank * n); False if it was already inside."""
+        p = self.p
+        v = [x % p for x in vec]
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), -1)
+        if lead < 0:
+            return False
+        if v[lead] != 1:
+            inv = pow(v[lead], p - 2, p)
+            v = [x * inv % p for x in v]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            f = row[lead]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, v)]
+        k = bisect_left(self.pivots, lead)
+        rows.insert(k, v)
+        self.pivots.insert(k, lead)
+        return True
+
+    def key(self) -> tuple:
+        """Orders spans as Subspace.enumeration_key does: pivots, then rows."""
+        return (tuple(self.pivots), tuple(map(tuple, self.rows)))
+
+
+def _echelon_of(mat, p: int) -> _Echelon:
+    ech = _Echelon(p)
+    for row in np.asarray(mat, dtype=np.int64).tolist():
+        ech.insert(row)
+    return ech
 
 
 def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -84,40 +140,21 @@ def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         p: prime modulus.
 
     Returns:
-        (R, pivot_cols): the unique RREF and the pivot column indices;
-        the rank is ``len(pivot_cols)``.
+        (R, pivot_cols): the unique RREF, shaped like ``mat`` with zero
+        rows below the basis, and the pivot column indices; the rank is
+        ``len(pivot_cols)``.
     """
-    R = np.mod(np.asarray(mat, dtype=np.int64), p).copy()
-    rows, cols = R.shape
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        pr = -1
-        for rr in range(rank, rows):
-            if R[rr, c]:
-                pr = rr
-                break
-        if pr < 0:
-            continue
-        if pr != rank:
-            R[[rank, pr]] = R[[pr, rank]]
-        R[rank] = (R[rank] * pow(int(R[rank, c]), p - 2, p)) % p
-        for rr in range(rows):
-            if rr != rank and R[rr, c]:
-                R[rr] = (R[rr] - R[rr, c] * R[rank]) % p
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    return R, tuple(pivots)
+    arr = np.asarray(mat, dtype=np.int64)
+    ech = _echelon_of(arr, p)
+    R = np.zeros(arr.shape, dtype=np.int64)
+    if ech.rows:
+        R[: len(ech.rows)] = ech.rows
+    return R, tuple(ech.pivots)
 
 
 def rank_mod(mat, p: int) -> int:
     """Rank of a matrix over F_p."""
-    arr = np.asarray(mat, dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    return len(rref_mod(arr, p)[1])
+    return len(_echelon_of(mat, p).pivots)
 
 
 def _inverse_table(p: int) -> np.ndarray:
@@ -240,13 +277,9 @@ class Subspace:
         if ambient_dim == 0:
             basis = np.zeros((0, 0), dtype=np.int64)
         else:
-            arr = np.asarray(rows, dtype=np.int64)
-            if arr.size == 0:
-                arr = np.zeros((0, ambient_dim), dtype=np.int64)
-            else:
-                arr = arr.reshape((-1, ambient_dim))
-            R, piv = rref_mod(arr, p)
-            basis = R[: len(piv)].copy()
+            arr = np.asarray(rows, dtype=np.int64).reshape((-1, ambient_dim))
+            basis = np.array(_echelon_of(arr, p).rows, dtype=np.int64)
+            basis = basis.reshape((-1, ambient_dim))
         basis.setflags(write=False)
         self.p = p
         self.ambient_dim = ambient_dim
@@ -552,78 +585,44 @@ def _direct_scan(rep: FiniteFieldRep, j: int, s: int, budget: _Budget) -> Subspa
     return None
 
 
-def _pair_scan(
-    rep: FiniteFieldRep,
-    vecs: np.ndarray,
-    imgs: np.ndarray,
-    cand: np.ndarray,
-    s: int,
-    budget: _Budget,
-) -> list[Subspace]:
-    """All violating planes spanned by two candidate lines.
-
-    Complete: a violating plane's lines are all candidates, and any two
-    distinct ones span it.
-    """
-    t = int(cand.size)
-    if t < 2:
-        return []
-    budget.charge(t * (t - 1) // 2)
-    ia, ib = np.triu_indices(t, k=1)
-    found: dict[tuple, Subspace] = {}
-    p = rep.p
-    n = vecs.shape[1]
-    for lo in range(0, ia.size, 65536):
-        aa = cand[ia[lo : lo + 65536]]
-        bb = cand[ib[lo : lo + 65536]]
-        stacked = np.concatenate([imgs[aa], imgs[bb]], axis=1)
-        for pos in np.flatnonzero(batch_rank_le(stacked, s, p)):
-            rows = np.stack([vecs[aa[int(pos)]], vecs[bb[int(pos)]]])
-            sub = Subspace(p, n, rows)
-            found.setdefault(sub.enumeration_key(), sub)
-    return [found[key] for key in sorted(found)]
-
-
-def _dfs_scan(
-    rep: FiniteFieldRep,
+def _frontier_scan(
+    p: int,
     vecs: np.ndarray,
     imgs: np.ndarray,
     cand: np.ndarray,
     s: int,
     j: int,
     budget: _Budget,
-) -> list[Subspace]:
-    """Depth-first search over candidate-line spans for violating j-planes."""
-    p = rep.p
+) -> Subspace | None:
+    """First violating j-plane among the spans of candidate lines.
+
+    Level i holds every i-plane whose image rank is at most s, once each.
+    An (i+1)-plane W is built only from the span S of all its RREF rows but
+    the first, and the line through that first row: a candidate whose
+    generator leads before S's pivots and is zero on them, so [row; S]
+    is W's RREF as it stands.  Complete, because S and that line lie in W,
+    so both have image rank at most s.
+    """
     n = vecs.shape[1]
-    d2 = rep.dim[1]
-    found: dict[tuple, Subspace] = {}
-
-    def extend(start: int, u_basis: np.ndarray, img_basis: np.ndarray, depth: int):
-        for pos in range(start, cand.size):
-            budget.charge(1)
-            i = int(cand[pos])
-            stacked_u = np.concatenate([u_basis, vecs[i][None, :]], axis=0)
-            ru, upiv = rref_mod(stacked_u, p)
-            if len(upiv) == depth:
-                continue  # line already inside the span
-            stacked_img = np.concatenate([img_basis, imgs[i]], axis=0)
-            ri, ipiv = rref_mod(stacked_img, p)
-            if len(ipiv) > s:
-                continue
-            if depth + 1 == j:
-                sub = Subspace._from_echelon(p, n, ru[: len(upiv)])
-                found.setdefault(sub.enumeration_key(), sub)
-            else:
-                extend(pos + 1, ru[: len(upiv)], ri[: len(ipiv)], depth + 1)
-
-    extend(
-        0,
-        np.zeros((0, n), dtype=np.int64),
-        np.zeros((0, d2), dtype=np.int64),
-        0,
-    )
-    return [found[key] for key in sorted(found)]
+    gens = vecs[cand]
+    leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
+    gen_rows, img_rows = gens.tolist(), imgs[cand].tolist()
+    level = [(_Echelon(p), _Echelon(p))]
+    for _ in range(j):
+        budget.charge(len(level) * len(gen_rows))
+        grown = []
+        for span, image in level:
+            stop = int(np.searchsorted(leads, span.pivots[0] if span.pivots else n))
+            for c in np.flatnonzero(~gens[:stop, span.pivots].any(axis=1)).tolist():
+                img = image.copy()
+                if all(not img.insert(row) or len(img.pivots) <= s for row in img_rows[c]):
+                    rows, pivots = [gen_rows[c]] + span.rows, [int(leads[c])] + span.pivots
+                    grown.append((_Echelon(p, rows, pivots), img))
+        if not grown:
+            return None
+        level = grown
+    first = min((span for span, _ in level), key=_Echelon.key)
+    return Subspace._from_echelon(p, n, first.rows)
 
 
 def is_expander_rep(
@@ -671,18 +670,9 @@ def is_expander_rep(
         vecs, imgs = line_data
         if s not in masks:
             masks[s] = batch_rank_le(imgs, s, p)
-        cand = np.flatnonzero(masks[s])
-        if j == 1:
-            if cand.size:
-                line = Subspace._from_echelon(p, d1, vecs[int(cand[0])][None, :])
-                return ExpanderVerdict(False, line)
-            continue
-        if j == 2:
-            violations = _pair_scan(rep, vecs, imgs, cand, s, tracker)
-        else:
-            violations = _dfs_scan(rep, vecs, imgs, cand, s, j, tracker)
-        if violations:
-            return ExpanderVerdict(False, violations[0])
+        witness = _frontier_scan(p, vecs, imgs, np.flatnonzero(masks[s]), s, j, tracker)
+        if witness is not None:
+            return ExpanderVerdict(False, witness)
     return ExpanderVerdict(True, None)
 
 
@@ -692,25 +682,22 @@ def is_expander_rep(
 
 
 def _subspaces_containing(
-    p: int, n: int, s_basis: np.ndarray, k: int, budget: _Budget
+    span: _Echelon, n: int, k: int, budget: _Budget
 ) -> Iterator[np.ndarray]:
-    """RREF bases of all dim-k subspaces containing the span of s_basis.
+    """Every dim-k subspace U of F_p^n containing span, as rows that extend
+    span's basis to a basis of U.
 
-    They correspond to (k - dim S)-dim subspaces of the quotient, realized
-    on the non-pivot coordinates of S.
+    They correspond to (k - dim span)-dim subspaces of the quotient,
+    realized on the non-pivot coordinates of span.
     """
-    sdim = s_basis.shape[0]
-    pivots = {int(np.argmax(row != 0)) for row in s_basis}
-    nonpiv = [j for j in range(n) if j not in pivots]
-    extra = k - sdim
-    for t_basis in _iter_echelon_bases(p, len(nonpiv), extra):
+    nonpiv = [c for c in range(n) if c not in span.pivots]
+    extra = k - len(span.pivots)
+    for t_basis in _iter_echelon_bases(span.p, len(nonpiv), extra):
         budget.charge(1)
         lifted = np.zeros((extra, n), dtype=np.int64)
         if nonpiv:
             lifted[:, nonpiv] = t_basis
-        stacked = np.concatenate([s_basis, lifted], axis=0)
-        R, piv = rref_mod(stacked, p)
-        yield R[: len(piv)]
+        yield lifted
 
 
 def has_subrep_of_dim(
@@ -718,10 +705,11 @@ def has_subrep_of_dim(
 ) -> bool:
     """Existence (over F_p itself) of a subrepresentation of dimension vector e.
 
-    Backtracks over vertices in topological order: subspaces are chosen at
-    vertices with outgoing arrows, while at sinks only the accumulated
-    image constraint is checked, which prunes the product search to a
-    feasible size.
+    Backtracks over vertices in topological order.  Each vertex carries the
+    span of the images arriving from its chosen predecessors, as an echelon
+    basis; a branch copies the spans at its arrows' targets, extends them by
+    the new images, and stops as soon as one outgrows its entry of e.
+    Subspaces are chosen at vertices with outgoing arrows only.
     """
     quiver = rep.quiver
     dim = rep.dim
@@ -730,40 +718,38 @@ def has_subrep_of_dim(
         raise ValueError("e must be componentwise <= the representation's dimension")
     p = rep.p
     order = quiver.topological_order()
-    out_arrows: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
-    for idx, (s, t) in enumerate(quiver.arrows):
-        out_arrows[s].append((idx, t))
-    incoming: dict[int, list[np.ndarray]] = {v: [] for v in order}
+    out_arrows: dict[int, list[tuple[np.ndarray, int]]] = {v: [] for v in order}
+    for (s, t), mat in zip(quiver.arrows, rep.matrices):
+        out_arrows[s].append((mat.T, t))
     tracker = _Budget(budget)
 
-    def accumulated(v: int) -> tuple[np.ndarray, int]:
-        rows = incoming[v]
-        n_v = dim[v - 1]
-        stacked = (
-            np.concatenate(rows, axis=0) if rows else np.zeros((0, n_v), dtype=np.int64)
-        )
-        R, piv = rref_mod(stacked, p)
-        return R[: len(piv)], len(piv)
+    def extended(spans: dict, rows: np.ndarray, v: int) -> dict | None:
+        """spans with the images of rows at v added; None once one is too big."""
+        grown = dict(spans)
+        for t in {t for _, t in out_arrows[v]}:
+            grown[t] = spans[t].copy()
+        for mat_t, t in out_arrows[v]:
+            for img in (rows @ mat_t).tolist():
+                if grown[t].insert(img) and len(grown[t].pivots) > ev[t - 1]:
+                    return None
+        return grown
 
-    def place(pos: int) -> bool:
+    def place(pos: int, spans: dict) -> bool:
         if pos == len(order):
             return True
-        # constraints only ever grow, so any downstream overflow is final
-        for w in order[pos:]:
-            if accumulated(w)[1] > ev[w - 1]:
-                return False
         v = order[pos]
-        n_v = dim[v - 1]
-        R, sdim = accumulated(v)
         if not out_arrows[v]:
-            return place(pos + 1)
-        for u in _subspaces_containing(p, n_v, R, ev[v - 1], tracker):
-            for ai, t in out_arrows[v]:
-                incoming[t].append((u @ rep.matrices[ai].T) % p)
-            if place(pos + 1):
+            return place(pos + 1, spans)
+        span = spans[v]
+        if span.rows:
+            # every choice at v contains span, so its images are forced
+            spans = extended(spans, np.array(span.rows, dtype=np.int64), v)
+            if spans is None:
+                return False
+        for rows in _subspaces_containing(span, dim[v - 1], ev[v - 1], tracker):
+            grown = extended(spans, rows, v)
+            if grown is not None and place(pos + 1, grown):
                 return True
-            for ai, t in out_arrows[v]:
-                incoming[t].pop()
         return False
 
-    return place(0)
+    return place(0, {v: _Echelon(p) for v in order})

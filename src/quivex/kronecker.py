@@ -10,8 +10,8 @@ and callers must fall back to the recursive engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Sequence
 
 from .quiver import Quiver, make_kronecker
@@ -48,9 +48,6 @@ class KroneckerContext:
         d1, d2 = self.d
         return d1 * d1 + d2 * d2 - self.m * d1 * d2
 
-    def form(self, a: Sequence[int], b: Sequence[int]) -> int:
-        return a[0] * b[0] + a[1] * b[1] - self.m * a[0] * b[1]
-
 
 def beta(m: int) -> QuadraticSurd:
     """(m + sqrt(m*m - 4)) / 2, the larger root of t^2 - m t + 1."""
@@ -78,19 +75,18 @@ def c_d_exact(ctx: KroneckerContext, x: int) -> QuadraticSurd:
 def c_d_ceil(ctx: KroneckerContext, x: int) -> int:
     """Minimal integer y in [0, d2] admissible at x, for <d, d> <= 0.
 
-    Decided by the integer sign predicate (the quadratic is non-negative at
-    y, or y has passed the apex), never by rounding; equality with the
-    ceiling of c_d_exact is a tested consequence, not the definition.
+    The ceiling of the smaller zero (B - sqrt(D)) / 2 in integer arithmetic:
+    with r = isqrt(D), it is (B - r + 1) // 2 whether or not D is a square,
+    so nothing is rounded.  The tests compare it with a scan for the first
+    y at which the integer sign predicate holds.
     """
     d1, d2 = ctx.d
     if not (0 <= x <= d1):
         raise ValueError(f"x must lie in [0, {d1}]")
     _require_negative_form(ctx)
     apex_doubled = ctx.m * x + d2
-    for y in range(d2 + 1):
-        if ctx.form((x, y), (d1 - x, d2 - y)) >= 0 or 2 * y >= apex_doubled:
-            return y
-    raise AssertionError("unreachable: y = d2 always satisfies the predicate")
+    radicand = (ctx.m * x - d2) ** 2 + 4 * x * (d1 - x)
+    return min(d2, max(0, (apex_doubled - isqrt(radicand) + 1) // 2))
 
 
 def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
@@ -102,7 +98,7 @@ def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
     d1, d2 = ctx.d
     if not (0 <= ev[0] <= d1 and 0 <= ev[1] <= d2):
         return False
-    return ctx.form(ev, (d1 - ev[0], d2 - ev[1])) >= 0
+    return ctx.quiver.form_evaluator(ev, (d1 - ev[0], d2 - ev[1])) >= 0
 
 
 def dual_dim(
@@ -118,8 +114,3 @@ def dual_dim(
         raise ValueError("e must be componentwise <= d")
     return (dv[1] - ev[1], dv[0] - ev[0]), (dv[1], dv[0])
 
-
-def slope_bounds(m: int) -> tuple[QuadraticSurd, QuadraticSurd]:
-    """The interval [m - beta, beta] that d2/d1 must occupy when <d, d> <= 0."""
-    b = beta(m)
-    return (Fraction(m) - b, b)

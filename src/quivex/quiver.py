@@ -22,6 +22,12 @@ DimVector = tuple[int, ...]
 # exponential enumerations downstream
 MAX_DIM_ENTRY = 10**6
 
+# finite-field representations take primes p < PRIME_BOUND: the oracle's
+# int64 arithmetic stays exact because a 3x3 minor of entries below p is
+# under 3 * p**3 < 2**62, and a product of MAX_DIM_ENTRY-long rows is under
+# MAX_DIM_ENTRY * p**2 < 2**60; the batched inverse table has p entries
+PRIME_BOUND = 2**20
+
 
 class QuiverError(ValueError):
     """Invalid quiver data."""
@@ -59,21 +65,7 @@ class Quiver:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        indeg = [0] * (self.vertex_count + 1)
-        succ: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for s, t in self.arrows:
-            indeg[t] += 1
-            succ[s].append(t)
-        queue = deque(v for v in range(1, self.vertex_count + 1) if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for t in succ[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-        if seen != self.vertex_count:
+        if len(self.topological_order()) != self.vertex_count:
             raise CycleError("cycle detected")
 
     @cached_property

@@ -40,9 +40,9 @@ from quivex import (
     make_kronecker,
     parse_quiver,
     random_rep,
-    rank_mod,
 )
 from quivex.cli import run
+from quivex.finfield import rank_mod
 
 HALF = Fraction(1, 2)
 SEEDS = range(10)

@@ -133,6 +133,22 @@ def test_verify_budget_exit_3(capsys, tmp_path):
     assert "budget" in captured.err
 
 
+def test_verify_prime_above_bound_exit_2(capsys, tmp_path):
+    # 1048583 is the first prime past 2**20, where int64 ranks stop being exact
+    data = {
+        "p": 1048583,
+        "quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]},
+        "dim": [1, 1],
+        "matrices": [[[1]], [[2]]],
+    }
+    path = tmp_path / "large_p.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--rep", str(path), "--delta", "1/2", "--epsilon", "1/10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "2**20" in captured.err
+
+
 def test_sample_deterministic_output(capsys):
     argv = [
         "sample", "--kronecker", "3", "--d", "2,2", "--p", "101",

@@ -12,7 +12,6 @@ from quivex import (
     FiniteFieldRep,
     SubdimCache,
     Subspace,
-    batch_rank,
     dual_rep,
     embeds,
     enumerate_subspaces,
@@ -23,10 +22,8 @@ from quivex import (
     make_kronecker,
     parse_quiver,
     random_rep,
-    rank_mod,
-    rref_mod,
 )
-from quivex.finfield import batch_rank_le
+from quivex.finfield import batch_rank, batch_rank_le, rank_mod, rref_mod
 
 HALF = Fraction(1, 2)
 BIPARTITE = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n")
@@ -96,6 +93,38 @@ def test_rref_properties():
     assert piv == (0, 1, 2)
     assert rank_mod([[0, 0], [0, 0]], 3) == 0
     assert rank_mod(np.zeros((0, 4), dtype=np.int64), 3) == 0
+
+
+def test_rref_matches_sympy():
+    domain = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+
+    rng = np.random.Generator(np.random.PCG64(5))
+    for p in (2, 3, 101, 1048573):
+        field = GF(p)
+        for rows, cols, rank in [(3, 5, 3), (5, 3, 2), (4, 4, 1), (6, 6, 4), (1, 7, 0)]:
+            for _ in range(6):
+                left = rng.integers(0, p, size=(rows, rank), dtype=np.int64)
+                right = rng.integers(0, p, size=(rank, cols), dtype=np.int64)
+                mat = (left @ right) % p
+                expected, expected_piv = domain.DomainMatrix.from_list(
+                    mat.tolist(), field
+                ).rref()
+                R, piv = rref_mod(mat, p)
+                assert piv == expected_piv, (p, mat.tolist())
+                assert R.shape == mat.shape
+                assert R.tolist() == [
+                    [int(x) % p for x in row] for row in expected.to_list()
+                ], (p, mat.tolist())
+
+
+def test_prime_bound():
+    # 1048573 is the largest prime below 2**20, 1048583 the smallest above
+    assert random_rep(make_kronecker(2), (2, 2), 1048573, 0).p == 1048573
+    with pytest.raises(ValueError, match="2\\*\\*20"):
+        random_rep(make_kronecker(2), (2, 2), 1048583, 0)
+    with pytest.raises(ValueError):
+        Subspace(1048583, 2, [[1, 0]])
 
 
 def test_batch_rank_matches_scalar():
@@ -183,19 +212,27 @@ def test_is_expander_rep_large_level_equals_direct_enumeration():
 
     params = ExpanderParams(HALF, Fraction(38, 100))
     strict = ExpanderParams(HALF, Fraction(9, 10))
-    for seed in range(4):
-        rep = random_rep(make_kronecker(2), (4, 4), 3, seed)
-        for prm in (params, strict):
-            direct = is_expander_rep(rep, prm)
-            old_limit = ff._DIRECT_LIMIT
-            ff._DIRECT_LIMIT = 0  # forces the line-generated path at every level
-            try:
-                lined = is_expander_rep(rep, prm)
-            finally:
-                ff._DIRECT_LIMIT = old_limit
-            assert direct.ok == lined.ok, (seed, prm)
-            if not direct.ok:
-                assert direct.witness == lined.witness, (seed, prm)
+    # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level
+    cases = [
+        (make_kronecker(2), (4, 4), 3, (params, strict), None),
+        (make_kronecker(3), (6, 6), 2, (params,), 3),
+    ]
+    for quiver, d, p, prms, witness_dim in cases:
+        for seed in range(4):
+            rep = random_rep(quiver, d, p, seed)
+            for prm in prms:
+                direct = is_expander_rep(rep, prm)
+                old_limit = ff._DIRECT_LIMIT
+                ff._DIRECT_LIMIT = 0  # forces the line-generated path at every level
+                try:
+                    lined = is_expander_rep(rep, prm)
+                finally:
+                    ff._DIRECT_LIMIT = old_limit
+                assert direct.ok == lined.ok, (d, seed, prm)
+                if not direct.ok:
+                    assert direct.witness == lined.witness, (d, seed, prm)
+                if witness_dim is not None:
+                    assert lined.witness.dim == witness_dim, (d, seed)
 
 
 def test_has_subrep_examples():

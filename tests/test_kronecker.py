@@ -16,6 +16,7 @@ from quivex import (
     dual_dim,
     embeds,
     embeds_closed_form,
+    euler_form,
     make_kronecker,
 )
 
@@ -77,6 +78,32 @@ def test_c_d_ceil_requires_nonpositive_form():
         c_d_ceil(ctx, 1)
 
 
+def _c_d_ceil_by_scan(ctx, x):
+    """Reference: the first y in [0, d2] where the quadratic is non-negative
+    or y has passed the apex, decided by the integer sign predicate."""
+    d1, d2 = ctx.d
+    form = make_kronecker(ctx.m).form_evaluator
+    for y in range(d2 + 1):
+        if form((x, y), (d1 - x, d2 - y)) >= 0 or 2 * y >= ctx.m * x + d2:
+            return y
+    raise AssertionError("unreachable: y = d2 always satisfies the predicate")
+
+
+def test_c_d_ceil_matches_scan():
+    for ctx in _contexts((2, 3, 4, 5), 24):
+        for x in range(ctx.d[0] + 1):
+            assert c_d_ceil(ctx, x) == _c_d_ceil_by_scan(ctx, x), (ctx, x)
+
+
+def test_c_d_ceil_large_entries():
+    # minimal admissible at the documented entry bound, where a scan is too slow
+    ctx = KroneckerContext(3, (10**6, 10**6))
+    for x in (1, 3, 499_999, 10**6 - 1):
+        y = c_d_ceil(ctx, x)
+        assert embeds_closed_form(ctx, (x, y)), x
+        assert not embeds_closed_form(ctx, (x, y - 1)), x
+
+
 def test_c_d_ceil_equals_ceiling_of_exact_value():
     for ctx in _contexts((2, 3, 4, 5), 10):
         for x in range(ctx.d[0] + 1):
@@ -132,7 +159,8 @@ def test_sign_pattern_on_integer_grid():
             upper = (ctx.m * x + d2) - lower
             for y in range(d2 + 1):
                 inside = lower <= Fraction(y) <= upper
-                assert (ctx.form((x, y), (d1 - x, d2 - y)) >= 0) == inside, (ctx, x, y)
+                form = euler_form(make_kronecker(ctx.m), (x, y), (d1 - x, d2 - y))
+                assert (form >= 0) == inside, (ctx, x, y)
 
 
 def test_concavity_float_tolerance():
