@@ -10,6 +10,7 @@ false alike), 2 for input errors, 3 for an exceeded enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,6 +302,8 @@ def _cmd_curve(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+# one parser per process: argparse looks up sys.stdout/stderr when it prints
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivex",

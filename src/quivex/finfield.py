@@ -157,8 +157,14 @@ def rank_mod(mat, p: int) -> int:
     return len(_echelon_of(mat, p).pivots)
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a**(p - 2) mod p elementwise; int64 is exact since p < PRIME_BOUND."""
+    out, e = np.ones_like(a), p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a, e = a * a % p, e >> 1
+    return out
 
 
 def _minor_det(mats: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -227,7 +233,6 @@ def batch_rank(mats, p: int) -> np.ndarray:
     out = np.zeros(count, dtype=np.int64)
     if count == 0 or rows == 0 or cols == 0:
         return out
-    inv = _inverse_table(p)
     row_index = np.arange(rows)
     for col in range(cols):
         colvals = M[:, :, col]
@@ -241,8 +246,8 @@ def batch_rank(mats, p: int) -> np.ndarray:
         tmp = M[idx, first, :].copy()
         M[idx, first, :] = M[idx, pr, :]
         M[idx, pr, :] = tmp
-        pivvals = M[idx, pr, col]
-        M[idx, pr, :] = (M[idx, pr, :] * inv[pivvals][:, None]) % p
+        inv = _inverse_mod(M[idx, pr, col], p)
+        M[idx, pr, :] = (M[idx, pr, :] * inv[:, None]) % p
         sub = M[idx]
         k = idx.size
         pivrows = sub[np.arange(k), pr, :]

@@ -25,7 +25,7 @@ MAX_DIM_ENTRY = 10**6
 # finite-field representations take primes p < PRIME_BOUND: the oracle's
 # int64 arithmetic stays exact because a 3x3 minor of entries below p is
 # under 3 * p**3 < 2**62, and a product of MAX_DIM_ENTRY-long rows is under
-# MAX_DIM_ENTRY * p**2 < 2**60; the batched inverse table has p entries
+# MAX_DIM_ENTRY * p**2 < 2**60
 PRIME_BOUND = 2**20
 
 
@@ -76,18 +76,19 @@ class Quiver:
             counts[a] = counts.get(a, 0) + 1
         return counts
 
-    @cached_property
-    def form_evaluator(self):
-        """Fast Euler-form closure over pre-validated tuples (no checks)."""
-        items = tuple(self.arrow_counts.items())
+    def form_weights(self, b: DimVector) -> list[int]:
+        """w with <a, b> = sum_i a_i w_i for every a (no checks).
 
-        def evaluate(a: DimVector, b: DimVector) -> int:
-            total = sum(x * y for x, y in zip(a, b))
-            for (i, j), c in items:
-                total -= c * a[i - 1] * b[j - 1]
-            return total
+        <a, b> is linear in a: w_i = b_i - sum over arrows i -> j of b_j.
+        """
+        w = list(b)
+        for (i, j), c in self.arrow_counts.items():
+            w[i - 1] -= c * b[j - 1]
+        return w
 
-        return evaluate
+    def form_evaluator(self, a: DimVector, b: DimVector) -> int:
+        """Euler form <a, b> over pre-validated tuples (no checks)."""
+        return sum(x * y for x, y in zip(a, self.form_weights(b)))
 
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a topological order, smallest index first among ties."""

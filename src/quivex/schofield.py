@@ -34,7 +34,7 @@ class SubdimCache:
         return sum(len(t) for t in self._tables.values())
 
 
-def _subdims(evaluate, d: DimVector, table: dict) -> frozenset:
+def _subdims(weights, d: DimVector, table: dict) -> frozenset:
     cached = table.get(d)
     if cached is not None:
         return cached
@@ -43,9 +43,9 @@ def _subdims(evaluate, d: DimVector, table: dict) -> frozenset:
     for e in product(*(range(x + 1) for x in d)):
         if e == zero or e == d:
             continue
-        diff = tuple(a - b for a, b in zip(d, e))
-        subs_e = _subdims(evaluate, e, table)  # e is strictly smaller, terminates
-        if all(evaluate(ep, diff) >= 0 for ep in subs_e):
+        w = weights(tuple(a - b for a, b in zip(d, e)))
+        subs_e = _subdims(weights, e, table)  # e is strictly smaller, terminates
+        if all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs_e):
             members.add(e)
     result = frozenset(members)
     table[d] = result
@@ -71,10 +71,10 @@ def embeds(
     if ev == dv or not any(ev):
         return True
     cache = cache if cache is not None else SubdimCache()
-    evaluate = quiver.form_evaluator
-    diff = tuple(a - b for a, b in zip(dv, ev))
-    subs = _subdims(evaluate, ev, cache.table(quiver))
-    return all(evaluate(ep, diff) >= 0 for ep in subs)
+    weights = quiver.form_weights
+    w = weights(tuple(a - b for a, b in zip(dv, ev)))
+    subs = _subdims(weights, ev, cache.table(quiver))
+    return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
 
 
 def generic_subdims(
@@ -89,4 +89,4 @@ def generic_subdims(
     """
     dv = quiver.check_dim(d)
     cache = cache if cache is not None else SubdimCache()
-    return _subdims(quiver.form_evaluator, dv, cache.table(quiver))
+    return _subdims(quiver.form_weights, dv, cache.table(quiver))

@@ -15,19 +15,41 @@ from functools import total_ordering
 
 
 def _square_free(n: int) -> tuple[int, int]:
-    """Write n = s*s*k with k square-free; return (s, k).
+    """Write n = s*s*k with k square-free; return (s, k) for n >= 0.
 
-    Trial division up to the integer square root; fine for the small
-    radicands (< 10**6) this library produces.
+    Trial division takes factors f out of the cofactor c while f**3 <= c.
+    Then c has at most two prime factors, so it is square-free unless it
+    is a perfect square: the work grows with the cube root of c.
     """
-    s, k, f = 1, n, 2
-    while f * f <= k:
-        ff = f * f
-        while k % ff == 0:
-            k //= ff
-            s *= f
-        f += 1
-    return s, k
+    s, k, c, f = 1, 1, n, 2
+    while f * f * f <= c:
+        if c % f == 0:
+            c //= f
+            if c % f == 0:
+                c //= f
+                s *= f
+            else:
+                k *= f
+        else:
+            f += 1 if f == 2 else 2
+    root = math.isqrt(c)
+    if root * root == c:
+        return s * root, k
+    return s, k * c
+
+
+def _reduce(p: int, q: int, n: int, r: int) -> tuple[int, int, int, int]:
+    """Normal form of (p + q*sqrt(n)) / r for square-free n (or 0, 1), r != 0."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    if q == 0 or n == 0:
+        q, n = 0, 0
+    elif n == 1:
+        p, q, n = p + q, 0, 0
+    g = math.gcd(p, q, r)
+    if g > 1:
+        p, q, r = p // g, q // g, r // g
+    return p, q, n, r
 
 
 def _as_int(x) -> int:
@@ -57,23 +79,19 @@ class QuadraticSurd:
         p, q, n, r = _as_int(p), _as_int(q), _as_int(n), _as_int(r)
         if r == 0:
             raise ZeroDivisionError("denominator r must be nonzero")
-        if r < 0:
-            p, q, r = -p, -q, -r
         if q != 0 and n < 0:
             raise ValueError("negative radicand")
-        if q == 0 or n == 0:
-            q, n = 0, 0
-        else:
-            s, k = _square_free(n)
+        if q != 0 and n != 0:
+            s, n = _square_free(n)
             q *= s
-            if k == 1:
-                p, q, n = p + q, 0, 0
-            else:
-                n = k
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
-        self.p, self.q, self.n, self.r = p, q, n, r
+        self.p, self.q, self.n, self.r = _reduce(p, q, n, r)
+
+    @classmethod
+    def _normal(cls, p: int, q: int, n: int, r: int) -> "QuadraticSurd":
+        """Build from an n that is already 0, 1 or square-free, and r != 0."""
+        value = object.__new__(cls)
+        value.p, value.q, value.n, value.r = _reduce(p, q, n, r)
+        return value
 
     # -- constructors -----------------------------------------------------
 
@@ -92,7 +110,10 @@ class QuadraticSurd:
         fr = Fraction(value)
         if fr < 0:
             raise ValueError("negative radicand")
-        return cls(0, 1, fr.numerator * fr.denominator, fr.denominator)
+        # a and b are coprime, so their square-free parts multiply to ab's
+        sa, ka = _square_free(fr.numerator)
+        sb, kb = _square_free(fr.denominator)
+        return cls._normal(0, sa * sb, ka * kb, fr.denominator)
 
     # -- predicates and conversions ---------------------------------------
 
@@ -157,14 +178,14 @@ class QuadraticSurd:
         return None
 
     def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self.p, -self.q, self.n, self.r)
+        return QuadraticSurd._normal(-self.p, -self.q, self.n, self.r)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = self.n or other.n
-        return QuadraticSurd(
+        return QuadraticSurd._normal(
             self.p * other.r + other.p * self.r,
             self.q * other.r + other.q * self.r,
             n,
@@ -190,7 +211,7 @@ class QuadraticSurd:
         if other is None:
             return NotImplemented
         n = self.n or other.n
-        return QuadraticSurd(
+        return QuadraticSurd._normal(
             self.p * other.p + self.q * other.q * n,
             self.p * other.q + self.q * other.p,
             n,
@@ -209,7 +230,7 @@ class QuadraticSurd:
         fr = Fraction(other)
         if fr == 0:
             raise ZeroDivisionError("division by zero")
-        return QuadraticSurd(
+        return QuadraticSurd._normal(
             self.p * fr.denominator, self.q * fr.denominator, self.n, self.r * fr.numerator
         )
 

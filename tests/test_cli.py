@@ -247,3 +247,19 @@ def test_output_reparses_as_json(capsys):
     ):
         assert run(argv) == 0
         json.loads(capsys.readouterr().out)
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    from quivex.cli import _build_parser
+
+    assert run(["epsilon", "--no-such-flag"]) == 2
+    assert "usage: quivex" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "usage: quivex" in capsys.readouterr().out
+    argv = ["epsilon", "--m", "3", "--alpha", "1", "--delta", "1/3"]
+    assert run(argv) == 0
+    cached = capsys.readouterr().out
+    args = _build_parser.__wrapped__().parse_args(argv)
+    assert args.func(args) == 0
+    assert capsys.readouterr().out == cached
+    assert _build_parser() is _build_parser()

@@ -1,5 +1,6 @@
 """Unit tests for the finite-field oracle: subspaces, enumeration, verification."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -134,6 +135,22 @@ def test_batch_rank_matches_scalar():
         ranks = batch_rank(mats, p)
         for mat, r in zip(mats, ranks):
             assert rank_mod(mat, p) == r
+
+
+def test_batch_rank_large_prime_is_fast():
+    # inverses are computed per pivot, not from an O(p) table per call
+    p = 1048573
+    rng = np.random.Generator(np.random.PCG64(13))
+    mats = rng.integers(0, p, size=(40, 4, 5), dtype=np.int64)
+    mats[0] = 0
+    mats[1, 1:] = mats[1, 0]  # rank 1
+    mats[2, 3] = (5 * mats[2, 0] + 7 * mats[2, 1]) % p  # rank 3
+    mats[3, :, 4] = (p - 1) * mats[3, :, 0] % p  # dependent column
+    start = time.perf_counter()
+    ranks = batch_rank(mats, p)
+    assert time.perf_counter() - start < 1.0
+    assert [rank_mod(mat, p) for mat in mats] == ranks.tolist()
+    assert ranks[:3].tolist() == [0, 1, 3]
 
 
 def test_batch_rank_le_matches_batch_rank():

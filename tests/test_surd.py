@@ -1,12 +1,30 @@
 """Unit tests for exact quadratic-irrational arithmetic."""
 
+import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quivex import QuadraticSurd
+from quivex.cli import run
+from quivex.kronecker import KroneckerContext, c_d_exact
+from quivex.surd import _square_free
+
+
+def _square_free_reference(n):
+    """Trial division up to the square root: the slow path, kept as the oracle."""
+    s, k, f = 1, n, 2
+    while f * f <= k:
+        ff = f * f
+        while k % ff == 0:
+            k //= ff
+            s *= f
+        f += 1
+    return s, k
 
 
 def test_normalization_extracts_square_factors():
@@ -176,3 +194,99 @@ def test_floor_ceil_bracket_exactly(p, q, n, r):
     assert Fraction(hi - 1) < s <= Fraction(hi)
     is_integer = s.is_rational and s.as_fraction().denominator == 1
     assert (lo == hi) == is_integer
+
+
+def test_square_free_matches_reference_small():
+    bad = [n for n in range(1, 10**5 + 1) if _square_free(n) != _square_free_reference(n)]
+    assert bad == []
+
+
+def test_square_free_matches_reference_40_bit():
+    rng = random.Random(40)
+    for _ in range(5):
+        n = rng.getrandbits(40) | 1 << 39
+        assert _square_free(n) == _square_free_reference(n), n
+
+
+LARGE_PRIMES = (999983, 1000003, 10**9 + 7, 10**9 + 9)
+
+
+def test_square_free_crafted():
+    for q1 in LARGE_PRIMES:
+        for s in (1, 6, 999983):
+            assert _square_free(s * s * q1) == (s, q1)
+            assert _square_free(s * s * q1 * q1) == (s * q1, 1)
+        for f in (2, 30, 97):
+            assert _square_free(f**3 * q1) == (f, f * q1)
+    for q1, q2 in [(999983, 1000003), (10**9 + 7, 10**9 + 9)]:
+        for s in (1, 12):
+            assert _square_free(s * s * q1 * q2) == (s, q1 * q2)
+    assert _square_free((10**9 + 7) ** 2) == (10**9 + 7, 1)
+    assert _square_free(0) == (0, 1)
+    assert _square_free(1) == (1, 1)
+
+
+def _parts(x):
+    return (x.p, x.q, x.n, x.r)
+
+
+surd_ints = st.integers(min_value=-10**6, max_value=10**6)
+surd_dens = st.integers(min_value=1, max_value=10**4)
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+@given(
+    surd_ints, surd_ints, surd_dens, surd_ints, surd_ints, surd_dens,
+    st.sampled_from([0, 2, 3, 5, 12, 18, 45, 72, 999983 * 4]), rationals,
+)
+def test_arithmetic_matches_public_constructor(p1, q1, r1, p2, q2, r2, n, c):
+    a = QuadraticSurd(p1, q1, n, r1)
+    b = QuadraticSurd(p2, q2, n, r2)
+    m = a.n or b.n
+    # the same formulas fed to the public constructor, which re-factors m
+    expected = {
+        "neg": QuadraticSurd(-a.p, -a.q, a.n, a.r),
+        "add": QuadraticSurd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, m, a.r * b.r),
+        "mul": QuadraticSurd(a.p * b.p + a.q * b.q * m, a.p * b.q + a.q * b.p, m, a.r * b.r),
+    }
+    results = {"neg": -a, "add": a + b, "mul": a * b, "sub": a - b, "radd": c + a,
+               "rsub": c - a, "rmul": c * a}
+    if c != 0:
+        expected["div"] = QuadraticSurd(
+            a.p * c.denominator, a.q * c.denominator, a.n, a.r * c.numerator
+        )
+        results["div"] = a / c
+    for name, value in expected.items():
+        assert _parts(results[name]) == _parts(value), name
+    for name, value in results.items():
+        rebuilt = QuadraticSurd(value.p, value.q, value.n, value.r)
+        assert _parts(value) == _parts(rebuilt), name
+
+
+@given(st.integers(min_value=0, max_value=10**7), st.integers(min_value=1, max_value=10**7))
+def test_sqrt_rational_matches_public_constructor(num, den):
+    fr = Fraction(num, den)
+    value = QuadraticSurd.sqrt_rational(fr)
+    expected = QuadraticSurd(0, 1, fr.numerator * fr.denominator, fr.denominator)
+    assert _parts(value) == _parts(expected)
+
+
+def test_epsilon_large_delta_denominator(capsys):
+    start = time.perf_counter()
+    code = run(["epsilon", "--m", "3", "--alpha", "1", "--delta", "1/1000000007"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["exact"]["n"] == 250000003000000010
+
+
+def test_c_d_exact_large_dimension_vector():
+    ctx = KroneckerContext(3, (10**6, 10**6))
+    # components recorded with the square-root trial division
+    expected = {
+        1: (1000003, -1, 999998000005, 2),
+        3: (1000009, -1, 999994000045, 2),
+        499999: (2499997, -1, 1249997000005, 2),
+        999999: (3999997, -1, 3999992000005, 2),
+    }
+    for x, parts in expected.items():
+        assert _parts(c_d_exact(ctx, x)) == parts
