@@ -2,9 +2,10 @@
 
 Subspaces are represented by their unique reduced-row-echelon bases, so
 every subspace is enumerated exactly once and "first witness" outputs are
-reproducible.  All searches are capped by an explicit enumeration budget
-(default 10**7 subspaces/tuples); exceeding it raises, never silently
-truncates.
+reproducible.  All searches are capped by an explicit work budget
+(default 10**7): subspaces listed by enumerate_subspaces and
+has_subrep_of_dim, and lines plus the candidate planes tried by
+is_expander_rep.  Exceeding it raises, never silently truncates.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -28,15 +29,9 @@ from .quiver import PRIME_BOUND, Quiver, make_kronecker
 
 DEFAULT_BUDGET = 10**7
 
-# largest per-level count handled by direct subspace enumeration; beyond it
-# the search is driven through candidate lines (see is_expander_rep)
-_DIRECT_LIMIT = 200_000
-
-_CHUNK = 4096
-
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured subspace budget."""
+    """A search would exceed the configured work budget."""
 
 
 class _Budget:
@@ -119,10 +114,6 @@ class _Echelon:
         rows.insert(k, v)
         self.pivots.insert(k, lead)
         return True
-
-    def key(self) -> tuple:
-        """Orders spans as Subspace.enumeration_key does: pivots, then rows."""
-        return (tuple(self.pivots), tuple(map(tuple, self.rows)))
 
 
 def _echelon_of(mat, p: int) -> _Echelon:
@@ -544,11 +535,6 @@ class ExpanderVerdict:
     witness: Subspace | None = None
 
 
-def _strict_floor(value: Fraction) -> int:
-    """Largest integer strictly below a positive rational (or -1 if none >= 0)."""
-    return (value.numerator - 1) // value.denominator
-
-
 def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, np.ndarray]:
     """Canonical line generators and their image rows under every arrow map."""
     p = rep.p
@@ -563,31 +549,8 @@ def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, np.ndarray]:
     return vecs, imgs
 
 
-def _direct_scan(rep: FiniteFieldRep, j: int, s: int, budget: _Budget) -> Subspace | None:
-    """Check dim-j subspaces in canonical order; first one with image rank <= s."""
-    p = rep.p
-    d1 = rep.dim[0]
-    buf: list[np.ndarray] = []
-
-    def check(buf: list[np.ndarray]) -> Subspace | None:
-        budget.charge(len(buf))
-        arr = np.stack(buf)
-        imgs = np.concatenate([(arr @ f.T) % p for f in rep.matrices], axis=1)
-        hits = np.flatnonzero(batch_rank_le(imgs, s, p))
-        if hits.size:
-            return Subspace._from_echelon(p, d1, buf[int(hits[0])])
-        return None
-
-    for basis in _iter_echelon_bases(p, d1, j):
-        buf.append(basis)
-        if len(buf) == _CHUNK:
-            hit = check(buf)
-            if hit is not None:
-                return hit
-            buf = []
-    if buf:
-        return check(buf)
-    return None
+# caps the image entries of one rank batch in _frontier_scan, and so its memory
+_BATCH_ENTRIES = 1 << 18
 
 
 def _frontier_scan(
@@ -601,33 +564,42 @@ def _frontier_scan(
 ) -> Subspace | None:
     """First violating j-plane among the spans of candidate lines.
 
+    A plane is kept as the candidates whose generators are its RREF rows.
     Level i holds every i-plane whose image rank is at most s, once each.
     An (i+1)-plane W is built only from the span S of all its RREF rows but
-    the first, and the line through that first row: a candidate whose
-    generator leads before S's pivots and is zero on them, so [row; S]
-    is W's RREF as it stands.  Complete, because S and that line lie in W,
-    so both have image rank at most s.
+    the first, and the line through that first row: a candidate that leads
+    before S's pivots and is zero on them, so [row; S] is W's RREF as it
+    stands.  Complete, because S and that line lie in W.  Built by leading
+    column, then S's pivots, then row-major, each level is in canonical
+    order, so the first violating j-plane found is the witness.  Image
+    ranks are tested in numpy batches; each plane tested is charged once.
     """
-    n = vecs.shape[1]
-    gens = vecs[cand]
+    n, (m, d2) = vecs.shape[1], imgs.shape[1:]
+    gens, gimgs = vecs[cand], imgs[cand]
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
-    gen_rows, img_rows = gens.tolist(), imgs[cand].tolist()
-    level = [(_Echelon(p), _Echelon(p))]
-    for _ in range(j):
-        budget.charge(len(level) * len(gen_rows))
-        grown = []
-        for span, image in level:
-            stop = int(np.searchsorted(leads, span.pivots[0] if span.pivots else n))
-            for c in np.flatnonzero(~gens[:stop, span.pivots].any(axis=1)).tolist():
-                img = image.copy()
-                if all(not img.insert(row) or len(img.pivots) <= s for row in img_rows[c]):
-                    rows, pivots = [gen_rows[c]] + span.rows, [int(leads[c])] + span.pivots
-                    grown.append((_Echelon(p, rows, pivots), img))
-        if not grown:
-            return None
-        level = grown
-    first = min((span for span, _ in level), key=_Echelon.key)
-    return Subspace._from_echelon(p, n, first.rows)
+    zero = gens == 0
+    budget.charge(len(cand))
+    level = np.arange(len(cand))[:, None]
+    for i in range(1, j):
+        pivsets, group = np.unique(leads[level], axis=0, return_inverse=True)
+        fits = [zero[:, piv].all(axis=1) & (leads < piv[0]) for piv in pivsets.tolist()]
+        spans = [level[group.ravel() == g] for g in range(len(pivsets))]
+        step = max(1, _BATCH_ENTRIES // ((i + 1) * m * d2))
+        grown = [np.zeros((0, i + 1), dtype=np.intp)]
+        for lead in range(n):
+            for fit, planes in zip(fits, spans):
+                ext = np.flatnonzero(fit & (leads == lead))
+                total = len(ext) * len(planes)
+                for lo in range(0, total, step):
+                    k = np.arange(lo, min(lo + step, total))
+                    budget.charge(len(k))
+                    rows = np.column_stack([ext[k // len(planes)], planes[k % len(planes)]])
+                    rows = rows[batch_rank_le(gimgs[rows].reshape(len(k), -1, d2), s, p)]
+                    if i + 1 == j and len(rows):
+                        return Subspace._from_echelon(p, n, gens[rows[0]])
+                    grown.append(rows)
+        level = np.concatenate(grown)
+    return Subspace._from_echelon(p, n, gens[:1]) if j == 1 and len(cand) else None
 
 
 def is_expander_rep(
@@ -641,13 +613,13 @@ def is_expander_rep(
     subspace in enumeration order (dimensions ascending, canonical order
     within each dimension).
 
-    Levels whose subspace count is small are enumerated directly.  Large
-    levels are searched through candidate lines: a violating j-plane has
-    all of its lines violating-or-small, and is spanned by any j
-    independent ones, so the search over candidate-line spans is complete
-    while staying inside the enumeration budget.
+    Every level is searched through candidate lines, the lines whose
+    image rank stays within the level's bound: a violating j-plane has
+    only candidate lines, so the frontier of their spans finds it.  The
+    budget is charged the line count once, then each candidate line and
+    each plane the frontier tries.
     """
-    m = _kronecker_arrow_count(rep)
+    _kronecker_arrow_count(rep)
     p = rep.p
     d1, d2 = rep.dim
     tracker = _Budget(budget)
@@ -656,7 +628,7 @@ def is_expander_rep(
     masks: dict[int, np.ndarray] = {}
     for j in range(1, jmax + 1):
         rhs = (1 + params.epsilon) * Fraction(d2 * j, d1)
-        s = _strict_floor(rhs)
+        s = (rhs.numerator - 1) // rhs.denominator  # largest image rank below rhs
         if s < 0:
             continue
         if s >= d2:
@@ -664,11 +636,6 @@ def is_expander_rep(
             tracker.charge(1)
             first = next(_iter_echelon_bases(p, d1, j))
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
-        if gaussian_binomial(d1, j, p) <= _DIRECT_LIMIT:
-            witness = _direct_scan(rep, j, s, tracker)
-            if witness is not None:
-                return ExpanderVerdict(False, witness)
-            continue
         if line_data is None:
             tracker.charge(gaussian_binomial(d1, 1, p))
             line_data = _line_image_data(rep)

@@ -19,10 +19,13 @@ def _square_free(n: int) -> tuple[int, int]:
 
     Trial division takes factors f out of the cofactor c while f**3 <= c.
     Then c has at most two prime factors, so it is square-free unless it
-    is a perfect square: the work grows with the cube root of c.
+    is a perfect square: the work grows with the cube root of c.  The
+    search stops early once c is a perfect square, which is tested before
+    the first division and after each one.
     """
     s, k, c, f = 1, 1, n, 2
-    while f * f * f <= c:
+    root = math.isqrt(c)
+    while root * root != c and f * f * f <= c:
         if c % f == 0:
             c //= f
             if c % f == 0:
@@ -30,9 +33,9 @@ def _square_free(n: int) -> tuple[int, int]:
                 s *= f
             else:
                 k *= f
+            root = math.isqrt(c)
         else:
             f += 1 if f == 2 else 2
-    root = math.isqrt(c)
     if root * root == c:
         return s * root, k
     return s, k * c

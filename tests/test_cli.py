@@ -164,6 +164,22 @@ def test_sample_deterministic_output(capsys):
     assert all("ok" in s for s in payload["result"]["samples"])
 
 
+def test_sample_all_lines_candidate_within_default_budget(capsys):
+    # at j = 2 every line of F_59^3 is a candidate: 3541 lines, 3541 planes
+    code, payload = _run_json(
+        capsys,
+        ["sample", "--kronecker", "2", "--d", "3,3", "--p", "59", "--seed", "0",
+         "--count", "4", "--delta", "2/3", "--epsilon", "1/10"],
+    )
+    assert code == 0
+    assert payload["result"]["samples"] == [
+        {"seed": 0, "ok": False, "witness": {"dim": 1, "basis": [[1, 29, 8]]}},
+        {"seed": 1, "ok": False, "witness": {"dim": 1, "basis": [[1, 4, 58]]}},
+        {"seed": 2, "ok": False, "witness": {"dim": 1, "basis": [[1, 2, 0]]}},
+        {"seed": 3, "ok": True, "witness": None},
+    ]
+
+
 def test_sample_without_params(capsys):
     code, payload = _run_json(
         capsys,

@@ -222,34 +222,43 @@ def test_is_expander_rep_budget():
         is_expander_rep(rep, ExpanderParams(HALF, HALF), budget=10**6)
 
 
-def test_is_expander_rep_large_level_equals_direct_enumeration():
-    # candidate-line search must agree with the plain scan; force both paths
-    # on the same representations and compare verdict and witness
+def test_is_expander_rep_budget_charges_frontier_levels():
+    # K(3) F_7: one charge of the 400 lines; no line is a candidate at j = 1;
+    # at j = 2 every line is (400 1-planes), then the 49 * 49 2-planes with
+    # pivots (0, 1), tried in one batch that holds the witness.
+    # K(2) F_59: no line is a candidate at j = 1; at j = 2 every line is and
+    # no plane violates, so the 3541 lines, then 3541 1-planes and all 3541
+    # 2-planes of F_59^3: each level's subspace count, not lines * lines
+    cases = [
+        (make_kronecker(3), (4, 4), 7, 0, HALF, Fraction(9, 10), 3_201, False),
+        (make_kronecker(2), (3, 3), 59, 3, Fraction(2, 3), Fraction(1, 10), 10_623, True),
+    ]
+    for quiver, d, p, seed, delta, eps, charge, ok in cases:
+        rep = random_rep(quiver, d, p, seed)
+        params = ExpanderParams(delta, eps)
+        verdict = is_expander_rep(rep, params, budget=charge)
+        assert verdict.ok == ok and (ok or verdict.witness.dim == 2)
+        with pytest.raises(BudgetExceededError):
+            is_expander_rep(rep, params, budget=charge - 1)
+
+
+def test_frontier_batches_do_not_change_verdicts(monkeypatch):
+    # the frontier tests image ranks in batches; any batch size must give
+    # the same verdict and witness, the first violating plane
     import quivex.finfield as ff
 
-    params = ExpanderParams(HALF, Fraction(38, 100))
-    strict = ExpanderParams(HALF, Fraction(9, 10))
-    # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level
     cases = [
-        (make_kronecker(2), (4, 4), 3, (params, strict), None),
-        (make_kronecker(3), (6, 6), 2, (params,), 3),
+        (make_kronecker(3), (4, 4), 7, Fraction(9, 10)),
+        (make_kronecker(3), (6, 6), 2, Fraction(38, 100)),
+        (make_kronecker(2), (4, 4), 3, Fraction(1, 2)),
     ]
-    for quiver, d, p, prms, witness_dim in cases:
-        for seed in range(4):
-            rep = random_rep(quiver, d, p, seed)
-            for prm in prms:
-                direct = is_expander_rep(rep, prm)
-                old_limit = ff._DIRECT_LIMIT
-                ff._DIRECT_LIMIT = 0  # forces the line-generated path at every level
-                try:
-                    lined = is_expander_rep(rep, prm)
-                finally:
-                    ff._DIRECT_LIMIT = old_limit
-                assert direct.ok == lined.ok, (d, seed, prm)
-                if not direct.ok:
-                    assert direct.witness == lined.witness, (d, seed, prm)
-                if witness_dim is not None:
-                    assert lined.witness.dim == witness_dim, (d, seed)
+    reps = [(random_rep(q, d, p, seed), eps) for q, d, p, eps in cases for seed in range(2)]
+    expected = [is_expander_rep(rep, ExpanderParams(HALF, eps)) for rep, eps in reps]
+    for entries in (1, 100, 5_000):
+        monkeypatch.setattr(ff, "_BATCH_ENTRIES", entries)
+        for (rep, eps), want in zip(reps, expected):
+            got = is_expander_rep(rep, ExpanderParams(HALF, eps))
+            assert (got.ok, got.witness) == (want.ok, want.witness), (rep.dim, rep.p, entries)
 
 
 def test_has_subrep_examples():
@@ -369,16 +378,30 @@ def test_is_expander_rep_matches_naive_subspace_sweep():
                     return False, u
         return True, None
 
-    for p in (2, 3):
+    # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level;
+    # K(3) over F_7 at eps = 9/10 and K(2) over F_59 at delta = 2/3 have
+    # levels where every line is a candidate
+    K2, K3 = make_kronecker(2), make_kronecker(3)
+    eps_grid = (Fraction(1, 10), Fraction(38, 100), Fraction(1, 2), Fraction(9, 10))
+    cases = [
+        (K2, (4, 4), 2, HALF, eps_grid, None),
+        (K2, (4, 4), 3, HALF, eps_grid, None),
+        (K3, (6, 6), 2, HALF, (Fraction(38, 100),), 3),
+        (K3, (4, 4), 7, HALF, (Fraction(9, 10),), None),
+        (K2, (3, 3), 59, Fraction(2, 3), (Fraction(1, 10),), None),
+    ]
+    for quiver, d, p, delta, eps_values, witness_dim in cases:
         for seed in range(4):
-            rep = random_rep(make_kronecker(2), (4, 4), p, seed)
-            for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-                params = ExpanderParams(HALF, eps)
+            rep = random_rep(quiver, d, p, seed)
+            for eps in eps_values:
+                params = ExpanderParams(delta, eps)
                 expected_ok, expected_witness = naive(rep, params)
                 verdict = is_expander_rep(rep, params)
-                assert verdict.ok == expected_ok, (p, seed, eps)
+                assert verdict.ok == expected_ok, (d, p, seed, eps)
                 if not expected_ok:
-                    assert verdict.witness == expected_witness, (p, seed, eps)
+                    assert verdict.witness == expected_witness, (d, p, seed, eps)
+                if witness_dim is not None:
+                    assert verdict.witness.dim == witness_dim, (d, p, seed)
 
 
 def test_has_subrep_matches_naive_product_search():

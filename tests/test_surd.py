@@ -222,6 +222,10 @@ def test_square_free_crafted():
         for s in (1, 12):
             assert _square_free(s * s * q1 * q2) == (s, q1 * q2)
     assert _square_free((10**9 + 7) ** 2) == (10**9 + 7, 1)
+    # a perfect-square cofactor ends the search long before the cube root
+    big = 10**12 + 39
+    assert _square_free(big**2) == (big, 1)
+    assert _square_free(12 * big**2) == (2 * big, 3)
     assert _square_free(0) == (0, 1)
     assert _square_free(1) == (1, 1)
 
@@ -277,6 +281,20 @@ def test_epsilon_large_delta_denominator(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert json.loads(capsys.readouterr().out)["exact"]["n"] == 250000003000000010
+
+
+def test_epsilon_square_delta_denominator(capsys):
+    # the radicand's denominator is Q**2 with Q = 10**12 + 39 prime
+    start = time.perf_counter()
+    code = run(["epsilon", "--m", "3", "--alpha", "1", "--delta", "1/1000000000039"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["exact"] == {
+        "p": 500000000020,
+        "q": -1,
+        "n": 250000000019000000000362,
+        "r": 1,
+    }
 
 
 def test_c_d_exact_large_dimension_vector():
