@@ -20,8 +20,6 @@ from .expander import (
     theta_expander_exists,
 )
 from .finfield import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     ExpanderVerdict,
     FiniteFieldRep,
     Subspace,
@@ -43,6 +41,8 @@ from .kronecker import (
     embeds_closed_form,
 )
 from .quiver import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     CycleError,
     DimVector,
     Quiver,

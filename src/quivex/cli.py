@@ -4,7 +4,7 @@ Rationals are entered as ``P/Q`` (or plain integers), never as decimals,
 so exactness is preserved end to end.  Every command prints one JSON
 envelope {command, inputs, result, exact, approx} on stdout; ``curve``
 can emit CSV instead.  Exit codes: 0 for a computed decision (true or
-false alike), 2 for input errors, 3 for an exceeded enumeration budget.
+false alike), 2 for input errors, 3 for an exceeded work budget.
 """
 
 from __future__ import annotations
@@ -27,14 +27,10 @@ from .expander import (
     expander_exists_uniform,
     theta_epsilon_supremum,
 )
-from .finfield import (
-    BudgetExceededError,
-    FiniteFieldRep,
-    is_expander_rep,
-    random_rep,
-)
+from .finfield import FiniteFieldRep, is_expander_rep, random_rep
 from .kronecker import KroneckerContext, c_d_ceil, c_d_exact
 from .quiver import (
+    BudgetExceededError,
     euler_form,
     in_fundamental_domain,
     load_quiver,

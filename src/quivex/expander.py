@@ -14,6 +14,7 @@ QuadraticSurd); no floating point enters any decision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -112,18 +113,15 @@ def minimal_second_coordinate(
 ) -> int:
     """Smallest e2 with (e1, e2) embedding generically into d over K(m).
 
-    Uses the closed-form boundary when <d, d> <= 0 and falls back to the
-    recursive engine otherwise, so it is total over all (m, d).  A maximal
-    second coordinate always embeds, so the search cannot fail.
+    Uses the closed-form boundary when <d, d> <= 0 and binary-searches the
+    Schofield engine otherwise, so it is total over all (m, d): embedding
+    is upward closed in e2 (any vectors can join U_2), and (e1, d2) embeds.
     """
     d1, d2 = d
     if d1 * d1 + d2 * d2 - m * d1 * d2 <= 0:
         return c_d_ceil(KroneckerContext(m, d), e1)
     quiver = make_kronecker(m)
-    for e2 in range(d2 + 1):
-        if embeds(quiver, (e1, e2), d, cache):
-            return e2
-    raise AssertionError("unreachable: (e1, d2) always embeds")
+    return bisect_left(range(d2), True, key=lambda e2: embeds(quiver, (e1, e2), d, cache))
 
 
 def expander_exists(

@@ -25,26 +25,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expander import ExpanderParams
-from .quiver import PRIME_BOUND, Quiver, make_kronecker
-
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """A search would exceed the configured work budget."""
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spent = 0
-
-    def charge(self, amount: int):
-        self.spent += amount
-        if self.spent > self.limit:
-            raise BudgetExceededError(
-                f"enumeration budget exceeded ({self.spent} > {self.limit})"
-            )
+from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget
+from .quiver import make_kronecker
 
 
 def _is_prime(n: int) -> bool:
@@ -383,7 +365,7 @@ def enumerate_subspaces(
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gaussian_binomial(n, k, p)
     if total > budget:
-        raise BudgetExceededError(f"{total} subspaces exceed budget {budget}")
+        raise BudgetExceededError("enumerate", total, budget, f" at k = {k} in F_{p}^{n}")
 
     def generate():
         for basis in _iter_echelon_bases(p, n, k):
@@ -622,7 +604,7 @@ def is_expander_rep(
     _kronecker_arrow_count(rep)
     p = rep.p
     d1, d2 = rep.dim
-    tracker = _Budget(budget)
+    tracker = _Budget(budget, "frontier")
     jmax = int(params.delta * d1) if d1 else 0
     line_data: tuple[np.ndarray, np.ndarray] | None = None
     masks: dict[int, np.ndarray] = {}
@@ -693,7 +675,7 @@ def has_subrep_of_dim(
     out_arrows: dict[int, list[tuple[np.ndarray, int]]] = {v: [] for v in order}
     for (s, t), mat in zip(quiver.arrows, rep.matrices):
         out_arrows[s].append((mat.T, t))
-    tracker = _Budget(budget)
+    tracker = _Budget(budget, "subrep")
 
     def extended(spans: dict, rows: np.ndarray, v: int) -> dict | None:
         """spans with the images of rows at v added; None once one is too big."""

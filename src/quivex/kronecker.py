@@ -4,7 +4,7 @@ For m >= 2 and a nonzero dimension vector d = (d1, d2) with <d, d> <= 0,
 generic embedding of e into d is equivalent to the single inequality
 <e, d - e> >= 0, i.e. to e2 >= c_d(e1) where c_d(x) is the smaller zero of
 y |-> <(x, y), d - (x, y)>.  Outside that regime the closed form refuses
-and callers must fall back to the recursive engine.
+and callers must fall back to the Schofield engine.
 """
 
 from __future__ import annotations

@@ -29,6 +29,30 @@ MAX_DIM_ENTRY = 10**6
 PRIME_BOUND = 2**20
 
 
+# default work budget of every bounded search
+DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """A search would exceed its work budget: ``phase`` names the search
+    ("subdims", "frontier", "subrep" or "enumerate"), ``spent`` is the work
+    it would reach and ``limit`` the budget."""
+
+    def __init__(self, phase: str, spent: int, limit: int, where: str = ""):
+        super().__init__(f"{phase} budget exceeded{where}: spent {spent} > limit {limit}")
+        self.phase, self.spent, self.limit = phase, spent, limit
+
+
+class _Budget:
+    def __init__(self, limit: int, phase: str):
+        self.limit, self.phase, self.spent = limit, phase, 0
+
+    def charge(self, amount: int, where: str = ""):
+        self.spent += amount
+        if self.spent > self.limit:
+            raise BudgetExceededError(self.phase, self.spent, self.limit, where)
+
+
 class QuiverError(ValueError):
     """Invalid quiver data."""
 

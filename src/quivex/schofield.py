@@ -1,24 +1,35 @@
-"""Recursive decision procedure for generic subrepresentation dimension vectors.
+"""Generic subrepresentation dimension vectors, by Schofield's criterion.
 
-``e`` embeds generically into ``d`` iff <e', d - e> >= 0 for every e' that
-itself embeds generically into e.  The complete sets Sub(e) are computed by
-recursion over componentwise-smaller vectors and memoized per quiver; the
-cached sets are mathematical facts and are never invalidated.
+``e`` embeds generically into ``d`` iff <e', d - e> >= 0 for every e' in
+Sub(e), the vectors that embed generically into e.  Sub(d) comes from one
+bottom-up walk of the box {e : e <= d} in lexicographic order: Sub(e) is
+complete when e is reached, and one int64 product (Sub(e) F)(V - e)^T, with
+<a, b> = a F b and V the up-box {v : e <= v <= d}, decides e in Sub(v) for
+all v in V at once.  The walk's boolean table of (box size)^2 cells is
+charged to the work budget (phase "subdims") before it is allocated, so it
+stays under 10 MB; a form value stays under (box size)^2 times the largest
+arrow multiplicity, so int64 is exact.  For K(m), m >= 2, d nonzero and
+<d, d> <= 0, the closed form <e, d - e> >= 0 decides and no box is walked.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from functools import reduce
 from typing import Sequence
 
-from .quiver import DimVector, Quiver
+import numpy as np
+
+from .kronecker import KroneckerContext, embeds_closed_form
+from .quiver import DEFAULT_BUDGET, DimVector, Quiver, _Budget
 
 
 class SubdimCache:
-    """Memo of complete generic-subdimension sets, keyed per quiver.
+    """Complete generic-subdimension sets, keyed per quiver and vector.
 
-    Not synchronized: confine an instance to one thread of control, or
-    guard it externally.  Warm and cold caches give identical answers.
+    A vector it holds is answered without a walk; the sets are facts and are
+    never invalidated.  Not synchronized: confine an instance to one thread
+    of control, or guard it externally.  Warm and cold caches agree.
     """
 
     def __init__(self):
@@ -34,22 +45,49 @@ class SubdimCache:
         return sum(len(t) for t in self._tables.values())
 
 
-def _subdims(weights, d: DimVector, table: dict) -> frozenset:
-    cached = table.get(d)
-    if cached is not None:
-        return cached
-    zero = (0,) * len(d)
-    members = {zero, d}
-    for e in product(*(range(x + 1) for x in d)):
-        if e == zero or e == d:
-            continue
-        w = weights(tuple(a - b for a, b in zip(d, e)))
-        subs_e = _subdims(weights, e, table)  # e is strictly smaller, terminates
-        if all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs_e):
-            members.add(e)
-    result = frozenset(members)
-    table[d] = result
-    return result
+def _cone_context(quiver: Quiver, d: DimVector) -> KroneckerContext | None:
+    """K(m) data for d when the closed form decides embedding into d."""
+    m = quiver.arrow_counts.get((1, 2), 0)
+    if quiver.vertex_count != 2 or m < 2 or not any(d):  # acyclic: no arrow 2 -> 1
+        return None
+    ctx = KroneckerContext(m, d)
+    return ctx if ctx.euler_dd <= 0 else None
+
+
+def _box(quiver: Quiver, d: DimVector, cost: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every e <= d as rows, lexicographically, and the rows e F, where
+    <e, x> = (e F) @ x; cost is charged to the work budget first."""
+    _Budget(DEFAULT_BUDGET, "subdims").charge(cost, f" at {d}")
+    box = np.indices([x + 1 for x in d]).reshape(len(d), -1).T
+    form = np.eye(len(d), dtype=np.int64)
+    for (i, j), c in quiver.arrow_counts.items():
+        form[i - 1, j - 1] -= c
+    return box, box @ form
+
+
+def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
+    """Sub(d) by the bottom-up walk of box(d)."""
+    size = math.prod(x + 1 for x in d)
+    box, weights = _box(quiver, d, size * size)
+    axes = [np.arange(x + 1) * math.prod(y + 1 for y in d[i + 1 :]) for i, x in enumerate(d)]
+    member = np.eye(size, dtype=bool)  # member[v, e]: e lies in Sub(v)
+    for k, e in enumerate(box.tolist()):
+        up = reduce(np.add.outer, [a[x:] for a, x in zip(axes, e)]).ravel()
+        values = weights[member[k]] @ box[up - k].T  # box[up - k] = up-box - e
+        member[up, k] = values.min(axis=0) >= 0
+    return frozenset(map(tuple, box[member[-1]].tolist()))
+
+
+def _cached_subdims(quiver: Quiver, d: DimVector, table: dict) -> frozenset:
+    subs = table.get(d)
+    if subs is None:
+        if _cone_context(quiver, d) is None:
+            subs = _subdims(quiver, d)
+        else:  # the closed form, <e, d - e> >= 0, on every e <= d
+            box, weights = _box(quiver, d, math.prod(x + 1 for x in d))
+            subs = frozenset(map(tuple, box[(weights * (d - box)).sum(1) >= 0].tolist()))
+        table[d] = subs
+    return subs
 
 
 def embeds(
@@ -70,10 +108,12 @@ def embeds(
         return False
     if ev == dv or not any(ev):
         return True
+    ctx = _cone_context(quiver, dv)
+    if ctx is not None:
+        return embeds_closed_form(ctx, ev)
     cache = cache if cache is not None else SubdimCache()
-    weights = quiver.form_weights
-    w = weights(tuple(a - b for a, b in zip(dv, ev)))
-    subs = _subdims(weights, ev, cache.table(quiver))
+    w = quiver.form_weights(tuple(a - b for a, b in zip(dv, ev)))
+    subs = _cached_subdims(quiver, ev, cache.table(quiver))
     return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
 
 
@@ -89,4 +129,4 @@ def generic_subdims(
     """
     dv = quiver.check_dim(d)
     cache = cache if cache is not None else SubdimCache()
-    return _subdims(quiver.form_weights, dv, cache.table(quiver))
+    return _cached_subdims(quiver, dv, cache.table(quiver))

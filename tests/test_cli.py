@@ -2,10 +2,13 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from quivex import FiniteFieldRep, make_kronecker
+from quivex import DEFAULT_BUDGET, FiniteFieldRep, make_kronecker
 from quivex.cli import run
 
 K3_TEXT = "vertices 2\n1 -> 2\n1 -> 2\n1 -> 2\n"
@@ -279,3 +282,56 @@ def test_cached_parser_matches_fresh_parser(capsys):
     assert args.func(args) == 0
     assert capsys.readouterr().out == cached
     assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, vector, box",
+    [
+        (["subdims", "--kronecker", "2", "--d", "200,300"], "(200, 300)", 201 * 301),
+        (
+            ["embed", "--kronecker", "2", "--e", "100,150", "--d", "200,300"],
+            "(100, 150)",
+            101 * 151,
+        ),
+    ],
+)
+def test_schofield_budget_exit_3(capsys, argv, vector, box):
+    # off the cone of K(2): the member table would hold box**2 cells, which
+    # is charged, and refused, before anything is allocated
+    tracemalloc.start()
+    start = time.monotonic()
+    code = run(argv)
+    elapsed = time.monotonic() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 5
+    assert peak < 2**20
+    assert err == (
+        f"error: subdims budget exceeded at {vector}: "
+        f"spent {box * box} > limit {DEFAULT_BUDGET}\n"
+    )
+
+
+def test_subdims_kronecker_2_20_30_speed(capsys):
+    start = time.monotonic()
+    code, payload = _run_json(capsys, ["subdims", "--kronecker", "2", "--d", "20,30"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert elapsed < 1, f"{elapsed:.2f}s"
+    subs = payload["result"]["subdims"]
+    assert len(subs) == 331
+    assert [0, 0] in subs and [20, 30] in subs
+
+
+def test_embed_kronecker_3_on_the_cone_speed(capsys):
+    start = time.monotonic()
+    code, payload = _run_json(
+        capsys, ["embed", "--kronecker", "3", "--e", "30,30", "--d", "60,60"]
+    )
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert elapsed < 0.1, f"{elapsed:.3f}s"
+    # <(30, 30), (30, 30)> = -900; the old recursion took ~10 s to agree
+    assert payload["result"] == {"embeds": False}

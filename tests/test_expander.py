@@ -104,18 +104,25 @@ def test_expander_exists_boundary_is_inclusive():
 
 
 def test_expander_exists_recursive_fallback_consistency():
-    # <d, d> > 0 forces the recursive engine; its minima must agree with a
-    # direct scan of the embedding relation
+    # <d, d> > 0 forces the Schofield engine; the binary search's minima must
+    # agree with a linear scan of the embedding relation
+    from quivex.expander import minimal_second_coordinate
+
     cache = SubdimCache()
     m, d = 3, (12, 1)
     quiver = make_kronecker(m)
     decision = expander_exists(m, d, ExpanderParams(HALF, Fraction(1, 100)), cache)
     for e1 in range(1, 7):
         expected = min(e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache))
-        from quivex.expander import minimal_second_coordinate
-
         assert minimal_second_coordinate(m, d, e1, cache) == expected
     assert decision.exists in (True, False)
+    for m in (3, 4):
+        quiver = make_kronecker(m)
+        for d in [(12, 1), (9, 2), (2, 9)]:
+            assert d[0] ** 2 + d[1] ** 2 - m * d[0] * d[1] > 0  # off the cone
+            for e1 in range(d[0] + 1):
+                scan = [e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache)]
+                assert minimal_second_coordinate(m, d, e1, cache) == scan[0], (m, d, e1)
 
 
 def test_expander_exists_monotone_in_epsilon_and_delta():

@@ -222,6 +222,24 @@ def test_is_expander_rep_budget():
         is_expander_rep(rep, ExpanderParams(HALF, HALF), budget=10**6)
 
 
+def test_budget_error_names_its_phase():
+    rep = random_rep(make_kronecker(2), (12, 12), 5, 0)
+    calls = [
+        ("enumerate", lambda: enumerate_subspaces(101, 4, 2)),
+        ("frontier", lambda: is_expander_rep(rep, ExpanderParams(HALF, HALF), budget=10**6)),
+        ("subrep", lambda: has_subrep_of_dim(rep, (6, 6), budget=10)),
+    ]
+    for phase, call in calls:
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+        exc = info.value
+        assert exc.phase == phase
+        assert exc.spent > exc.limit
+        assert f"{phase} budget exceeded" in str(exc)
+        assert f"spent {exc.spent} > limit {exc.limit}" in str(exc)
+    assert info.value.limit == 10
+
+
 def test_is_expander_rep_budget_charges_frontier_levels():
     # K(3) F_7: one charge of the 400 lines; no line is a candidate at j = 1;
     # at j = 2 every line is (400 1-planes), then the 49 * 49 2-planes with

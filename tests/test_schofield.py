@@ -1,20 +1,133 @@
-"""Unit tests for the recursive generic-subrepresentation decision."""
+"""Unit tests for the generic-subrepresentation decision.
 
+``_subdims_reference`` is the memoised top-down recursion the bottom-up
+engine replaced; the differential tests below hold the engine to it.
+"""
+
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from quivex import (
+    KroneckerContext,
     SubdimCache,
     beta,
     embeds,
+    embeds_closed_form,
     generic_subdims,
     make_kronecker,
     parse_quiver,
 )
+from quivex.schofield import _subdims
 
 BIPARTITE = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n")
+# a path 1 -> 2 -> 3 plus a double arrow 1 -> 3
+PATH_DOUBLE = parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n1 -> 3\n1 -> 3\n")
+
+
+def _subdims_reference(weights, d, table: dict) -> frozenset:
+    cached = table.get(d)
+    if cached is not None:
+        return cached
+    zero = (0,) * len(d)
+    members = {zero, d}
+    for e in product(*(range(x + 1) for x in d)):
+        if e == zero or e == d:
+            continue
+        w = weights(tuple(a - b for a, b in zip(d, e)))
+        subs_e = _subdims_reference(weights, e, table)  # e is strictly smaller, terminates
+        if all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs_e):
+            members.add(e)
+    result = frozenset(members)
+    table[d] = result
+    return result
+
+
+def _embeds_reference(quiver, e, d, table: dict) -> bool:
+    w = quiver.form_weights(tuple(a - b for a, b in zip(d, e)))
+    subs = _subdims_reference(quiver.form_weights, e, table)
+    return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
+
+
+def _box(d):
+    return product(*(range(x + 1) for x in d))
+
+
+def _on_cone(m, d):
+    return any(d) and d[0] * d[0] + d[1] * d[1] - m * d[0] * d[1] <= 0
+
+
+GRIDS = [(make_kronecker(m), (10, 10)) for m in range(1, 6)]
+GRIDS += [(BIPARTITE, (4, 6, 4)), (PATH_DOUBLE, (4, 4, 4))]
+GRID_IDS = [f"K{m}" for m in range(1, 6)] + ["bipartite", "path_double"]
+
+
+@pytest.mark.parametrize("quiver, dmax", GRIDS, ids=GRID_IDS)
+def test_generic_subdims_matches_reference(quiver, dmax):
+    table: dict = {}
+    warm = SubdimCache()
+    for d in _box(dmax):
+        expected = _subdims_reference(quiver.form_weights, d, table)
+        assert generic_subdims(quiver, d) == expected, d
+        assert generic_subdims(quiver, d, warm) == expected, d
+    size = len(warm)
+    for d in _box(dmax):
+        assert generic_subdims(quiver, d, warm) == table[d], d
+    assert len(warm) == size
+
+
+@pytest.mark.parametrize("quiver, dmax", GRIDS, ids=GRID_IDS)
+def test_embeds_matches_reference(quiver, dmax):
+    # every pair e <= d of the grid twice: e first, with a fresh cache per e,
+    # then d first, with one cache for the whole grid
+    table: dict = {}
+    expected = {}
+    for e in _box(dmax):
+        cold = SubdimCache()
+        for d in product(*(range(a, b + 1) for a, b in zip(e, dmax))):
+            expected[e, d] = _embeds_reference(quiver, e, d, table)
+            assert embeds(quiver, e, d, cold) == expected[e, d], (e, d)
+    warm = SubdimCache()
+    for d in _box(dmax):
+        for e in _box(d):
+            assert embeds(quiver, e, d, warm) == expected[e, d], (e, d)
+
+
+def test_walk_matches_reference_on_the_cone():
+    # where the closed form answers, the bottom-up walk must still agree
+    for m in range(2, 6):
+        K = make_kronecker(m)
+        table: dict = {}
+        for d in _box((10, 10)):
+            if _on_cone(m, d):
+                assert _subdims(K, d) == _subdims_reference(K.form_weights, d, table), (m, d)
+
+
+def test_closed_form_matches_reference_on_the_cone():
+    # the cone theorem itself: closed form against the old recursion
+    pairs = 0
+    for m in (2, 3, 4):
+        K = make_kronecker(m)
+        table: dict = {}
+        for d in _box((12, 12)):
+            if not _on_cone(m, d):
+                continue
+            ctx = KroneckerContext(m, d)
+            for e in _box(d):
+                pairs += 1
+                assert embeds_closed_form(ctx, e) == _embeds_reference(K, e, d, table), (m, d, e)
+    assert pairs == 14810
+
+
+def test_bipartite_8_16_8_speed_and_reference():
+    start = time.monotonic()
+    subs = generic_subdims(BIPARTITE, (8, 16, 8))
+    elapsed = time.monotonic() - start
+    assert elapsed < 2, f"{elapsed:.2f}s"
+    assert len(subs) == 452
+    assert subs == _subdims_reference(BIPARTITE.form_weights, (8, 16, 8), {})
 
 
 def test_embeds_examples():
