@@ -7,6 +7,15 @@ reproducible.  All searches are capped by an explicit work budget
 has_subrep_of_dim, and lines plus the candidate planes tried by
 is_expander_rep.  Exceeding it raises, never silently truncates.
 
+Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
+echelon basis on Python ints grown one vector at a time, and
+_gauss_jordan, a batched numpy elimination that swaps no rows.  The
+batched kernels take the narrowest of int16, int32 and int64 that holds
+their largest intermediate value (_int_dtype): (p - 1)**2 in an
+elimination step, a sum of such products in a matrix product.
+is_expander_rep's frontier keeps each plane's image span reduced, so
+each extension by a line is tested on that line's images alone.
+
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
 the exact theory are statistical by nature.
@@ -130,13 +139,29 @@ def rank_mod(mat, p: int) -> int:
     return len(_echelon_of(mat, p).pivots)
 
 
+def _int_dtype(bound: int):
+    """The narrowest of int16, int32 and int64 that holds every integer in
+    [-bound, bound]: the one dtype rule of the batched kernels."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowError(f"no integer dtype holds {bound}")
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place: x - p * (x // p).  numpy divides an integer array
+    by a scalar many times faster than it takes the remainder."""
+    x -= x // p * p
+    return x
+
+
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a**(p - 2) mod p elementwise; int64 is exact since p < PRIME_BOUND."""
+    """a**(p - 2) mod p elementwise, exact in any dtype holding (p - 1)**2."""
     out, e = np.ones_like(a), p - 2
     while e:
         if e & 1:
-            out = out * a % p
-        a, e = a * a % p, e >> 1
+            out = _mod(out * a, p)
+        a, e = _mod(a * a, p), e >> 1
     return out
 
 
@@ -199,38 +224,48 @@ def batch_rank(mats, p: int) -> np.ndarray:
     Returns:
         int array of shape (count,) with the rank of each matrix.
     """
-    M = np.mod(np.asarray(mats, dtype=np.int64), p).copy()
+    M = np.mod(np.asarray(mats, dtype=np.int64), p)
     if M.ndim != 3:
         raise ValueError("expected a 3-d array (count, rows, cols)")
+    _, pivots = _gauss_jordan(M.astype(_int_dtype((p - 1) ** 2)), p)
+    return (pivots >= 0).sum(axis=1)
+
+
+def _gauss_jordan(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a stack of matrices over F_p, batched, swapping no rows.
+
+    M is (count, rows, cols) with entries in [0, p), in a dtype that holds
+    +-(p - 1)**2.  Column by column, in each matrix the first row that is
+    not yet a pivot row and is nonzero there becomes one: it is scaled to a
+    leading 1 and cleared from every other row.  Returns the stack in
+    reduced echelon form but with its rows left where they were, and each
+    row's pivot column, -1 for the rows that ended zero; a matrix's rank is
+    its pivot count; M may be overwritten.  The work runs on M laid out as
+    (cols, rows, count), so every step is a long contiguous numpy loop, and
+    the pivot rows are picked by a mask, not gathered by index.
+    """
     count, rows, cols = M.shape
-    out = np.zeros(count, dtype=np.int64)
-    if count == 0 or rows == 0 or cols == 0:
-        return out
-    row_index = np.arange(rows)
+    W = np.ascontiguousarray(M.transpose(2, 1, 0))
+    pivots = np.full((rows, count), -1, dtype=np.intp)
+    free = np.ones((rows, count), dtype=bool)
     for col in range(cols):
-        colvals = M[:, :, col]
-        cand = (colvals != 0) & (row_index[None, :] >= out[:, None])
-        has = cand.any(axis=1)
-        idx = np.nonzero(has)[0]
-        if idx.size == 0:
+        cand = (W[col] != 0) & free
+        if not cand.any():
             continue
-        first = np.argmax(cand[idx], axis=1)
-        pr = out[idx]
-        tmp = M[idx, first, :].copy()
-        M[idx, first, :] = M[idx, pr, :]
-        M[idx, pr, :] = tmp
-        inv = _inverse_mod(M[idx, pr, col], p)
-        M[idx, pr, :] = (M[idx, pr, :] * inv[:, None]) % p
-        sub = M[idx]
-        k = idx.size
-        pivrows = sub[np.arange(k), pr, :]
-        fac = sub[:, :, col].copy()
-        fac[np.arange(k), pr] = 0
-        M[idx] = (sub - fac[:, :, None] * pivrows[:, None, :]) % p
-        out[idx] = pr + 1
-        if out.min() >= rows:
+        pick = cand & (np.cumsum(cand, axis=0) == 1)  # each matrix's first candidate
+        # the scaled pivot rows from col on (zero where a matrix has none);
+        # their columns before col are zero already
+        lead = (W[col:] * pick).sum(axis=1, dtype=W.dtype)
+        lead = _mod(lead * _inverse_mod(lead[0], p), p)
+        # subtracting (v - 1) * lead from the pivot row v * lead leaves lead
+        rest = W[col:]
+        rest -= lead[:, None, :] * (W[col] - pick)
+        _mod(rest, p)
+        pivots[pick] = col
+        free &= ~pick
+        if not free.any():
             break
-    return out
+    return W.transpose(2, 1, 0), pivots.T
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +556,39 @@ def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, np.ndarray]:
     """Canonical line generators and their image rows under every arrow map."""
     p = rep.p
     vecs = _canonical_lines(p, rep.dim[0])
-    # narrow dtype when the matmul cannot overflow: halves the memory traffic
-    if (p - 1) ** 2 * max(rep.dim[0], 1) < 2**31 - 1:
-        work = vecs.astype(np.int32)
-        mats = [f.astype(np.int32) for f in rep.matrices]
-    else:
-        work, mats = vecs, list(rep.matrices)
-    imgs = np.stack([(work @ f.T) % p for f in mats], axis=1)
+    # the narrowest dtype the matmul cannot overflow: less memory traffic
+    dtype = _int_dtype((p - 1) ** 2 * max(rep.dim[0], 1))
+    work = vecs.astype(dtype)
+    imgs = np.stack([(work @ f.T.astype(dtype)) % p for f in rep.matrices], axis=1)
     return vecs, imgs
+
+
+def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """X's rows reduced against reduced echelon spans: X - X[:, pivots] @ rows.
+
+    X is (count, k, n) and each span is (rows[i], pivots[i]).  A pivot n
+    pads a zero row, so it adds nothing.
+    """
+    coef = np.take_along_axis(X, np.minimum(pivots, X.shape[2] - 1)[:, None, :], axis=2)
+    dtype = _int_dtype(rows.shape[1] * (p - 1) ** 2 + p)
+    return _mod(X - np.matmul(coef, rows, dtype=dtype), p).astype(X.dtype, copy=False)
+
+
+def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spans (rows, pivots) joined with the rows R reduced against them.
+
+    R and its pivot columns rpiv come from _gauss_jordan.  The join is the
+    span's rows cleared on R's pivot columns, then both sets of rows in
+    pivot order, cut to width rows, which the rank must not pass.
+    """
+    rpiv = np.where(rpiv >= 0, rpiv, rows.shape[2])
+    keys = np.concatenate([pivots, rpiv], axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")[:, :width]
+    joined = np.concatenate([_reduced(rows, R, rpiv, p), R], axis=1)
+    return (
+        np.take_along_axis(joined, order[:, :, None], axis=1),
+        np.take_along_axis(keys, order, axis=1),
+    )
 
 
 # caps the image entries of one rank batch in _frontier_scan, and so its memory
@@ -553,34 +613,60 @@ def _frontier_scan(
     before S's pivots and is zero on them, so [row; S] is W's RREF as it
     stands.  Complete, because S and that line lie in W.  Built by leading
     column, then S's pivots, then row-major, each level is in canonical
-    order, so the first violating j-plane found is the witness.  Image
-    ranks are tested in numpy batches; each plane tested is charged once.
+    order, so the first violating j-plane found is the witness.
+
+    Each i-plane carries its image span in reduced echelon form: min(s,
+    i * m) rows and their pivot columns, padded with zero rows and pivot
+    d2 past its rank r.  W = [row; S] is tested on the new line's m images
+    only, reduced against S's span: W stays within s iff they have rank
+    <= s - r.  Only the planes kept for the next level get their span
+    rebuilt.  Tests run in numpy batches of _BATCH_ENTRIES // ((i + 1) * m
+    * d2) planes; each plane tested is charged once.
     """
     n, (m, d2) = vecs.shape[1], imgs.shape[1:]
-    gens, gimgs = vecs[cand], imgs[cand]
+    gens = vecs[cand]
+    gimgs = imgs[cand].astype(_int_dtype((p - 1) ** 2))
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
     zero = gens == 0
     budget.charge(len(cand))
     level = np.arange(len(cand))[:, None]
+    if j > 1:  # level 1's spans: each candidate's images joined to the zero span
+        zero_rows = np.zeros((len(cand), 0, d2), dtype=gimgs.dtype)
+        zero_pivs = np.zeros((len(cand), 0), dtype=np.intp)
+        R, rpiv = _gauss_jordan(gimgs.copy(), p)
+        span_rows, span_pivs = _grown_spans(zero_rows, zero_pivs, R, rpiv, p, min(s, m))
     for i in range(1, j):
         pivsets, group = np.unique(leads[level], axis=0, return_inverse=True)
         fits = [zero[:, piv].all(axis=1) & (leads < piv[0]) for piv in pivsets.tolist()]
-        spans = [level[group.ravel() == g] for g in range(len(pivsets))]
+        members = [np.flatnonzero(group.ravel() == g) for g in range(len(pivsets))]
+        room = s - (span_pivs < d2).sum(axis=1)  # rank the new images may add
         step = max(1, _BATCH_ENTRIES // ((i + 1) * m * d2))
-        grown = [np.zeros((0, i + 1), dtype=np.intp)]
+        width = min(s, (i + 1) * m)  # span rows kept per (i+1)-plane
+        grown = []
         for lead in range(n):
-            for fit, planes in zip(fits, spans):
+            for fit, planes in zip(fits, members):
                 ext = np.flatnonzero(fit & (leads == lead))
                 total = len(ext) * len(planes)
                 for lo in range(0, total, step):
                     k = np.arange(lo, min(lo + step, total))
                     budget.charge(len(k))
-                    rows = np.column_stack([ext[k // len(planes)], planes[k % len(planes)]])
-                    rows = rows[batch_rank_le(gimgs[rows].reshape(len(k), -1, d2), s, p)]
-                    if i + 1 == j and len(rows):
-                        return Subspace._from_echelon(p, n, gens[rows[0]])
-                    grown.append(rows)
-        level = np.concatenate(grown)
+                    new, old = ext[k // len(planes)], planes[k % len(planes)]
+                    X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
+                    R, rpiv = _gauss_jordan(X, p)
+                    keep = (rpiv >= 0).sum(axis=1) <= room[old]
+                    new, old = new[keep], old[keep]
+                    if i + 1 == j:
+                        if len(new):
+                            basis = gens[[new[0], *level[old[0]]]]
+                            return Subspace._from_echelon(p, n, basis)
+                        continue
+                    rows, pivs = _grown_spans(
+                        span_rows[old], span_pivs[old], R[keep], rpiv[keep], p, width
+                    )
+                    grown.append((np.column_stack([new, level[old]]), rows, pivs))
+        if not grown:
+            return None
+        level, span_rows, span_pivs = (np.concatenate(part) for part in zip(*grown))
     return Subspace._from_echelon(p, n, gens[:1]) if j == 1 and len(cand) else None
 
 
@@ -597,9 +683,12 @@ def is_expander_rep(
 
     Every level is searched through candidate lines, the lines whose
     image rank stays within the level's bound: a violating j-plane has
-    only candidate lines, so the frontier of their spans finds it.  The
-    budget is charged the line count once, then each candidate line and
-    each plane the frontier tries.
+    only candidate lines, so the frontier of their spans finds it.  A
+    level whose bound repeats the last searched level's is skipped: image
+    rank never falls on a larger plane, so a j-plane within the bound
+    would hold a (j-1)-plane within it, and there was none.  The budget
+    is charged the line count once, then each candidate line and each
+    plane the frontier tries; a skipped level charges nothing.
     """
     _kronecker_arrow_count(rep)
     p = rep.p
@@ -607,11 +696,14 @@ def is_expander_rep(
     tracker = _Budget(budget, "frontier")
     jmax = int(params.delta * d1) if d1 else 0
     line_data: tuple[np.ndarray, np.ndarray] | None = None
-    masks: dict[int, np.ndarray] = {}
+    searched = None  # the bound of the last level searched
     for j in range(1, jmax + 1):
         rhs = (1 + params.epsilon) * Fraction(d2 * j, d1)
         s = (rhs.numerator - 1) // rhs.denominator  # largest image rank below rhs
         if s < 0:
+            continue
+        if s == searched:
+            # no (j-1)-plane stayed within s, and a j-plane holds one
             continue
         if s >= d2:
             # every dim-j subspace violates; report the first one
@@ -622,11 +714,11 @@ def is_expander_rep(
             tracker.charge(gaussian_binomial(d1, 1, p))
             line_data = _line_image_data(rep)
         vecs, imgs = line_data
-        if s not in masks:
-            masks[s] = batch_rank_le(imgs, s, p)
-        witness = _frontier_scan(p, vecs, imgs, np.flatnonzero(masks[s]), s, j, tracker)
+        cand = np.flatnonzero(batch_rank_le(imgs, s, p))
+        witness = _frontier_scan(p, vecs, imgs, cand, s, j, tracker)
         if witness is not None:
             return ExpanderVerdict(False, witness)
+        searched = s
     return ExpanderVerdict(True, None)
 
 

@@ -25,6 +25,7 @@ from quivex import (
     random_rep,
 )
 from quivex.finfield import batch_rank, batch_rank_le, rank_mod, rref_mod
+from quivex.quiver import _Budget
 
 HALF = Fraction(1, 2)
 BIPARTITE = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n")
@@ -384,18 +385,19 @@ def test_bipartite_counterexample_large_field_no_witnesses():
     assert sum(admits) == 0
 
 
-def test_is_expander_rep_matches_naive_subspace_sweep():
+def _naive_verdict(rep, params):
     # independent reference: sweep every admissible subspace dimension with
     # the public enumeration and image primitives, no level logic involved
-    def naive(rep, params):
-        d1, d2 = rep.dim
-        for j in range(1, int(params.delta * d1) + 1):
-            threshold = (1 + params.epsilon) * Fraction(d2 * j, d1)
-            for u in enumerate_subspaces(rep.p, d1, j):
-                if image_sum_dim(rep, u) < threshold:
-                    return False, u
-        return True, None
+    d1, d2 = rep.dim
+    for j in range(1, int(params.delta * d1) + 1):
+        threshold = (1 + params.epsilon) * Fraction(d2 * j, d1)
+        for u in enumerate_subspaces(rep.p, d1, j):
+            if image_sum_dim(rep, u) < threshold:
+                return False, u
+    return True, None
 
+
+def test_is_expander_rep_matches_naive_subspace_sweep():
     # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level;
     # K(3) over F_7 at eps = 9/10 and K(2) over F_59 at delta = 2/3 have
     # levels where every line is a candidate
@@ -413,13 +415,146 @@ def test_is_expander_rep_matches_naive_subspace_sweep():
             rep = random_rep(quiver, d, p, seed)
             for eps in eps_values:
                 params = ExpanderParams(delta, eps)
-                expected_ok, expected_witness = naive(rep, params)
+                expected_ok, expected_witness = _naive_verdict(rep, params)
                 verdict = is_expander_rep(rep, params)
                 assert verdict.ok == expected_ok, (d, p, seed, eps)
                 if not expected_ok:
                     assert verdict.witness == expected_witness, (d, p, seed, eps)
                 if witness_dim is not None:
                     assert verdict.witness.dim == witness_dim, (d, p, seed)
+
+
+def test_is_expander_rep_matches_naive_sweep_on_seeded_inputs():
+    # seeded draws of m, d <= (5, 5), p, delta and epsilon with at least two
+    # levels, each kept only if the naive sweep lists at most 2000 subspaces
+    rng = np.random.Generator(np.random.PCG64(2024))
+    fractions = [Fraction(k, 10) for k in range(1, 10)]
+    checked, witness_dims = 0, []
+    while checked < 50:
+        m, d1, d2 = (int(x) for x in rng.integers((2, 1, 1), (5, 6, 6)))
+        p = int(rng.choice([2, 3, 5, 7]))
+        delta, eps = (fractions[int(k)] for k in rng.integers(0, 9, size=2))
+        jmax = int(delta * d1)
+        if jmax < 2 or sum(gaussian_binomial(d1, j, p) for j in range(1, jmax + 1)) > 2000:
+            continue
+        rep = random_rep(make_kronecker(m), (d1, d2), p, int(rng.integers(1 << 30)))
+        params = ExpanderParams(delta, eps)
+        verdict = is_expander_rep(rep, params)
+        assert (verdict.ok, verdict.witness) == _naive_verdict(rep, params), (
+            m, d1, d2, p, delta, eps
+        )
+        checked += 1
+        if not verdict.ok:
+            witness_dims.append(verdict.witness.dim)
+    # both verdicts, and witnesses past the line level, are exercised
+    assert 10 <= len(witness_dims) <= 40, witness_dims
+    assert sum(dim >= 2 for dim in witness_dims) >= 5, witness_dims
+
+
+def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
+    # at d = (5, 2) and (6, 3), eps = 1/10, the bound s_j, the largest image
+    # rank below 1.1 * j * d2 / d1, repeats at the last level (s_1 = s_2 = 0
+    # and s_2 = s_3 = 1): a level with no violating plane at a bound
+    # excludes every larger plane at it, so the repeat is not searched and
+    # charges nothing
+    import quivex.finfield as ff
+
+    budgets, scans = [], []
+
+    class Recorded(_Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(ff, "_Budget", Recorded)
+    scan = ff._frontier_scan
+
+    def spy(p, vecs, imgs, cand, s, j, budget):
+        scans.append((s, j))
+        return scan(p, vecs, imgs, cand, s, j, budget)
+
+    monkeypatch.setattr(ff, "_frontier_scan", spy)
+    eps = Fraction(1, 10)
+    cases = [(3, (5, 2), 2, (0, 0)), (3, (5, 2), 3, (0, 0)), (3, (6, 3), 2, (0, 1, 1))]
+    passed = 0
+    for m, d, p, bounds in cases:
+        params = ExpanderParams(Fraction(len(bounds), d[0]), eps)
+        shorter = ExpanderParams(Fraction(len(bounds) - 1, d[0]), eps)
+        for seed in range(4):
+            rep = random_rep(make_kronecker(m), d, p, seed)
+            scans.clear()
+            verdict = is_expander_rep(rep, params)
+            charge = budgets[-1].spent
+            expected = _naive_verdict(rep, params)
+            assert (verdict.ok, verdict.witness) == expected, (m, d, p, seed)
+            if verdict.ok:
+                passed += 1
+                # the last level is not searched: stopping short of it charges the same
+                assert scans == [(s, j) for j, s in enumerate(bounds[:-1], 1)]
+                assert is_expander_rep(rep, shorter).ok
+                assert budgets[-1].spent == charge
+    assert passed >= 6, passed
+
+
+def test_batch_kernel_matches_rank_mod_across_dtypes():
+    # primes on both sides of each dtype threshold: int16 holds (p - 1)**2
+    # up to p = 181, int32 up to p = 46337; larger entries go to int64
+    from quivex.finfield import _gauss_jordan, _int_dtype
+
+    widths = {2: 2, 3: 2, 181: 2, 191: 4, 46337: 4, 46349: 8, 1048573: 8}
+    rng = np.random.Generator(np.random.PCG64(17))
+    for p, width in widths.items():
+        assert np.dtype(_int_dtype((p - 1) ** 2)).itemsize == width, p
+        stacks = []
+        for rows, cols in [(3, 8), (4, 6), (12, 8), (1, 5), (6, 1), (5, 5)]:
+            mats = rng.integers(0, p, size=(24, rows, cols), dtype=np.int64)
+            mats[0] = 0
+            mats[1] = np.outer(rng.integers(0, p, rows), rng.integers(1, p, cols)) % p
+            if rows > 2:  # dependent rows
+                mats[2, -1] = (mats[2, 0] * (p - 1) + mats[2, 1]) % p
+            if cols > 2:  # dependent columns
+                mats[3, :, -1] = (mats[3, :, 0] * 2 + mats[3, :, 1]) % p
+            mats[4] = p - 1  # rank 1, every entry the largest
+            # low rank: a product through min(rows, cols) - 1 dimensions
+            inner = max(min(rows, cols) - 1, 0)
+            left = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+            right = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+            mats[5] = (left @ right) % p if inner else 0
+            stacks.append(mats)
+        for mats in stacks:
+            expected = np.array([rank_mod(mat, p) for mat in mats])
+            assert batch_rank(mats, p).tolist() == expected.tolist(), (p, mats.shape)
+            for s in range(-1, min(mats.shape[1:]) + 1):
+                assert np.array_equal(batch_rank_le(mats, s, p), expected <= s), (p, s)
+            # the reduced rows, put in pivot order, are the RREF
+            R, pivots = _gauss_jordan(mats.astype(_int_dtype((p - 1) ** 2)), p)
+            for mat, red, piv in zip(mats, R, pivots):
+                order = np.argsort(np.where(piv >= 0, piv, mat.shape[1]), kind="stable")
+                want, want_piv = rref_mod(mat, p)
+                assert red[order].tolist() == want.tolist(), (p, mat.tolist())
+                assert tuple(sorted(piv[piv >= 0])) == want_piv
+
+
+def test_frontier_narrow_dtypes_match_int64(monkeypatch):
+    # the frontier's kernel runs in int16 while (p - 1)**2 fits (p = 151,
+    # 181) and in int32 at p = 191; its span products need int32 at both
+    # 151 and 181 once they sum two terms.  Verdicts and witnesses must be
+    # those of int64 throughout, at the second level too.
+    import quivex.finfield as ff
+
+    reps = [random_rep(make_kronecker(m), (3, 4), p, 0) for p in (151, 181, 191) for m in (2, 3)]
+    params = [ExpanderParams(Fraction(2, 3), eps) for eps in (Fraction(1, 10), Fraction(2, 5))]
+
+    def verdicts():
+        return [
+            (v.ok, v.witness) for v in (is_expander_rep(r, q) for r in reps for q in params)
+        ]
+
+    narrow = verdicts()
+    monkeypatch.setattr(ff, "_int_dtype", lambda bound: np.int64)
+    assert narrow == verdicts()
+    assert sum(w is not None and w.dim == 2 for _, w in narrow) >= 3
+    assert sum(ok for ok, _ in narrow) >= 3
 
 
 def test_has_subrep_matches_naive_product_search():
