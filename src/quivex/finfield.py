@@ -13,8 +13,11 @@ _gauss_jordan, a batched numpy elimination that swaps no rows.  The
 batched kernels take the narrowest of int16, int32 and int64 that holds
 their largest intermediate value (_int_dtype): (p - 1)**2 in an
 elimination step, a sum of such products in a matrix product.
-is_expander_rep's frontier keeps each plane's image span reduced, so
-each extension by a line is tested on that line's images alone.
+is_expander_rep eliminates the line images once, and every level's bound
+reads its candidate lines and their spans off that one elimination.  Its
+frontier keeps each plane's image span reduced, so each extension by a
+line is tested on that line's images alone, in batches that run across
+the level's blocks: about one kernel call per level.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -28,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -165,28 +167,11 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _minor_det(mats: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """Exact determinant of one k x k minor across a batch, k <= 3."""
-    def entry(i, j):
-        return mats[:, rows[i], cols[j]].astype(np.int64)
-
-    k = len(rows)
-    if k == 1:
-        return entry(0, 0)
-    if k == 2:
-        return entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0)
-    a, b, c = entry(0, 0), entry(0, 1), entry(0, 2)
-    d, e, f = entry(1, 0), entry(1, 1), entry(1, 2)
-    g, h, i = entry(2, 0), entry(2, 1), entry(2, 2)
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def batch_rank_le(mats, s: int, p: int) -> np.ndarray:
     """Boolean mask of matrices with rank <= s over F_p, batched.
 
-    Small thresholds are decided by vanishing of all (s+1)-minors; random
-    inputs fail the very first minor, so later minors run on a tiny
-    survivor subset.  Larger thresholds fall back to batched elimination.
+    A threshold below 0 or at least min(rows, cols) is decided by the
+    shape alone; any other compares batch_rank's ranks against s.
     """
     M = np.asarray(mats)
     if M.ndim != 3:
@@ -196,22 +181,7 @@ def batch_rank_le(mats, s: int, p: int) -> np.ndarray:
         return np.zeros(count, dtype=bool)
     if s >= min(rows, cols):
         return np.ones(count, dtype=bool)
-    k = s + 1
-    if k > 3 or comb(rows, k) * comb(cols, k) > 200:
-        return batch_rank(M, p) <= s
-    idx = np.arange(count)
-    sub = M
-    for ridx in combinations(range(rows), k):
-        for cidx in combinations(range(cols), k):
-            if idx.size == 0:
-                break
-            keep = _minor_det(sub, ridx, cidx) % p == 0
-            if not keep.all():
-                idx = idx[keep]
-                sub = sub[keep]
-    out = np.zeros(count, dtype=bool)
-    out[idx] = True
-    return out
+    return batch_rank(M, p) <= s
 
 
 def batch_rank(mats, p: int) -> np.ndarray:
@@ -552,15 +522,22 @@ class ExpanderVerdict:
     witness: Subspace | None = None
 
 
-def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical line generators and their image rows under every arrow map."""
+def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, ...]:
+    """Every line of the source space, eliminated once for every bound.
+
+    Returns the canonical line generators, their (m x d2) image rows in
+    the kernel's dtype, and those rows reduced by _gauss_jordan with each
+    row's pivot column: a line's image rank is its pivot count.
+    """
     p = rep.p
     vecs = _canonical_lines(p, rep.dim[0])
     # the narrowest dtype the matmul cannot overflow: less memory traffic
     dtype = _int_dtype((p - 1) ** 2 * max(rep.dim[0], 1))
     work = vecs.astype(dtype)
     imgs = np.stack([(work @ f.T.astype(dtype)) % p for f in rep.matrices], axis=1)
-    return vecs, imgs
+    imgs = imgs.astype(_int_dtype((p - 1) ** 2))
+    R, rpiv = _gauss_jordan(imgs.copy(), p)
+    return vecs, imgs, R, rpiv
 
 
 def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -595,10 +572,33 @@ def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray,
 _BATCH_ENTRIES = 1 << 18
 
 
+def _pair_batches(blocks, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (new, old) pairs of a sequence of (ext, planes) blocks, in batches.
+
+    Each block lists ext x planes row-major; the blocks follow one another
+    and a batch of step pairs may cross from one into the next.  A batch
+    is gathered from arange slices of the blocks it covers, so no block is
+    ever built whole.
+    """
+    news, olds, size = [], [], 0
+    for ext, planes in blocks:
+        total, lo = len(ext) * len(planes), 0
+        while lo < total:
+            hi = min(total, lo + step - size)
+            k = np.arange(lo, hi)
+            news.append(ext[k // len(planes)])
+            olds.append(planes[k % len(planes)])
+            size, lo = size + hi - lo, hi
+            if size == step:
+                yield np.concatenate(news), np.concatenate(olds)
+                news, olds, size = [], [], 0
+    if size:
+        yield np.concatenate(news), np.concatenate(olds)
+
+
 def _frontier_scan(
     p: int,
-    vecs: np.ndarray,
-    imgs: np.ndarray,
+    lines: tuple[np.ndarray, ...],
     cand: np.ndarray,
     s: int,
     j: int,
@@ -606,26 +606,30 @@ def _frontier_scan(
 ) -> Subspace | None:
     """First violating j-plane among the spans of candidate lines.
 
-    A plane is kept as the candidates whose generators are its RREF rows.
-    Level i holds every i-plane whose image rank is at most s, once each.
-    An (i+1)-plane W is built only from the span S of all its RREF rows but
-    the first, and the line through that first row: a candidate that leads
-    before S's pivots and is zero on them, so [row; S] is W's RREF as it
-    stands.  Complete, because S and that line lie in W.  Built by leading
-    column, then S's pivots, then row-major, each level is in canonical
-    order, so the first violating j-plane found is the witness.
+    lines is _line_image_data's output and cand indexes the lines whose
+    image rank is at most s.  A plane is kept as the candidates whose
+    generators are its RREF rows.  Level i holds every i-plane whose image
+    rank is at most s, once each.  An (i+1)-plane W is built only from
+    the span S of all its RREF rows but the first, and the line through
+    that first row: a candidate that leads before S's pivots and is zero
+    on them, so [row; S] is W's RREF as it stands.  Complete, because S
+    and that line lie in W.  Built by leading column, then S's pivots,
+    then row-major, each level is in canonical order, so the first
+    violating j-plane found is the witness.
 
     Each i-plane carries its image span in reduced echelon form: min(s,
     i * m) rows and their pivot columns, padded with zero rows and pivot
-    d2 past its rank r.  W = [row; S] is tested on the new line's m images
-    only, reduced against S's span: W stays within s iff they have rank
-    <= s - r.  Only the planes kept for the next level get their span
-    rebuilt.  Tests run in numpy batches of _BATCH_ENTRIES // ((i + 1) * m
-    * d2) planes; each plane tested is charged once.
+    d2 past its rank r.  Level 1's spans are the lines' reduced images.
+    W = [row; S] is tested on the new line's m images only, reduced
+    against S's span: W stays within s iff they have rank <= s - r.  Only
+    the planes kept for the next level get their span rebuilt.  A level's
+    planes are tested in that canonical order, in numpy batches of
+    _BATCH_ENTRIES // ((i + 1) * m * d2) planes that run across block
+    boundaries; each plane tested is charged once.
     """
+    vecs, imgs, line_rows, line_pivs = lines
     n, (m, d2) = vecs.shape[1], imgs.shape[1:]
-    gens = vecs[cand]
-    gimgs = imgs[cand].astype(_int_dtype((p - 1) ** 2))
+    gens, gimgs = vecs[cand], imgs[cand]
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
     zero = gens == 0
     budget.charge(len(cand))
@@ -633,37 +637,41 @@ def _frontier_scan(
     if j > 1:  # level 1's spans: each candidate's images joined to the zero span
         zero_rows = np.zeros((len(cand), 0, d2), dtype=gimgs.dtype)
         zero_pivs = np.zeros((len(cand), 0), dtype=np.intp)
-        R, rpiv = _gauss_jordan(gimgs.copy(), p)
-        span_rows, span_pivs = _grown_spans(zero_rows, zero_pivs, R, rpiv, p, min(s, m))
+        span_rows, span_pivs = _grown_spans(
+            zero_rows, zero_pivs, line_rows[cand], line_pivs[cand], p, min(s, m)
+        )
     for i in range(1, j):
-        pivsets, group = np.unique(leads[level], axis=0, return_inverse=True)
-        fits = [zero[:, piv].all(axis=1) & (leads < piv[0]) for piv in pivsets.tolist()]
-        members = [np.flatnonzero(group.ravel() == g) for g in range(len(pivsets))]
+        pivsets, group, sizes = np.unique(
+            leads[level], axis=0, return_inverse=True, return_counts=True
+        )
+        members = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+        # the lines that may extend each pivot set, cut by leading column
+        exts = [np.flatnonzero(zero[:, piv].all(axis=1) & (leads < piv[0])) for piv in pivsets]
+        cuts = [np.searchsorted(leads[ext], np.arange(n + 1)).tolist() for ext in exts]
+        blocks = (
+            (ext[cut[lead] : cut[lead + 1]], planes)
+            for lead in range(n)
+            for ext, cut, planes in zip(exts, cuts, members)
+        )
         room = s - (span_pivs < d2).sum(axis=1)  # rank the new images may add
         step = max(1, _BATCH_ENTRIES // ((i + 1) * m * d2))
         width = min(s, (i + 1) * m)  # span rows kept per (i+1)-plane
         grown = []
-        for lead in range(n):
-            for fit, planes in zip(fits, members):
-                ext = np.flatnonzero(fit & (leads == lead))
-                total = len(ext) * len(planes)
-                for lo in range(0, total, step):
-                    k = np.arange(lo, min(lo + step, total))
-                    budget.charge(len(k))
-                    new, old = ext[k // len(planes)], planes[k % len(planes)]
-                    X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
-                    R, rpiv = _gauss_jordan(X, p)
-                    keep = (rpiv >= 0).sum(axis=1) <= room[old]
-                    new, old = new[keep], old[keep]
-                    if i + 1 == j:
-                        if len(new):
-                            basis = gens[[new[0], *level[old[0]]]]
-                            return Subspace._from_echelon(p, n, basis)
-                        continue
-                    rows, pivs = _grown_spans(
-                        span_rows[old], span_pivs[old], R[keep], rpiv[keep], p, width
-                    )
-                    grown.append((np.column_stack([new, level[old]]), rows, pivs))
+        for new, old in _pair_batches(blocks, step):
+            budget.charge(len(new))
+            X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
+            R, rpiv = _gauss_jordan(X, p)
+            keep = (rpiv >= 0).sum(axis=1) <= room[old]
+            new, old = new[keep], old[keep]
+            if i + 1 == j:
+                if len(new):
+                    basis = gens[[new[0], *level[old[0]]]]
+                    return Subspace._from_echelon(p, n, basis)
+                continue
+            rows, pivs = _grown_spans(
+                span_rows[old], span_pivs[old], R[keep], rpiv[keep], p, width
+            )
+            grown.append((np.column_stack([new, level[old]]), rows, pivs))
         if not grown:
             return None
         level, span_rows, span_pivs = (np.concatenate(part) for part in zip(*grown))
@@ -683,19 +691,21 @@ def is_expander_rep(
 
     Every level is searched through candidate lines, the lines whose
     image rank stays within the level's bound: a violating j-plane has
-    only candidate lines, so the frontier of their spans finds it.  A
-    level whose bound repeats the last searched level's is skipped: image
-    rank never falls on a larger plane, so a j-plane within the bound
-    would hold a (j-1)-plane within it, and there was none.  The budget
-    is charged the line count once, then each candidate line and each
-    plane the frontier tries; a skipped level charges nothing.
+    only candidate lines, so the frontier of their spans finds it.  The
+    line images are eliminated once, when first needed, and every bound
+    reads its candidates off those ranks.  A level whose bound repeats
+    the last searched level's is skipped: image rank never falls on a
+    larger plane, so a j-plane within the bound would hold a (j-1)-plane
+    within it, and there was none.  The budget is charged the line count
+    once, then each candidate line and each plane the frontier tries; a
+    skipped level charges nothing.
     """
     _kronecker_arrow_count(rep)
     p = rep.p
     d1, d2 = rep.dim
     tracker = _Budget(budget, "frontier")
     jmax = int(params.delta * d1) if d1 else 0
-    line_data: tuple[np.ndarray, np.ndarray] | None = None
+    lines: tuple[np.ndarray, ...] | None = None
     searched = None  # the bound of the last level searched
     for j in range(1, jmax + 1):
         rhs = (1 + params.epsilon) * Fraction(d2 * j, d1)
@@ -710,12 +720,12 @@ def is_expander_rep(
             tracker.charge(1)
             first = next(_iter_echelon_bases(p, d1, j))
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
-        if line_data is None:
+        if lines is None:
             tracker.charge(gaussian_binomial(d1, 1, p))
-            line_data = _line_image_data(rep)
-        vecs, imgs = line_data
-        cand = np.flatnonzero(batch_rank_le(imgs, s, p))
-        witness = _frontier_scan(p, vecs, imgs, cand, s, j, tracker)
+            lines = _line_image_data(rep)
+            ranks = (lines[3] >= 0).sum(axis=1)  # each line's image rank
+        cand = np.flatnonzero(ranks <= s)
+        witness = _frontier_scan(p, lines, cand, s, j, tracker)
         if witness is not None:
             return ExpanderVerdict(False, witness)
         searched = s

@@ -24,8 +24,8 @@ MAX_DIM_ENTRY = 10**6
 
 # finite-field representations take primes p < PRIME_BOUND: the oracle's
 # batched arithmetic stays exact in int64, the widest dtype its kernels pick,
-# because a 3x3 minor of entries below p is under 3 * p**3 < 2**62, and a
-# product of MAX_DIM_ENTRY-long rows is under MAX_DIM_ENTRY * p**2 < 2**60
+# because a product of MAX_DIM_ENTRY-long rows is under
+# MAX_DIM_ENTRY * p**2 < 2**60
 PRIME_BOUND = 2**20
 
 

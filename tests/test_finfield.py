@@ -243,13 +243,15 @@ def test_budget_error_names_its_phase():
 
 def test_is_expander_rep_budget_charges_frontier_levels():
     # K(3) F_7: one charge of the 400 lines; no line is a candidate at j = 1;
-    # at j = 2 every line is (400 1-planes), then the 49 * 49 2-planes with
-    # pivots (0, 1), tried in one batch that holds the witness.
+    # at j = 2 every line is (400 1-planes), then the first batch: it holds
+    # the witness and, as batches run across pivot sets, all 2850 2-planes
+    # of F_7^4 (the batch takes 2**18 // (2 * 3 * 4) = 10922), so
+    # 400 + 400 + 2850 = 3650.
     # K(2) F_59: no line is a candidate at j = 1; at j = 2 every line is and
     # no plane violates, so the 3541 lines, then 3541 1-planes and all 3541
     # 2-planes of F_59^3: each level's subspace count, not lines * lines
     cases = [
-        (make_kronecker(3), (4, 4), 7, 0, HALF, Fraction(9, 10), 3_201, False),
+        (make_kronecker(3), (4, 4), 7, 0, HALF, Fraction(9, 10), 3_650, False),
         (make_kronecker(2), (3, 3), 59, 3, Fraction(2, 3), Fraction(1, 10), 10_623, True),
     ]
     for quiver, d, p, seed, delta, eps, charge, ok in cases:
@@ -278,6 +280,41 @@ def test_frontier_batches_do_not_change_verdicts(monkeypatch):
         for (rep, eps), want in zip(reps, expected):
             got = is_expander_rep(rep, ExpanderParams(HALF, eps))
             assert (got.ok, got.witness) == (want.ok, want.witness), (rep.dim, rep.p, entries)
+
+
+def test_frontier_eliminates_once_per_level(monkeypatch):
+    # with batches wide enough for a whole level, a decision runs the
+    # kernel once on the line images, which every bound shares, then once
+    # per frontier level it tests: levels 1..j-1 of each searched j
+    import quivex.finfield as ff
+
+    calls, scans = [], []
+    kernel, scan = ff._gauss_jordan, ff._frontier_scan
+
+    def counted(M, p):
+        calls.append(len(M))
+        return kernel(M, p)
+
+    def recorded(p, lines, cand, s, j, budget):
+        scans.append(j)
+        return scan(p, lines, cand, s, j, budget)
+
+    def unused(*args):
+        raise AssertionError("batch_rank_le is not on the frontier's path")
+
+    monkeypatch.setattr(ff, "_BATCH_ENTRIES", 1 << 30)
+    monkeypatch.setattr(ff, "_gauss_jordan", counted)
+    monkeypatch.setattr(ff, "_frontier_scan", recorded)
+    monkeypatch.setattr(ff, "batch_rank_le", unused)
+    params = ExpanderParams(HALF, Fraction(19, 50))
+    for seed in range(4):
+        rep = random_rep(make_kronecker(3), (6, 6), 3, seed)
+        calls.clear()
+        scans.clear()
+        is_expander_rep(rep, params)
+        assert calls[0] == gaussian_binomial(6, 1, 3), seed
+        assert len(calls) == 1 + sum(j - 1 for j in scans), (seed, scans, calls)
+        assert scans[-1] == 3, (seed, scans)
 
 
 def test_has_subrep_examples():
@@ -469,9 +506,9 @@ def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
     monkeypatch.setattr(ff, "_Budget", Recorded)
     scan = ff._frontier_scan
 
-    def spy(p, vecs, imgs, cand, s, j, budget):
+    def spy(p, lines, cand, s, j, budget):
         scans.append((s, j))
-        return scan(p, vecs, imgs, cand, s, j, budget)
+        return scan(p, lines, cand, s, j, budget)
 
     monkeypatch.setattr(ff, "_frontier_scan", spy)
     eps = Fraction(1, 10)
