@@ -3,9 +3,10 @@
 Subspaces are represented by their unique reduced-row-echelon bases, so
 every subspace is enumerated exactly once and "first witness" outputs are
 reproducible.  All searches are capped by an explicit work budget
-(default 10**7): subspaces listed by enumerate_subspaces and
-has_subrep_of_dim, and lines plus the candidate planes tried by
-is_expander_rep.  Exceeding it raises, never silently truncates.
+(default 10**7): subspaces listed by enumerate_subspaces and by the
+backtracker of has_subrep_of_dim, and lines plus the candidate planes
+tried by the frontier of is_expander_rep and of has_subrep_of_dim on
+K(m).  Exceeding it raises, never silently truncates.
 
 Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
 echelon basis on Python ints grown one vector at a time, and
@@ -17,7 +18,9 @@ is_expander_rep eliminates the line images once, and every level's bound
 reads its candidate lines and their spans off that one elimination.  Its
 frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
-the level's blocks: about one kernel call per level.
+the level's blocks: about one kernel call per level.  has_subrep_of_dim
+on K(m) runs the same frontier up to one dimension, on whichever of the
+representation and its dual needs fewer levels.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -467,11 +470,16 @@ class FiniteFieldRep:
             return cls.from_dict(json.load(fh))
 
 
+def _is_kronecker(quiver: Quiver) -> bool:
+    """True for K(m), m >= 1: two vertices, every arrow 1 -> 2."""
+    arrows = quiver.arrows
+    return quiver.vertex_count == 2 and bool(arrows) and all(a == (1, 2) for a in arrows)
+
+
 def _kronecker_arrow_count(rep: FiniteFieldRep) -> int:
-    q = rep.quiver
-    if q.vertex_count != 2 or any(a != (1, 2) for a in q.arrows) or not q.arrows:
+    if not _is_kronecker(rep.quiver):
         raise ValueError("representation is not over a generalized Kronecker quiver")
-    return len(q.arrows)
+    return len(rep.quiver.arrows)
 
 
 def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFieldRep:
@@ -538,6 +546,14 @@ def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, ...]:
     imgs = imgs.astype(_int_dtype((p - 1) ** 2))
     R, rpiv = _gauss_jordan(imgs.copy(), p)
     return vecs, imgs, R, rpiv
+
+
+def _line_ranks(rep: FiniteFieldRep, tracker: _Budget) -> tuple[tuple, np.ndarray]:
+    """_line_image_data and each line's image rank, charged the line count
+    before anything is allocated."""
+    tracker.charge(gaussian_binomial(rep.dim[0], 1, rep.p))
+    lines = _line_image_data(rep)
+    return lines, (lines[3] >= 0).sum(axis=1)
 
 
 def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -721,9 +737,7 @@ def is_expander_rep(
             first = next(_iter_echelon_bases(p, d1, j))
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
-            tracker.charge(gaussian_binomial(d1, 1, p))
-            lines = _line_image_data(rep)
-            ranks = (lines[3] >= 0).sum(axis=1)  # each line's image rank
+            lines, ranks = _line_ranks(rep, tracker)
         cand = np.flatnonzero(ranks <= s)
         witness = _frontier_scan(p, lines, cand, s, j, tracker)
         if witness is not None:
@@ -761,23 +775,74 @@ def has_subrep_of_dim(
 ) -> bool:
     """Existence (over F_p itself) of a subrepresentation of dimension vector e.
 
-    Backtracks over vertices in topological order.  Each vertex carries the
+    On K(m) this asks for an e1-plane of the source space whose image rank
+    is at most e2, and is answered by _kronecker_subrep on the frontier of
+    is_expander_rep.  Every other quiver is searched by _backtrack.  The
+    budget (phase "subrep") is charged as each of those says.
+    """
+    ev = rep.quiver.check_dim(e)
+    if any(a > b for a, b in zip(ev, rep.dim)):
+        raise ValueError("e must be componentwise <= the representation's dimension")
+    tracker = _Budget(budget, "subrep")
+    if _is_kronecker(rep.quiver):
+        return _kronecker_subrep(rep, ev, tracker)
+    return _backtrack(rep, ev, tracker)
+
+
+def _kronecker_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) -> bool:
+    """Whether some e1-plane of F_p^d1 has image rank <= e2 under K(m).
+
+    Four cases are True at no charge: e1 = 0, e2 = d2, e2 >= m * e1 (no
+    e1-plane has a larger image) and d1 - e1 >= m * (d2 - e2) (the vectors
+    that every f_i maps into a fixed e2-space span at least
+    d1 - m * (d2 - e2) dimensions).  Three take one rank, charged 1: m = 1,
+    where an e1-plane's least image rank is max(0, e1 - dim ker f_1);
+    e1 = d1, the stacked f_i^T against e2; and e2 = 0, the stacked f_i
+    against d1 - e1, as the common kernel must hold an e1-plane.
+    Otherwise the frontier searches, with j = e1 and s = e2, or on the
+    dual at (d2 - e2, d1 - e1) when d2 - e2 < e1: an e-subrep of rep is
+    the annihilator of a (d2 - e2, d1 - e1)-subrep of dual_rep(rep), and
+    the frontier costs most on deep levels.  It charges the searched
+    side's lines, then each candidate line and each plane tested, as in
+    is_expander_rep.
+    """
+    m, p = len(rep.matrices), rep.p
+    (d1, d2), (e1, e2) = rep.dim, e
+    if e1 == 0 or e2 == d2 or e2 >= m * e1 or d1 - e1 >= m * (d2 - e2):
+        return True
+    if m == 1:
+        tracker.charge(1)
+        return rank_mod(rep.matrices[0], p) <= d1 - e1 + e2
+    if e1 == d1:
+        tracker.charge(1)
+        return rank_mod(np.concatenate([f.T for f in rep.matrices]), p) <= e2
+    if e2 == 0:
+        tracker.charge(1)
+        return rank_mod(np.concatenate(rep.matrices), p) <= d1 - e1
+    if d2 - e2 < e1:
+        rep, e1, e2 = dual_rep(rep), d2 - e2, d1 - e1
+    lines, ranks = _line_ranks(rep, tracker)
+    cand = np.flatnonzero(ranks <= e2)
+    return _frontier_scan(p, lines, cand, e2, e1, tracker) is not None
+
+
+def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bool:
+    """has_subrep_of_dim on any acyclic quiver, by backtracking.
+
+    Vertices are taken in topological order.  Each vertex carries the
     span of the images arriving from its chosen predecessors, as an echelon
     basis; a branch copies the spans at its arrows' targets, extends them by
-    the new images, and stops as soon as one outgrows its entry of e.
-    Subspaces are chosen at vertices with outgoing arrows only.
+    the new images, and stops as soon as one outgrows its entry of ev.
+    Subspaces are chosen at vertices with outgoing arrows only, and each
+    one listed is charged 1.
     """
     quiver = rep.quiver
     dim = rep.dim
-    ev = quiver.check_dim(e)
-    if any(a > b for a, b in zip(ev, dim)):
-        raise ValueError("e must be componentwise <= the representation's dimension")
     p = rep.p
     order = quiver.topological_order()
     out_arrows: dict[int, list[tuple[np.ndarray, int]]] = {v: [] for v in order}
     for (s, t), mat in zip(quiver.arrows, rep.matrices):
         out_arrows[s].append((mat.T, t))
-    tracker = _Budget(budget, "subrep")
 
     def extended(spans: dict, rows: np.ndarray, v: int) -> dict | None:
         """spans with the images of rows at v added; None once one is too big."""

@@ -24,7 +24,7 @@ from quivex import (
     parse_quiver,
     random_rep,
 )
-from quivex.finfield import batch_rank, batch_rank_le, rank_mod, rref_mod
+from quivex.finfield import _backtrack, batch_rank, batch_rank_le, rank_mod, rref_mod
 from quivex.quiver import _Budget
 
 HALF = Fraction(1, 2)
@@ -329,7 +329,6 @@ def test_has_subrep_examples():
 
 def test_has_subrep_matches_image_criterion():
     # for two-vertex quivers the search reduces to: some U1 with small image
-    cache = SubdimCache()
     for seed in range(3):
         rep = random_rep(make_kronecker(2), (3, 3), 3, seed)
         for e1, e2 in product(range(4), repeat=2):
@@ -337,6 +336,109 @@ def test_has_subrep_matches_image_criterion():
                 image_sum_dim(rep, u) <= e2 for u in enumerate_subspaces(3, 3, e1)
             )
             assert has_subrep_of_dim(rep, (e1, e2)) == expected, (seed, e1, e2)
+
+
+def test_kronecker_subrep_matches_backtrack_and_sweep():
+    # every e <= d of K(1)-K(4), d <= (4, 4), p in {2, 3, 5}, seeds 0-1: the
+    # frontier path agrees with the backtracker it replaced on K(m) and with
+    # a sweep of every e1-plane's image rank
+    checked = 0
+    for m, p, seed in product(range(1, 5), (2, 3, 5), range(2)):
+        for d1, d2 in product(range(1, 5), repeat=2):
+            rep = random_rep(make_kronecker(m), (d1, d2), p, seed)
+            least = [
+                min(image_sum_dim(rep, u) for u in enumerate_subspaces(p, d1, e1))
+                for e1 in range(d1 + 1)
+            ]
+            for e in product(range(d1 + 1), range(d2 + 1)):
+                got = has_subrep_of_dim(rep, e)
+                assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (m, p, seed, e)
+                assert got == (least[e[0]] <= e[1]), (m, p, seed, e)
+                checked += 1
+    assert checked == 4704
+
+
+def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
+    # trivially true cases charge nothing, and one arrow, a full source or
+    # a zero target costs one rank; neither runs a frontier.  Otherwise the
+    # frontier searches the dual at j = d2 - e2 when that is below e1, else
+    # the representation itself at j = e1.
+    import quivex.finfield as ff
+
+    budgets, scans = [], []
+
+    class Recorded(_Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    scan = ff._frontier_scan
+
+    def spy(p, lines, cand, s, j, budget):
+        scans.append((lines[0].shape[1], s, j))
+        return scan(p, lines, cand, s, j, budget)
+
+    monkeypatch.setattr(ff, "_Budget", Recorded)
+    monkeypatch.setattr(ff, "_frontier_scan", spy)
+    rep = random_rep(make_kronecker(2), (3, 3), 5, 0)
+    for e in [(3, 1), (1, 0)]:
+        scans.clear()
+        assert has_subrep_of_dim(rep, e) == _backtrack(rep, e, _Budget(10**7, "subrep"))
+        assert (scans, budgets[-1].spent) == ([], 1), e
+    routes = set()
+    reps = [(2, (3, 3), 5), (3, (4, 3), 2), (2, (2, 5), 3), (4, (5, 4), 2), (1, (4, 4), 3)]
+    for m, d, p in reps:
+        rep = random_rep(make_kronecker(m), d, p, 1)
+        d1, d2 = d
+        for e1, e2 in product(range(d1 + 1), range(d2 + 1)):
+            scans.clear()
+            got = has_subrep_of_dim(rep, (e1, e2))
+            assert got == _backtrack(rep, (e1, e2), _Budget(10**7, "subrep"))
+            if e1 == 0 or e2 == d2 or e2 >= m * e1 or d1 - e1 >= m * (d2 - e2):
+                route, want = "trivial", ([], 0)
+            elif m == 1 or e1 == d1 or e2 == 0:
+                route, want = "rank", ([], 1)
+            elif d2 - e2 < e1:
+                route, want = "dual", ([(d2, d1 - e1, d2 - e2)], None)
+            else:
+                route, want = "primal", ([(d1, e2, e1)], None)
+            assert scans == want[0], (m, d, e1, e2)
+            assert want[1] is None or budgets[-1].spent == want[1], (m, d, e1, e2)
+            routes.add(route)
+    assert routes == {"trivial", "rank", "dual", "primal"}
+
+
+def _frontier_charge(rep, j, s):
+    # what a frontier that finds no j-plane within s charges, counted by
+    # enumeration: the lines, the candidate lines, and at each level i >= 2
+    # every i-plane whose first RREF row spans a candidate line and whose
+    # other rows span a plane within s
+    p, n = rep.p, rep.dim[0]
+
+    def within(rows):
+        return image_sum_dim(rep, Subspace(p, n, rows)) <= s
+
+    total = gaussian_binomial(n, 1, p)
+    total += sum(within(u.basis) for u in enumerate_subspaces(p, n, 1))
+    for i in range(2, j + 1):
+        planes = enumerate_subspaces(p, n, i)
+        total += sum(within(w.basis[:1]) and within(w.basis[1:]) for w in planes)
+    return total
+
+
+def test_kronecker_subrep_budget_charges_frontier():
+    # K(3) (6, 6) over F_2, seed 0, has no subrep of dimension (3, 3),
+    # searched on the representation at j = 3, s = 3, nor of dimension
+    # (4, 3), searched on the dual at j = 3, s = 2.  Each charges its 63
+    # lines, its candidates and every plane tested, and nothing else.
+    rep = random_rep(make_kronecker(3), (6, 6), 2, 0)
+    cases = [((3, 3), rep, 3, 3, 777), ((4, 3), dual_rep(rep), 3, 2, 77)]
+    for e, searched, j, s, charge in cases:
+        assert _frontier_charge(searched, j, s) == charge, e
+        assert not has_subrep_of_dim(rep, e, budget=charge)
+        with pytest.raises(BudgetExceededError) as info:
+            has_subrep_of_dim(rep, e, budget=charge - 1)
+        assert info.value.phase == "subrep", e
 
 
 def test_random_rep_deterministic():
