@@ -17,9 +17,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
-from .kronecker import KroneckerContext, c_d_ceil
+from .kronecker import c_d_ceil, cone_context
 from .quiver import DimVector, Quiver, make_kronecker
 from .schofield import SubdimCache, embeds, generic_subdims
 from .surd import QuadraticSurd
@@ -108,20 +109,22 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     return (numerator - QuadraticSurd.sqrt_rational(radicand)) / (2 * alpha * delta)
 
 
-def minimal_second_coordinate(
-    m: int, d: tuple[int, int], e1: int, cache: SubdimCache
-) -> int:
-    """Smallest e2 with (e1, e2) embedding generically into d over K(m).
-
-    Uses the closed-form boundary when <d, d> <= 0 and binary-searches the
-    Schofield engine otherwise, so it is total over all (m, d): embedding
-    is upward closed in e2 (any vectors can join U_2), and (e1, d2) embeds.
-    """
-    d1, d2 = d
-    if d1 * d1 + d2 * d2 - m * d1 * d2 <= 0:
-        return c_d_ceil(KroneckerContext(m, d), e1)
+def _minimal_second_coordinates(m: int, d: DimVector, cache: SubdimCache) -> Callable[[int], int]:
+    """e1 |-> the least e2 with (e1, e2) embedding generically into d over K(m):
+    c_d_ceil on the cone, else a binary search of embeds, which is total as
+    embedding is upward closed in e2 (any vectors can join U_2) and (e1, d2) embeds."""
+    ctx = cone_context(m, d)
+    if ctx is not None:
+        return partial(c_d_ceil, ctx)
     quiver = make_kronecker(m)
-    return bisect_left(range(d2), True, key=lambda e2: embeds(quiver, (e1, e2), d, cache))
+    return lambda e1: bisect_left(
+        range(d[1]), True, key=lambda e2: embeds(quiver, (e1, e2), d, cache)
+    )
+
+
+def minimal_second_coordinate(m: int, d: tuple[int, int], e1: int, cache: SubdimCache) -> int:
+    """Smallest e2 with (e1, e2) embedding generically into d over K(m)."""
+    return _minimal_second_coordinates(m, d, cache)(e1)
 
 
 def expander_exists(
@@ -131,23 +134,22 @@ def expander_exists(
     cache: SubdimCache | None = None,
 ) -> ExpanderDecision:
     """Generic existence of a (delta, eps)-expander representation of K(m)
-    with dimension vector d = (d1, d2).
+    with dimension vector d = (d1, d2), each entry at most MAX_DIM_ENTRY.
 
     For each e1 up to floor(delta * d1) the minimal embeddable e2 must
     clear (1 + eps) * (d2 / d1) * e1; the first (lexicographically
     smallest) failing pair is reported.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
     dv = tuple(int(x) for x in d)
     if len(dv) != 2 or dv[0] < 1 or dv[1] < 1:
         raise ValueError("d must be a pair of positive integers")
-    cache = cache if cache is not None else SubdimCache()
+    make_kronecker(m).check_dim(dv)  # checks m >= 1 and the entry cap
+    minimal = _minimal_second_coordinates(m, dv, cache if cache is not None else SubdimCache())
     d1, d2 = dv
     e1_max = math.floor(params.delta * d1)
     factor = (1 + params.epsilon) * Fraction(d2, d1)
     for e1 in range(1, e1_max + 1):
-        e2 = minimal_second_coordinate(m, dv, e1, cache)
+        e2 = minimal(e1)
         if e2 < factor * e1:
             return ExpanderDecision(False, (e1, e2))
     return ExpanderDecision(True, None)

@@ -39,8 +39,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expander import ExpanderParams
+from .kronecker import dual_dim
 from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget
-from .quiver import make_kronecker
 
 
 def _is_prime(n: int) -> bool:
@@ -470,16 +470,9 @@ class FiniteFieldRep:
             return cls.from_dict(json.load(fh))
 
 
-def _is_kronecker(quiver: Quiver) -> bool:
-    """True for K(m), m >= 1: two vertices, every arrow 1 -> 2."""
-    arrows = quiver.arrows
-    return quiver.vertex_count == 2 and bool(arrows) and all(a == (1, 2) for a in arrows)
-
-
-def _kronecker_arrow_count(rep: FiniteFieldRep) -> int:
-    if not _is_kronecker(rep.quiver):
+def _require_kronecker(rep: FiniteFieldRep):
+    if not rep.quiver.kronecker_m:
         raise ValueError("representation is not over a generalized Kronecker quiver")
-    return len(rep.quiver.arrows)
 
 
 def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFieldRep:
@@ -501,15 +494,14 @@ def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFie
 
 def dual_rep(rep: FiniteFieldRep) -> FiniteFieldRep:
     """Transpose every matrix and reverse the dimension vector (K(m) only)."""
-    m = _kronecker_arrow_count(rep)
-    d1, d2 = rep.dim
+    _require_kronecker(rep)
     mats = tuple(np.ascontiguousarray(f.T) for f in rep.matrices)
-    return FiniteFieldRep(rep.p, make_kronecker(m), (d2, d1), mats)
+    return FiniteFieldRep(rep.p, rep.quiver, rep.dim[::-1], mats)
 
 
 def image_sum_dim(rep: FiniteFieldRep, subspace: Subspace) -> int:
     """dim (f_1(U) + ... + f_m(U)) for a subspace U of the source space."""
-    _kronecker_arrow_count(rep)
+    _require_kronecker(rep)
     d1, d2 = rep.dim
     if subspace.p != rep.p or subspace.ambient_dim != d1:
         raise ValueError("subspace does not live in the representation's source space")
@@ -716,7 +708,7 @@ def is_expander_rep(
     once, then each candidate line and each plane the frontier tries; a
     skipped level charges nothing.
     """
-    _kronecker_arrow_count(rep)
+    _require_kronecker(rep)
     p = rep.p
     d1, d2 = rep.dim
     tracker = _Budget(budget, "frontier")
@@ -784,7 +776,7 @@ def has_subrep_of_dim(
     if any(a > b for a, b in zip(ev, rep.dim)):
         raise ValueError("e must be componentwise <= the representation's dimension")
     tracker = _Budget(budget, "subrep")
-    if _is_kronecker(rep.quiver):
+    if rep.quiver.kronecker_m:
         return _kronecker_subrep(rep, ev, tracker)
     return _backtrack(rep, ev, tracker)
 
@@ -820,7 +812,8 @@ def _kronecker_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget)
         tracker.charge(1)
         return rank_mod(np.concatenate(rep.matrices), p) <= d1 - e1
     if d2 - e2 < e1:
-        rep, e1, e2 = dual_rep(rep), d2 - e2, d1 - e1
+        (e1, e2), _ = dual_dim((e1, e2), rep.dim)
+        rep = dual_rep(rep)
     lines, ranks = _line_ranks(rep, tracker)
     cand = np.flatnonzero(ranks <= e2)
     return _frontier_scan(p, lines, cand, e2, e1, tracker) is not None

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
-from .quiver import Quiver, make_kronecker
+from .quiver import MAX_DIM_ENTRY
 from .surd import QuadraticSurd
 
 
@@ -37,16 +37,23 @@ class KroneckerContext:
             raise ValueError("d must be a pair of non-negative integers")
         if d == (0, 0):
             raise ValueError("d must be nonzero")
+        if max(d) > MAX_DIM_ENTRY:
+            raise ValueError(f"dimension vector entries must not exceed {MAX_DIM_ENTRY}")
         object.__setattr__(self, "d", d)
-
-    @cached_property
-    def quiver(self) -> Quiver:
-        return make_kronecker(self.m)
 
     @cached_property
     def euler_dd(self) -> int:
         d1, d2 = self.d
         return d1 * d1 + d2 * d2 - self.m * d1 * d2
+
+
+def cone_context(m: int, d: Sequence[int]) -> KroneckerContext | None:
+    """The context of d over K(m) when the closed form decides embedding
+    into d: m >= 2, d nonzero and <d, d> <= 0; None otherwise."""
+    if m < 2 or not any(d):
+        return None
+    ctx = KroneckerContext(m, d)
+    return ctx if ctx.euler_dd <= 0 else None
 
 
 def beta(m: int) -> QuadraticSurd:
@@ -63,13 +70,19 @@ def _require_negative_form(ctx: KroneckerContext):
         )
 
 
-def c_d_exact(ctx: KroneckerContext, x: int) -> QuadraticSurd:
-    """The smaller zero of y |-> <(x, y), d - (x, y)>, as an exact surd."""
+def _boundary(ctx: KroneckerContext, x: int) -> tuple[int, int]:
+    """(B, D) with c_d(x) = (B - sqrt(D)) / 2: y |-> <(x, y), d - (x, y)> is
+    concave and x (d1 - x) >= 0 at y = d2, so it is >= 0 on [c_d(x), d2] alone."""
     d1, d2 = ctx.d
     if not (0 <= x <= d1):
         raise ValueError(f"x must lie in [0, {d1}]")
-    radicand = (ctx.m * x - d2) ** 2 + 4 * x * (d1 - x)
-    return QuadraticSurd(ctx.m * x + d2, -1, radicand, 2)
+    return ctx.m * x + d2, (ctx.m * x - d2) ** 2 + 4 * x * (d1 - x)
+
+
+def c_d_exact(ctx: KroneckerContext, x: int) -> QuadraticSurd:
+    """The smaller zero of y |-> <(x, y), d - (x, y)>, as an exact surd."""
+    apex_doubled, radicand = _boundary(ctx, x)
+    return QuadraticSurd(apex_doubled, -1, radicand, 2)
 
 
 def c_d_ceil(ctx: KroneckerContext, x: int) -> int:
@@ -80,17 +93,14 @@ def c_d_ceil(ctx: KroneckerContext, x: int) -> int:
     so nothing is rounded.  The tests compare it with a scan for the first
     y at which the integer sign predicate holds.
     """
-    d1, d2 = ctx.d
-    if not (0 <= x <= d1):
-        raise ValueError(f"x must lie in [0, {d1}]")
+    apex_doubled, radicand = _boundary(ctx, x)
     _require_negative_form(ctx)
-    apex_doubled = ctx.m * x + d2
-    radicand = (ctx.m * x - d2) ** 2 + 4 * x * (d1 - x)
-    return min(d2, max(0, (apex_doubled - isqrt(radicand) + 1) // 2))
+    return min(ctx.d[1], max(0, (apex_doubled - isqrt(radicand) + 1) // 2))
 
 
 def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
-    """Non-recursive embedding test: <e, d - e> >= 0, valid when <d, d> <= 0."""
+    """Non-recursive embedding test, valid when <d, d> <= 0: e <= d and
+    <e, d - e> >= 0, that is e2 >= c_d(e1) (see _boundary)."""
     _require_negative_form(ctx)
     ev = tuple(int(v) for v in e)
     if len(ev) != 2:
@@ -98,7 +108,7 @@ def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
     d1, d2 = ctx.d
     if not (0 <= ev[0] <= d1 and 0 <= ev[1] <= d2):
         return False
-    return ctx.quiver.form_evaluator(ev, (d1 - ev[0], d2 - ev[1])) >= 0
+    return ev[1] >= c_d_ceil(ctx, ev[0])
 
 
 def dual_dim(

@@ -100,6 +100,11 @@ class Quiver:
             counts[a] = counts.get(a, 0) + 1
         return counts
 
+    @cached_property
+    def kronecker_m(self) -> int:
+        """m when this is K(m), m >= 1 (two vertices, every arrow 1 -> 2), else 0."""
+        return len(self.arrows) if self.vertex_count == 2 and set(self.arrows) == {(1, 2)} else 0
+
     def form_weights(self, b: DimVector) -> list[int]:
         """w with <a, b> = sum_i a_i w_i for every a (no checks).
 

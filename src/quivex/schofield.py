@@ -9,7 +9,8 @@ all v in V at once.  The walk's boolean table of (box size)^2 cells is
 charged to the work budget (phase "subdims") before it is allocated, so it
 stays under 10 MB; a form value stays under (box size)^2 times the largest
 arrow multiplicity, so int64 is exact.  For K(m), m >= 2, d nonzero and
-<d, d> <= 0, the closed form <e, d - e> >= 0 decides and no box is walked.
+<d, d> <= 0, the closed form e2 >= c_d(e1) decides and no box is walked:
+Sub(d) is listed column by column, charged the box size first.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kronecker import KroneckerContext, embeds_closed_form
+from .kronecker import KroneckerContext, c_d_ceil, cone_context, embeds_closed_form
 from .quiver import DEFAULT_BUDGET, DimVector, Quiver, _Budget
 
 
@@ -45,30 +46,14 @@ class SubdimCache:
         return sum(len(t) for t in self._tables.values())
 
 
-def _cone_context(quiver: Quiver, d: DimVector) -> KroneckerContext | None:
-    """K(m) data for d when the closed form decides embedding into d."""
-    m = quiver.arrow_counts.get((1, 2), 0)
-    if quiver.vertex_count != 2 or m < 2 or not any(d):  # acyclic: no arrow 2 -> 1
-        return None
-    ctx = KroneckerContext(m, d)
-    return ctx if ctx.euler_dd <= 0 else None
-
-
-def _box(quiver: Quiver, d: DimVector, cost: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every e <= d as rows, lexicographically, and the rows e F, where
-    <e, x> = (e F) @ x; cost is charged to the work budget first."""
-    _Budget(DEFAULT_BUDGET, "subdims").charge(cost, f" at {d}")
-    box = np.indices([x + 1 for x in d]).reshape(len(d), -1).T
-    form = np.eye(len(d), dtype=np.int64)
-    for (i, j), c in quiver.arrow_counts.items():
-        form[i - 1, j - 1] -= c
-    return box, box @ form
-
-
 def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
-    """Sub(d) by the bottom-up walk of box(d)."""
+    """Sub(d) by the bottom-up walk of box(d), every e <= d as a row in
+    lexicographic order, weighed by the rows e F with <e, x> = (e F) @ x:
+    F's columns are the form weights of the unit vectors."""
     size = math.prod(x + 1 for x in d)
-    box, weights = _box(quiver, d, size * size)
+    _Budget(DEFAULT_BUDGET, "subdims").charge(size * size, f" at {d}")
+    box = np.indices([x + 1 for x in d]).reshape(len(d), -1).T
+    weights = box @ np.array([quiver.form_weights(u) for u in np.eye(len(d), dtype=np.int64)]).T
     axes = [np.arange(x + 1) * math.prod(y + 1 for y in d[i + 1 :]) for i, x in enumerate(d)]
     member = np.eye(size, dtype=bool)  # member[v, e]: e lies in Sub(v)
     for k, e in enumerate(box.tolist()):
@@ -78,14 +63,18 @@ def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
     return frozenset(map(tuple, box[member[-1]].tolist()))
 
 
+def _cone_subdims(ctx: KroneckerContext) -> frozenset:
+    """Sub(d) on the cone: the columns {(x, y) : c_d(x) <= y <= d2}."""
+    d1, d2 = ctx.d
+    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+    return frozenset((x, y) for x in range(d1 + 1) for y in range(c_d_ceil(ctx, x), d2 + 1))
+
+
 def _cached_subdims(quiver: Quiver, d: DimVector, table: dict) -> frozenset:
     subs = table.get(d)
     if subs is None:
-        if _cone_context(quiver, d) is None:
-            subs = _subdims(quiver, d)
-        else:  # the closed form, <e, d - e> >= 0, on every e <= d
-            box, weights = _box(quiver, d, math.prod(x + 1 for x in d))
-            subs = frozenset(map(tuple, box[(weights * (d - box)).sum(1) >= 0].tolist()))
+        ctx = cone_context(quiver.kronecker_m, d)
+        subs = _subdims(quiver, d) if ctx is None else _cone_subdims(ctx)
         table[d] = subs
     return subs
 
@@ -108,7 +97,7 @@ def embeds(
         return False
     if ev == dv or not any(ev):
         return True
-    ctx = _cone_context(quiver, dv)
+    ctx = cone_context(quiver.kronecker_m, dv)
     if ctx is not None:
         return embeds_closed_form(ctx, ev)
     cache = cache if cache is not None else SubdimCache()

@@ -314,6 +314,23 @@ def test_schofield_budget_exit_3(capsys, argv, vector, box):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--m", "3", "--d", "2000000,2000000"],
+        ["exists", "--m", "3", "--d", "2000000,2000000", "--delta", "1/2", "--epsilon", "1/10"],
+    ],
+)
+def test_dimension_cap_exit_2(capsys, argv):
+    # entries above MAX_DIM_ENTRY are refused before any boundary is computed
+    start = time.monotonic()
+    code = run(argv)
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert elapsed < 1
+    assert capsys.readouterr().err == "error: dimension vector entries must not exceed 1000000\n"
+
+
 def test_subdims_kronecker_2_20_30_speed(capsys):
     start = time.monotonic()
     code, payload = _run_json(capsys, ["subdims", "--kronecker", "2", "--d", "20,30"])

@@ -1,12 +1,14 @@
 """Unit tests for expansion coefficients and expander existence decisions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quivex import (
     ExpanderDecision,
     ExpanderParams,
+    KroneckerContext,
     QuadraticSurd,
     SlopeParams,
     StabilityFunction,
@@ -123,6 +125,20 @@ def test_expander_exists_recursive_fallback_consistency():
             for e1 in range(d[0] + 1):
                 scan = [e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache)]
                 assert minimal_second_coordinate(m, d, e1, cache) == scan[0], (m, d, e1)
+
+
+def test_dimension_cap_in_context_and_expander_exists():
+    # entries above 10**6 are refused on and off the cone, and also where
+    # floor(delta * d1) = 0 leaves no e1 to decide
+    assert KroneckerContext(3, (10**6, 10**6)).d == (10**6, 10**6)
+    with pytest.raises(ValueError, match="must not exceed 1000000"):
+        KroneckerContext(3, (10**6 + 1, 10**6))
+    params = ExpanderParams(HALF, Fraction(1, 10))
+    for m, d in product((1, 3), [(2 * 10**6, 2 * 10**6), (10**6 + 1, 1), (1, 10**6 + 1)]):
+        with pytest.raises(ValueError, match="must not exceed 1000000"):
+            expander_exists(m, d, params)
+    assert expander_exists(1, (1, 10**6), params).exists
+    assert expander_exists(3, (1, 10**6), params).exists
 
 
 def test_expander_exists_monotone_in_epsilon_and_delta():

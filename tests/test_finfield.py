@@ -11,6 +11,7 @@ from quivex import (
     BudgetExceededError,
     ExpanderParams,
     FiniteFieldRep,
+    Quiver,
     SubdimCache,
     Subspace,
     dual_rep,
@@ -356,6 +357,32 @@ def test_kronecker_subrep_matches_backtrack_and_sweep():
                 assert got == (least[e[0]] <= e[1]), (m, p, seed, e)
                 checked += 1
     assert checked == 4704
+
+
+def test_reversed_kronecker_runs_backtrack(monkeypatch):
+    # arrows 2 -> 1 are not K(m): has_subrep_of_dim backtracks, and agrees
+    # with K(2) on the same matrices with the vertices swapped
+    import quivex.finfield as ff
+
+    calls = []
+
+    def spy(rep, ev, tracker):
+        calls.append(ev)
+        return _backtrack(rep, ev, tracker)
+
+    def unused(*args):
+        raise AssertionError("reversed K(2) took the K(m) frontier")
+
+    monkeypatch.setattr(ff, "_backtrack", spy)
+    monkeypatch.setattr(ff, "_kronecker_subrep", unused)
+    rep = random_rep(Quiver(2, ((2, 1), (2, 1))), (3, 2), 3, 0)
+    swapped = FiniteFieldRep(3, make_kronecker(2), (2, 3), rep.matrices)
+    for e in product(range(4), range(3)):
+        calls.clear()
+        assert has_subrep_of_dim(rep, e) == _backtrack(swapped, e[::-1], _Budget(10**7, "")), e
+        assert calls == [e]
+    with pytest.raises(ValueError):
+        dual_rep(rep)
 
 
 def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):

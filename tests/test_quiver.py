@@ -33,6 +33,14 @@ def test_make_kronecker():
         make_kronecker(0)
 
 
+def test_kronecker_m_recognizes_exactly_k_m(bipartite):
+    for m in range(1, 5):
+        assert make_kronecker(m).kronecker_m == m
+    assert Quiver(2, ((2, 1), (2, 1))).kronecker_m == 0  # K(2) reversed
+    assert Quiver(2, ()).kronecker_m == 0
+    assert bipartite.kronecker_m == 0
+
+
 def test_constructor_rejects_cycles():
     with pytest.raises(CycleError):
         Quiver(2, ((1, 2), (2, 1)))

@@ -5,12 +5,15 @@ engine replaced; the differential tests below hold the engine to it.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from quivex import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     KroneckerContext,
     SubdimCache,
     beta,
@@ -119,6 +122,21 @@ def test_closed_form_matches_reference_on_the_cone():
                 pairs += 1
                 assert embeds_closed_form(ctx, e) == _embeds_reference(K, e, d, table), (m, d, e)
     assert pairs == 14810
+
+
+def test_cone_listing_is_charged_the_box_before_it_is_built():
+    # on the cone Sub(d) is listed column by column, charged the box size
+    # first: a box over the budget is refused with nothing allocated
+    K3 = make_kronecker(3)
+    tracemalloc.start()
+    with pytest.raises(BudgetExceededError) as info:
+        generic_subdims(K3, (3162, 3162))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (info.value.phase, info.value.spent) == ("subdims", 3163 * 3163)
+    assert info.value.spent == 10004569 > DEFAULT_BUDGET
+    assert peak < 2**20
+    assert len(generic_subdims(K3, (1000, 1000))) == 373191
 
 
 def test_bipartite_8_16_8_speed_and_reference():
