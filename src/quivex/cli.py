@@ -21,23 +21,26 @@ from .expander import (
     ExpanderParams,
     SlopeParams,
     StabilityFunction,
+    _check_delta,
+    _uniform_decision,
     epsilon_k,
     epsilon_m_alpha_delta,
     expander_exists,
-    expander_exists_uniform,
     theta_epsilon_supremum,
 )
 from .finfield import FiniteFieldRep, is_expander_rep, random_rep
 from .kronecker import KroneckerContext, c_d_ceil, c_d_exact
 from .quiver import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
+    _Budget,
     euler_form,
     in_fundamental_domain,
     load_quiver,
     make_kronecker,
     parse_quiver,
 )
-from .schofield import SubdimCache, embeds, generic_subdims
+from .schofield import embeds, generic_subdims
 from .surd import QuadraticSurd
 
 _COUNTEREXAMPLE_QUIVER = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
@@ -151,8 +154,7 @@ def _cmd_exists_uniform(args) -> int:
     alpha = _parse_rational(args.alpha)
     delta = _parse_rational(args.delta)
     epsilon = _parse_rational(args.epsilon)
-    threshold = epsilon_m_alpha_delta(args.m, alpha, delta)
-    answer = expander_exists_uniform(SlopeParams(args.m, alpha), delta, epsilon)
+    answer, threshold = _uniform_decision(SlopeParams(args.m, alpha), delta, epsilon)
     inputs = {
         "m": args.m,
         "alpha": str(alpha),
@@ -236,21 +238,24 @@ def _cmd_theta_scan(args) -> int:
     weights = _parse_rational_csv(args.theta)
     if len(weights) != quiver.vertex_count:
         raise ValueError("theta weight count does not match the quiver")
-    delta = _parse_rational(args.delta)
+    delta = _check_delta(_parse_rational(args.delta))
     if args.dmax < 1:
         raise ValueError("--dmax must be positive")
+    # every d of the cube is visited, so the cube is charged before the scan
+    n = quiver.vertex_count
+    cube = (args.dmax + 1) ** n
+    _Budget(DEFAULT_BUDGET, "subdims").charge(cube, f" on the cube [0, {args.dmax}]^{n}")
     # clear denominators jointly: scaling theta by L scales every reported
     # epsilon bound by L, so divide the scaled results back out
     scale = 1
     for w in weights:
         scale = scale * w.denominator // math.gcd(scale, w.denominator)
     theta = StabilityFunction(tuple(int(w * scale) for w in weights))
-    cache = SubdimCache()
     rows = []
-    for d in product(range(args.dmax + 1), repeat=quiver.vertex_count):
+    for d in product(range(args.dmax + 1), repeat=n):
         if not any(d) or theta(d) != 0:
             continue
-        sup = theta_epsilon_supremum(quiver, theta, d, delta, cache)
+        sup = theta_epsilon_supremum(quiver, theta, d, delta)
         rows.append(
             {
                 "d": list(d),

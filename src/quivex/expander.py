@@ -2,10 +2,11 @@
 
 A representation f_1, ..., f_m : V -> W of K(m) is a (delta, eps)-expander
 if every nonzero subspace U of V with dim U / dim V <= delta satisfies
-dim(f_1(U) + ... + f_m(U)) >= (1 + eps) * (dim W / dim V) * dim U.  Generic
-existence per dimension vector reduces to inequalities on the minimal
-admissible subdimension pairs; uniform existence along a fixed slope
-reduces to one exact comparison against a closed-form coefficient.
+dim(f_1(U) + ... + f_m(U)) >= (1 + eps) * (dim W / dim V) * dim U: iff it has
+no subrepresentation of dimension (j, s_j) at any level of _levels, the one
+rule of expander_exists (for a general representation) and of
+finfield.is_expander_rep.  Uniform existence along a fixed slope reduces to
+one exact comparison against a closed-form coefficient.
 
 All thresholds are compared inclusively and exactly (Fraction against
 QuadraticSurd); no floating point enters any decision.
@@ -13,17 +14,32 @@ QuadraticSurd); no floating point enters any decision.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .kronecker import c_d_ceil, cone_context
 from .quiver import DimVector, Quiver, make_kronecker
 from .schofield import SubdimCache, embeds, generic_subdims
 from .surd import QuadraticSurd
+
+
+def _check_delta(delta) -> Fraction:
+    """delta as a Fraction, refused unless 0 < delta < 1."""
+    delta = Fraction(delta)
+    if not (0 < delta < 1):
+        raise ValueError("delta must satisfy 0 < delta < 1")
+    return delta
+
+
+def _check_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction, refused unless positive."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -34,14 +50,26 @@ class ExpanderParams:
     epsilon: Fraction
 
     def __post_init__(self):
-        delta = Fraction(self.delta)
-        epsilon = Fraction(self.epsilon)
-        if not (0 < delta < 1):
-            raise ValueError("delta must satisfy 0 < delta < 1")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", _check_delta(self.delta))
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+
+
+def _levels(params: ExpanderParams, d1: int, d2: int) -> Iterator[tuple[int, int]]:
+    """The levels (j, s_j) of a (delta, eps)-expander of dimension vector
+    (d1, d2), which must have no subrepresentation of dimension (j, s_j)
+    for 1 <= j <= delta * d1, s_j the largest integer below
+    (1 + eps) * (d2 / d1) * j.  A level with s_j < 0 or s_j = s_{j-1} never
+    fails first and is left out: a j-plane whose image spans at most s
+    holds a (j-1)-plane that does too, and generically (j, e2) in Sub(d)
+    gives (j-1, e2) in Sub(d)."""
+    eps = params.epsilon
+    rate, scale = (eps.numerator + eps.denominator) * d2, eps.denominator * d1
+    last = -1  # s_0
+    for j in range(1, params.delta.numerator * d1 // params.delta.denominator + 1):
+        s = (rate * j - 1) // scale
+        if s > last:
+            yield j, s
+            last = s
 
 
 @dataclass(frozen=True)
@@ -97,9 +125,7 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     alpha = Fraction(alpha)
-    delta = Fraction(delta)
-    if not (0 < delta < 1):
-        raise ValueError("delta must satisfy 0 < delta < 1")
+    delta = _check_delta(delta)
     numerator = m * delta + alpha - 2 * alpha * delta
     if numerator <= 0:
         raise ValueError("m*delta + alpha - 2*alpha*delta must be positive")
@@ -136,30 +162,45 @@ def expander_exists(
     """Generic existence of a (delta, eps)-expander representation of K(m)
     with dimension vector d = (d1, d2), each entry at most MAX_DIM_ENTRY.
 
-    For each e1 up to floor(delta * d1) the minimal embeddable e2 must
-    clear (1 + eps) * (d2 / d1) * e1; the first (lexicographically
-    smallest) failing pair is reported.
+    At each level (e1, s) of _levels the minimal embeddable e2 must
+    exceed s, that is, clear (1 + eps) * (d2 / d1) * e1; the first
+    (lexicographically smallest) failing pair is reported.
     """
     dv = tuple(int(x) for x in d)
     if len(dv) != 2 or dv[0] < 1 or dv[1] < 1:
         raise ValueError("d must be a pair of positive integers")
     make_kronecker(m).check_dim(dv)  # checks m >= 1 and the entry cap
     minimal = _minimal_second_coordinates(m, dv, cache if cache is not None else SubdimCache())
-    d1, d2 = dv
-    e1_max = math.floor(params.delta * d1)
-    factor = (1 + params.epsilon) * Fraction(d2, d1)
-    for e1 in range(1, e1_max + 1):
-        e2 = minimal(e1)
-        if e2 < factor * e1:
+    for e1, s in _levels(params, *dv):
+        if (e2 := minimal(e1)) <= s:
             return ExpanderDecision(False, (e1, e2))
     return ExpanderDecision(True, None)
 
 
+def _uniform_decision(slope: SlopeParams, delta, epsilon) -> tuple[bool, QuadraticSurd]:
+    """expander_exists_uniform's answer and the threshold eps_m(alpha, delta)."""
+    threshold = epsilon_m_alpha_delta(slope.m, slope.alpha, delta)
+    return _check_epsilon(epsilon) <= threshold, threshold
+
+
 def expander_exists_uniform(slope: SlopeParams, delta, epsilon) -> bool:
     """Existence for every dimension vector along slope alpha: exactly the
-    inclusive comparison eps <= eps_m(alpha, delta)."""
-    threshold = epsilon_m_alpha_delta(slope.m, slope.alpha, delta)
-    return Fraction(epsilon) <= threshold
+    inclusive comparison eps <= eps_m(alpha, delta), for eps > 0."""
+    return _uniform_decision(slope, delta, epsilon)[0]
+
+
+def _theta_constraints(
+    quiver: Quiver, theta: StabilityFunction, d: Sequence[int], delta: Fraction, cache
+) -> list[DimVector]:
+    """The nonzero generic subdimension vectors e of d with total dimension
+    at most delta * (total of d): the vectors that constrain a
+    theta-relative expander.  Requires theta(d) = 0."""
+    dv = quiver.check_dim(d)
+    if theta(dv) != 0:
+        raise ValueError(f"theta(d) = {theta(dv)} != 0")
+    bound = delta * sum(dv)
+    subs = generic_subdims(quiver, dv, cache if cache is not None else SubdimCache())
+    return [e for e in subs if 0 < sum(e) <= bound]
 
 
 def theta_expander_exists(
@@ -176,19 +217,9 @@ def theta_expander_exists(
     theta(e) <= -eps * (total of e); the lexicographically smallest
     violating e is reported otherwise.
     """
-    dv = quiver.check_dim(d)
-    if theta(dv) != 0:
-        raise ValueError(f"theta(d) = {theta(dv)} != 0")
-    cache = cache if cache is not None else SubdimCache()
-    total_d = sum(dv)
-    bound = params.delta * total_d
-    for e in sorted(generic_subdims(quiver, dv, cache)):
-        total_e = sum(e)
-        if total_e > bound:
-            continue
-        if theta(e) > -params.epsilon * total_e:
-            return ExpanderDecision(False, e)
-    return ExpanderDecision(True, None)
+    constraints = _theta_constraints(quiver, theta, d, params.delta, cache)
+    violating = [e for e in constraints if theta(e) > -params.epsilon * sum(e)]
+    return ExpanderDecision(False, min(violating)) if violating else ExpanderDecision(True, None)
 
 
 def theta_epsilon_supremum(
@@ -200,19 +231,6 @@ def theta_epsilon_supremum(
 ) -> Fraction | None:
     """Largest eps for which d carries a theta-relative expander: the minimum
     of -theta(e) / (total of e) over constraining nonzero e, or None when no
-    subdimension vector constrains the decision."""
-    dv = quiver.check_dim(d)
-    if theta(dv) != 0:
-        raise ValueError(f"theta(d) = {theta(dv)} != 0")
-    delta = Fraction(delta)
-    cache = cache if cache is not None else SubdimCache()
-    bound = delta * sum(dv)
-    best: Fraction | None = None
-    for e in generic_subdims(quiver, dv, cache):
-        total_e = sum(e)
-        if total_e == 0 or total_e > bound:
-            continue
-        ratio = Fraction(-theta(e), total_e)
-        if best is None or ratio < best:
-            best = ratio
-    return best
+    subdimension vector constrains the decision.  Requires 0 < delta < 1."""
+    constraints = _theta_constraints(quiver, theta, d, _check_delta(delta), cache)
+    return min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)

@@ -32,13 +32,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .expander import ExpanderParams
+from .expander import ExpanderParams, _levels
 from .kronecker import dual_dim
 from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget
 
@@ -171,20 +170,8 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def batch_rank_le(mats, s: int, p: int) -> np.ndarray:
-    """Boolean mask of matrices with rank <= s over F_p, batched.
-
-    A threshold below 0 or at least min(rows, cols) is decided by the
-    shape alone; any other compares batch_rank's ranks against s.
-    """
-    M = np.asarray(mats)
-    if M.ndim != 3:
-        raise ValueError("expected a 3-d array (count, rows, cols)")
-    count, rows, cols = M.shape
-    if s < 0:
-        return np.zeros(count, dtype=bool)
-    if s >= min(rows, cols):
-        return np.ones(count, dtype=bool)
-    return batch_rank(M, p) <= s
+    """Boolean mask of matrices with rank <= s over F_p, batched."""
+    return batch_rank(mats, p) <= s
 
 
 def batch_rank(mats, p: int) -> np.ndarray:
@@ -697,32 +684,23 @@ def is_expander_rep(
     subspace in enumeration order (dimensions ascending, canonical order
     within each dimension).
 
-    Every level is searched through candidate lines, the lines whose
-    image rank stays within the level's bound: a violating j-plane has
-    only candidate lines, so the frontier of their spans finds it.  The
-    line images are eliminated once, when first needed, and every bound
-    reads its candidates off those ranks.  A level whose bound repeats
-    the last searched level's is skipped: image rank never falls on a
-    larger plane, so a j-plane within the bound would hold a (j-1)-plane
-    within it, and there was none.  The budget is charged the line count
-    once, then each candidate line and each plane the frontier tries; a
-    skipped level charges nothing.
+    The levels (j, s) are expander._levels: U of dimension j violates iff
+    its image rank is at most s, and a level that can never be the first
+    to fail is left out.  A level with s >= d2 is answered at once with
+    its first subspace.  Every other level is searched through candidate
+    lines, the lines whose image rank stays within s: a violating j-plane
+    has only candidate lines, so the frontier of their spans finds it.
+    The line images are eliminated once, when first needed, and every
+    level reads its candidates off those ranks.  The budget is charged
+    the line count once, then each candidate line and each plane the
+    frontier tries.
     """
     _require_kronecker(rep)
     p = rep.p
     d1, d2 = rep.dim
     tracker = _Budget(budget, "frontier")
-    jmax = int(params.delta * d1) if d1 else 0
     lines: tuple[np.ndarray, ...] | None = None
-    searched = None  # the bound of the last level searched
-    for j in range(1, jmax + 1):
-        rhs = (1 + params.epsilon) * Fraction(d2 * j, d1)
-        s = (rhs.numerator - 1) // rhs.denominator  # largest image rank below rhs
-        if s < 0:
-            continue
-        if s == searched:
-            # no (j-1)-plane stayed within s, and a j-plane holds one
-            continue
+    for j, s in _levels(params, d1, d2):
         if s >= d2:
             # every dim-j subspace violates; report the first one
             tracker.charge(1)
@@ -730,11 +708,9 @@ def is_expander_rep(
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
             lines, ranks = _line_ranks(rep, tracker)
-        cand = np.flatnonzero(ranks <= s)
-        witness = _frontier_scan(p, lines, cand, s, j, tracker)
+        witness = _frontier_scan(p, lines, np.flatnonzero(ranks <= s), s, j, tracker)
         if witness is not None:
             return ExpanderVerdict(False, witness)
-        searched = s
     return ExpanderVerdict(True, None)
 
 

@@ -256,6 +256,19 @@ def test_input_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["epsilon", "--k", "2", "--bogus"]) == 2
     capsys.readouterr()
+    # the (delta, eps) contract of exists holds for exists-uniform and theta-scan
+    uniform = ["exists-uniform", "--m", "3", "--alpha", "1", "--delta", "1/2", "--epsilon"]
+    for eps in ("0", "-1"):
+        assert run(uniform + [eps]) == 2
+        assert capsys.readouterr().err == "error: epsilon must be positive\n"
+    scan = ["theta-scan", "--kronecker", "3", "--theta", "1,-1", "--dmax", "2", "--delta"]
+    for delta in ("1", "0", "-1"):
+        assert run(scan + [delta]) == 2
+        assert capsys.readouterr().err == "error: delta must satisfy 0 < delta < 1\n"
+    # refused before the scan: no d of the cube has theta(d) = 0 here
+    assert run(["theta-scan", "--kronecker", "3", "--theta", "1,1", "--dmax", "2",
+                "--delta", "1"]) == 2
+    assert capsys.readouterr().err == "error: delta must satisfy 0 < delta < 1\n"
 
 
 def test_output_reparses_as_json(capsys):
@@ -311,6 +324,20 @@ def test_schofield_budget_exit_3(capsys, argv, vector, box):
     assert err == (
         f"error: subdims budget exceeded at {vector}: "
         f"spent {box * box} > limit {DEFAULT_BUDGET}\n"
+    )
+
+
+def test_theta_scan_cube_budget_exit_3(capsys):
+    # the scan visits every d of the cube [0, dmax]^n, charged before it starts
+    start = time.monotonic()
+    code = run(["theta-scan", "--kronecker", "3", "--theta", "1,-1", "--delta", "1/2",
+                "--dmax", "1000000"])
+    elapsed = time.monotonic() - start
+    assert code == 3
+    assert elapsed < 1
+    assert capsys.readouterr().err == (
+        "error: subdims budget exceeded on the cube [0, 1000000]^2: "
+        f"spent {1000001**2} > limit {DEFAULT_BUDGET}\n"
     )
 
 

@@ -1,5 +1,6 @@
 """Unit tests for expansion coefficients and expander existence decisions."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -157,6 +158,42 @@ def test_expander_exists_input_validation():
         expander_exists(0, (2, 2), ExpanderParams(HALF, HALF))
     with pytest.raises(ValueError):
         expander_exists(3, (0, 2), ExpanderParams(HALF, HALF))
+
+
+def test_uniform_and_theta_deciders_check_delta_and_epsilon():
+    slope = SlopeParams(3, Fraction(1))
+    for eps in (0, -1):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            expander_exists_uniform(slope, HALF, eps)
+    K3, theta = make_kronecker(3), StabilityFunction((1, -1))
+    for delta in (1, 0, -1):
+        with pytest.raises(ValueError, match="delta must satisfy"):
+            theta_epsilon_supremum(K3, theta, (2, 2), delta)
+
+
+def test_levels_leave_out_only_levels_that_cannot_fail_first():
+    # s_j is the largest integer below (1 + eps) * (d2 / d1) * j; a level is
+    # listed iff s_j > s_{j-1}, with s_0 = -1, and expander_exists over the
+    # listed levels agrees with a scan of every e1 <= delta * d1
+    from quivex.expander import _levels, minimal_second_coordinate
+
+    cache = SubdimCache()
+    grid = product((Fraction(1, 3), HALF, Fraction(9, 10)), (Fraction(1, 10), Fraction(2)))
+    for (delta, eps), d1, d2 in product(grid, range(1, 9), range(0, 9)):
+        params = ExpanderParams(delta, eps)
+        rhs = [(1 + eps) * Fraction(d2 * j, d1) for j in range(int(delta * d1) + 1)]
+        bounds = [-1] + [math.ceil(r) - 1 for r in rhs[1:]]
+        expected = [(j, bounds[j]) for j in range(1, len(bounds)) if bounds[j] > bounds[j - 1]]
+        assert list(_levels(params, d1, d2)) == expected, (d1, d2, delta, eps)
+        if d2 == 0:
+            continue
+        first = next(
+            ((e1, e2) for e1 in range(1, len(rhs))
+             if (e2 := minimal_second_coordinate(3, (d1, d2), e1, cache)) < rhs[e1]),
+            None,
+        )
+        decision = expander_exists(3, (d1, d2), params, cache)
+        assert decision == ExpanderDecision(first is None, first), (d1, d2, delta, eps)
 
 
 def test_expander_exists_uniform_examples():
