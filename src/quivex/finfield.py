@@ -6,7 +6,8 @@ reproducible.  All searches are capped by an explicit work budget
 (default 10**7): subspaces listed by enumerate_subspaces and by the
 backtracker of has_subrep_of_dim, and lines plus the candidate planes
 tried by the frontier of is_expander_rep and of has_subrep_of_dim on
-K(m).  Exceeding it raises, never silently truncates.
+one-sink quivers.  Exceeding it raises, never silently truncates; a
+frontier error names the level, or the lines, it tripped at.
 
 Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
 echelon basis on Python ints grown one vector at a time, and
@@ -19,8 +20,11 @@ reads its candidate lines and their spans off that one elimination.  Its
 frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
 the level's blocks: about one kernel call per level.  has_subrep_of_dim
-on K(m) runs the same frontier up to one dimension, on whichever of the
-representation and its dual needs fewer levels.
+runs the same frontier on every quiver whose arrows all end at one
+vertex: on K(m) up to one dimension, on whichever of the representation
+and its dual needs fewer levels; on the others over the sum of the free
+source spaces, each level drawing its lines from one source.  Every
+other quiver is backtracked.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -509,29 +513,52 @@ class ExpanderVerdict:
     witness: Subspace | None = None
 
 
-def _line_image_data(rep: FiniteFieldRep) -> tuple[np.ndarray, ...]:
-    """Every line of the source space, eliminated once for every bound.
+def _line_image_data(p: int, blocks: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Every line of every block of source coordinates, eliminated once for
+    every bound.
 
-    Returns the canonical line generators, their (m x d2) image rows in
+    Each block is a list of (d_s x d_t) matrices, one per arrow, whose rows
+    are the images of the block's basis vectors.  A block's lines lie at its
+    coordinates of the sum of the blocks, taken in order, and their images
+    are padded with zero rows up to the largest arrow count.  Returns the
+    line generators, in canonical order, their (arrows x d_t) image rows in
     the kernel's dtype, and those rows reduced by _gauss_jordan with each
     row's pivot column: a line's image rank is its pivot count.
     """
-    p = rep.p
-    vecs = _canonical_lines(p, rep.dim[0])
-    # the narrowest dtype the matmul cannot overflow: less memory traffic
-    dtype = _int_dtype((p - 1) ** 2 * max(rep.dim[0], 1))
-    work = vecs.astype(dtype)
-    imgs = np.stack([(work @ f.T.astype(dtype)) % p for f in rep.matrices], axis=1)
-    imgs = imgs.astype(_int_dtype((p - 1) ** 2))
+    sizes = [maps[0].shape[0] for maps in blocks]
+    m, d2 = max(len(maps) for maps in blocks), blocks[0][0].shape[1]
+    vecs, imgs, off = [], [], 0
+    for n, maps in zip(sizes, blocks):
+        gens = _canonical_lines(p, n)
+        # the narrowest dtype the matmul cannot overflow: less memory traffic
+        dtype = _int_dtype((p - 1) ** 2 * max(n, 1))
+        work = gens.astype(dtype)
+        img = np.zeros((len(gens), m, d2), dtype=_int_dtype((p - 1) ** 2))
+        for k, f in enumerate(maps):
+            img[:, k] = (work @ f.astype(dtype)) % p
+        vec = np.zeros((len(gens), sum(sizes)), dtype=np.int64)
+        vec[:, off : off + n] = gens
+        vecs.append(vec)
+        imgs.append(img)
+        off += n
+    imgs = np.concatenate(imgs)
     R, rpiv = _gauss_jordan(imgs.copy(), p)
-    return vecs, imgs, R, rpiv
+    return np.concatenate(vecs), imgs, R, rpiv
 
 
-def _line_ranks(rep: FiniteFieldRep, tracker: _Budget) -> tuple[tuple, np.ndarray]:
-    """_line_image_data and each line's image rank, charged the line count
-    before anything is allocated."""
-    tracker.charge(gaussian_binomial(rep.dim[0], 1, rep.p))
-    lines = _line_image_data(rep)
+def _line_ranks(
+    p: int,
+    blocks: Sequence[Sequence[np.ndarray]],
+    tracker: _Budget,
+    names: Sequence[str] | None = None,
+) -> tuple[tuple, np.ndarray]:
+    """_line_image_data and each line's image rank, charged every block's
+    line count before anything is allocated; names[b], if given, ends
+    block b's budget message."""
+    for maps, name in zip(blocks, names or [""] * len(blocks)):
+        n = maps[0].shape[0]
+        tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
+    lines = _line_image_data(p, blocks)
     return lines, (lines[3] >= 0).sum(axis=1)
 
 
@@ -598,6 +625,7 @@ def _frontier_scan(
     s: int,
     j: int,
     budget: _Budget,
+    draws: Sequence[tuple[int, int, int]] | None = None,
 ) -> Subspace | None:
     """First violating j-plane among the spans of candidate lines.
 
@@ -612,6 +640,15 @@ def _frontier_scan(
     then row-major, each level is in canonical order, so the first
     violating j-plane found is the witness.
 
+    draws, when given, holds one (lo, hi, vertex) per level 1..j: level
+    i's planes take their first RREF row from the candidates that lead in
+    columns [lo, hi), a block of coordinates that belongs to that vertex.
+    Blocks run last block first, so each level's lines lead before the
+    planes they extend, and lines of different blocks share no column:
+    the construction above is unchanged, and the planes built are those
+    whose RREF rows fill the blocks as the draws say.  Without draws
+    every level draws from every candidate.
+
     Each i-plane carries its image span in reduced echelon form: min(s,
     i * m) rows and their pivot columns, padded with zero rows and pivot
     d2 past its rank r.  Level 1's spans are the lines' reduced images.
@@ -620,22 +657,31 @@ def _frontier_scan(
     the planes kept for the next level get their span rebuilt.  A level's
     planes are tested in that canonical order, in numpy batches of
     _BATCH_ENTRIES // ((i + 1) * m * d2) planes that run across block
-    boundaries; each plane tested is charged once.
+    boundaries.  The candidates are charged at level 1, and each plane
+    tested once at its level; a budget error names that level.
     """
     vecs, imgs, line_rows, line_pivs = lines
     n, (m, d2) = vecs.shape[1], imgs.shape[1:]
+    draws = draws or [(0, n, 0)] * j
     gens, gimgs = vecs[cand], imgs[cand]
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
     zero = gens == 0
-    budget.charge(len(cand))
-    level = np.arange(len(cand))[:, None]
+
+    def where(i: int) -> str:
+        vertex = draws[i - 1][2]
+        return f" at level {i} of {j}" + (f", drawing from vertex {vertex}" if vertex else "")
+
+    budget.charge(len(cand), where(1))
+    level = np.arange(*np.searchsorted(leads, draws[0][:2]))[:, None]
     if j > 1:  # level 1's spans: each candidate's images joined to the zero span
-        zero_rows = np.zeros((len(cand), 0, d2), dtype=gimgs.dtype)
-        zero_pivs = np.zeros((len(cand), 0), dtype=np.intp)
+        first = cand[level[:, 0]]
+        zero_rows = np.zeros((len(first), 0, d2), dtype=gimgs.dtype)
+        zero_pivs = np.zeros((len(first), 0), dtype=np.intp)
         span_rows, span_pivs = _grown_spans(
-            zero_rows, zero_pivs, line_rows[cand], line_pivs[cand], p, min(s, m)
+            zero_rows, zero_pivs, line_rows[first], line_pivs[first], p, min(s, m)
         )
     for i in range(1, j):
+        lo, hi, _ = draws[i]
         pivsets, group, sizes = np.unique(
             leads[level], axis=0, return_inverse=True, return_counts=True
         )
@@ -645,7 +691,7 @@ def _frontier_scan(
         cuts = [np.searchsorted(leads[ext], np.arange(n + 1)).tolist() for ext in exts]
         blocks = (
             (ext[cut[lead] : cut[lead + 1]], planes)
-            for lead in range(n)
+            for lead in range(lo, hi)
             for ext, cut, planes in zip(exts, cuts, members)
         )
         room = s - (span_pivs < d2).sum(axis=1)  # rank the new images may add
@@ -653,7 +699,7 @@ def _frontier_scan(
         width = min(s, (i + 1) * m)  # span rows kept per (i+1)-plane
         grown = []
         for new, old in _pair_batches(blocks, step):
-            budget.charge(len(new))
+            budget.charge(len(new), where(i + 1))
             X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
             R, rpiv = _gauss_jordan(X, p)
             keep = (rpiv >= 0).sum(axis=1) <= room[old]
@@ -670,7 +716,7 @@ def _frontier_scan(
         if not grown:
             return None
         level, span_rows, span_pivs = (np.concatenate(part) for part in zip(*grown))
-    return Subspace._from_echelon(p, n, gens[:1]) if j == 1 and len(cand) else None
+    return Subspace._from_echelon(p, n, gens[level[:1, 0]]) if j == 1 and len(level) else None
 
 
 def is_expander_rep(
@@ -707,7 +753,7 @@ def is_expander_rep(
             first = next(_iter_echelon_bases(p, d1, j))
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
-            lines, ranks = _line_ranks(rep, tracker)
+            lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker)
         witness = _frontier_scan(p, lines, np.flatnonzero(ranks <= s), s, j, tracker)
         if witness is not None:
             return ExpanderVerdict(False, witness)
@@ -745,8 +791,13 @@ def has_subrep_of_dim(
 
     On K(m) this asks for an e1-plane of the source space whose image rank
     is at most e2, and is answered by _kronecker_subrep on the frontier of
-    is_expander_rep.  Every other quiver is searched by _backtrack.  The
-    budget (phase "subrep") is charged as each of those says.
+    is_expander_rep.  On any other quiver whose arrows all end at one
+    vertex t, it asks for subspaces U_s of the sources whose images span
+    at most e_t dimensions, and _one_sink_subrep searches the same
+    frontier, drawing each level's lines from one source.  Every other
+    quiver (arrows that end at several vertices, or none) is searched by
+    _backtrack.  The budget (phase "subrep") is charged as each of those
+    says.
     """
     ev = rep.quiver.check_dim(e)
     if any(a > b for a, b in zip(ev, rep.dim)):
@@ -754,6 +805,8 @@ def has_subrep_of_dim(
     tracker = _Budget(budget, "subrep")
     if rep.quiver.kronecker_m:
         return _kronecker_subrep(rep, ev, tracker)
+    if rep.quiver.one_sink:
+        return _one_sink_subrep(rep, ev, rep.quiver.one_sink, tracker)
     return _backtrack(rep, ev, tracker)
 
 
@@ -790,14 +843,69 @@ def _kronecker_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget)
     if d2 - e2 < e1:
         (e1, e2), _ = dual_dim((e1, e2), rep.dim)
         rep = dual_rep(rep)
-    lines, ranks = _line_ranks(rep, tracker)
+    lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker)
     cand = np.flatnonzero(ranks <= e2)
     return _frontier_scan(p, lines, cand, e2, e1, tracker) is not None
+
+
+def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _Budget) -> bool:
+    """Whether subspaces U_s of dimension e_s at the sources s have images
+    that span at most e_t dimensions at t, where every arrow ends.
+
+    True at no charge when e_t = d_t.  A source with e_s = 0 drops out.  A
+    source with e_s = d_s is forced: the images of every forced source
+    span one space F at t, one rank charged 1.  If dim F > e_t the answer
+    is False; otherwise every other source's images are taken modulo F
+    and the bound is e_t - dim F.  Each free source (0 < e_s < d_s) is a
+    block of coordinates of the sum of their spaces, in vertex order.  Its
+    line count is charged before any line is built, and its line images
+    are padded with zero rows up to the largest arrow count.  The RREF of
+    a graded subspace is its blocks' RREFs stacked, so the frontier, with
+    j the sum of the free e_s, draws the lines of its levels block by
+    block, the last block first and e_s levels each, and builds every
+    graded plane once.  It charges the candidate lines of every block and
+    each plane tested, as in is_expander_rep.
+    """
+    p, dim = rep.p, rep.dim
+    bound = e[t - 1]
+    if bound == dim[t - 1]:
+        return True
+    images: dict[int, list[np.ndarray]] = {}
+    for (s, _), f in zip(rep.quiver.arrows, rep.matrices):
+        images.setdefault(s, []).append(f.T)
+    free = sorted(s for s in images if 0 < e[s - 1] < dim[s - 1])
+    forced = [f for s in images if 0 < e[s - 1] == dim[s - 1] for f in images[s]]
+    if forced:
+        tracker.charge(1)
+        span = _echelon_of(np.concatenate(forced), p)
+        bound -= len(span.pivots)
+        if bound < 0:
+            return False
+        if span.rows:
+            rows, piv = np.array(span.rows, dtype=np.int64), span.pivots
+            rest = [c for c in range(dim[t - 1]) if c not in piv]
+            for s in free:
+                images[s] = [((f - f[:, piv] @ rows) % p)[:, rest] for f in images[s]]
+    if not free:
+        return True
+    blocks = [images[s] for s in free]
+    lines, ranks = _line_ranks(p, blocks, tracker, [f" at vertex {s}" for s in free])
+    offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
+    draws = [
+        (offsets[b], offsets[b + 1], s)
+        for b, s in reversed(list(enumerate(free)))
+        for _ in range(e[s - 1])
+    ]
+    cand = np.flatnonzero(ranks <= bound)
+    return _frontier_scan(p, lines, cand, bound, len(draws), tracker, draws) is not None
 
 
 def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bool:
     """has_subrep_of_dim on any acyclic quiver, by backtracking.
 
+    has_subrep_of_dim sends here only the quivers whose arrows end at
+    more than one vertex (a path of length 2, several sinks) or that have
+    no arrows; on one-sink quivers it is the tests' oracle for the frontier.
     Vertices are taken in topological order.  Each vertex carries the
     span of the images arriving from its chosen predecessors, as an echelon
     basis; a branch copies the spans at its arrows' targets, extends them by

@@ -105,6 +105,12 @@ class Quiver:
         """m when this is K(m), m >= 1 (two vertices, every arrow 1 -> 2), else 0."""
         return len(self.arrows) if self.vertex_count == 2 and set(self.arrows) == {(1, 2)} else 0
 
+    @cached_property
+    def one_sink(self) -> int:
+        """t when every arrow ends at vertex t (at least one arrow), else 0."""
+        targets = {t for _, t in self.arrows}
+        return targets.pop() if len(targets) == 1 else 0
+
     def form_weights(self, b: DimVector) -> list[int]:
         """w with <a, b> = sum_i a_i w_i for every a (no checks).
 

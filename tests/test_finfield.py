@@ -359,30 +359,60 @@ def test_kronecker_subrep_matches_backtrack_and_sweep():
     assert checked == 4704
 
 
-def test_reversed_kronecker_runs_backtrack(monkeypatch):
-    # arrows 2 -> 1 are not K(m): has_subrep_of_dim backtracks, and agrees
-    # with K(2) on the same matrices with the vertices swapped
+def test_one_sink_quivers_take_the_frontier(monkeypatch):
+    # every arrow of reversed K(2) (2 -> 1) and of the bipartite quiver ends
+    # at one vertex, so has_subrep_of_dim searches the frontier, each level
+    # drawing from one source's block of coordinates; reversed K(2) still
+    # agrees with K(2) on the same matrices with the vertices swapped.  The
+    # length-2 path, a quiver with two sinks and one with no arrows still
+    # backtrack.
     import quivex.finfield as ff
 
-    calls = []
+    backtracked, scanned = [], []
+    backtrack, scan = ff._backtrack, ff._frontier_scan
 
-    def spy(rep, ev, tracker):
-        calls.append(ev)
-        return _backtrack(rep, ev, tracker)
+    def spy_backtrack(rep, ev, tracker):
+        backtracked.append(ev)
+        return backtrack(rep, ev, tracker)
+
+    def spy_scan(p, lines, cand, s, j, budget, draws=None):
+        scanned.append(draws)
+        return scan(p, lines, cand, s, j, budget, draws)
 
     def unused(*args):
-        raise AssertionError("reversed K(2) took the K(m) frontier")
+        raise AssertionError("only K(m) takes _kronecker_subrep")
 
-    monkeypatch.setattr(ff, "_backtrack", spy)
+    monkeypatch.setattr(ff, "_backtrack", spy_backtrack)
+    monkeypatch.setattr(ff, "_frontier_scan", spy_scan)
     monkeypatch.setattr(ff, "_kronecker_subrep", unused)
     rep = random_rep(Quiver(2, ((2, 1), (2, 1))), (3, 2), 3, 0)
     swapped = FiniteFieldRep(3, make_kronecker(2), (2, 3), rep.matrices)
     for e in product(range(4), range(3)):
-        calls.clear()
-        assert has_subrep_of_dim(rep, e) == _backtrack(swapped, e[::-1], _Budget(10**7, "")), e
-        assert calls == [e]
+        scanned.clear()
+        assert has_subrep_of_dim(rep, e) == backtrack(swapped, e[::-1], _Budget(10**7, "")), e
+        # e_2 = 0 drops vertex 2, e_2 = 2 forces it, e_1 = 3 is true at once
+        assert scanned == ([[(0, 2, 2)]] if e[1] == 1 and e[0] < 3 else []), e
     with pytest.raises(ValueError):
         dual_rep(rep)
+    # vertex 1 is coordinates 0-2 and vertex 3 coordinates 3-7: vertex 3's
+    # e_3 levels come first
+    rep = random_rep(BIPARTITE, (3, 6, 5), 3, 0)
+    routes = [((1, 2, 1), [(3, 8, 3), (0, 3, 1)]), ((2, 4, 4), [(3, 8, 3)] * 4 + [(0, 3, 1)] * 2)]
+    for e, want in routes:
+        scanned.clear()
+        assert has_subrep_of_dim(rep, e) == backtrack(rep, e, _Budget(10**7, "")), e
+        assert scanned == [want], e
+    assert backtracked == []
+    others = [
+        (parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n"), (2, 2, 2), (1, 1, 1)),
+        (parse_quiver("vertices 3\n1 -> 2\n1 -> 3\n"), (2, 2, 2), (1, 1, 1)),
+        (Quiver(2, ()), (2, 2), (1, 1)),
+    ]
+    for quiver, d, e in others:
+        backtracked.clear()
+        scanned.clear()
+        assert has_subrep_of_dim(random_rep(quiver, d, 2, 0), e)
+        assert (backtracked, scanned) == ([e], []), quiver
 
 
 def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
@@ -401,9 +431,9 @@ def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
 
     scan = ff._frontier_scan
 
-    def spy(p, lines, cand, s, j, budget):
+    def spy(p, lines, cand, s, j, budget, draws=None):
         scans.append((lines[0].shape[1], s, j))
-        return scan(p, lines, cand, s, j, budget)
+        return scan(p, lines, cand, s, j, budget, draws)
 
     monkeypatch.setattr(ff, "_Budget", Recorded)
     monkeypatch.setattr(ff, "_frontier_scan", spy)
@@ -466,6 +496,142 @@ def test_kronecker_subrep_budget_charges_frontier():
         with pytest.raises(BudgetExceededError) as info:
             has_subrep_of_dim(rep, e, budget=charge - 1)
         assert info.value.phase == "subrep", e
+
+
+THREE_SOURCES = Quiver(4, ((1, 4), (2, 4), (2, 4), (3, 4), (3, 4), (3, 4)))
+
+
+def test_one_sink_subrep_matches_backtrack():
+    # the frontier on one-sink quivers against the backtracker: every e <= d
+    # on the bipartite quiver over F_2 and F_3, seeds 0-2; sources with 1, 2
+    # and 3 arrows into one sink, whose line images are padded to 3 rows;
+    # and the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4
+    bipartite = [(2, 3, 2), (3, 4, 2), (2, 4, 3), (3, 6, 3), (1, 3, 3), (3, 3, 0)]
+    cases = [
+        (BIPARTITE, d, p, seed, product(*(range(x + 1) for x in d)))
+        for d, p, seed in product(bipartite, (2, 3), range(3))
+    ]
+    cases += [
+        (THREE_SOURCES, d, p, 0, product(*(range(x + 1) for x in d)))
+        for d, p in [((1, 2, 2, 4), 2), ((2, 1, 2, 4), 3), ((2, 2, 1, 5), 2)]
+    ]
+    pool = {2: [(3, 5, 1), (2, 4, 4), (1, 2, 1), (0, 1, 3), (1, 4, 4), (3, 6, 4)]}
+    pool[3] = [(3, 5, 1), (1, 2, 1), (0, 1, 3), (3, 6, 4)]
+    cases += [(BIPARTITE, (3, 6, 5), p, seed, es) for p, es in pool.items() for seed in range(5)]
+    checked = admitted = 0
+    for quiver, d, p, seed, es in cases:
+        rep = random_rep(quiver, d, p, seed)
+        for e in es:
+            got = has_subrep_of_dim(rep, e)
+            assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (d, p, seed, e)
+            checked += 1
+            admitted += got
+    assert checked == 1896 + 288 + 50
+    assert 0 < admitted < checked
+
+
+def _one_sink_charge(rep, e):
+    # what the one-sink frontier charges when it finds no subrep, counted by
+    # enumeration: 1 for the forced sources' span, every free source's lines
+    # and, at level 1, those whose images join the forced ones within e_t;
+    # at each level i >= 2, every graded i-plane of that level's shape whose
+    # first RREF row spans such a line and whose other rows span a plane
+    # within e_t.  Levels fill the free sources last one first.
+    p, dim, t = rep.p, rep.dim, rep.quiver.one_sink
+    sources = sorted({s for s, _ in rep.quiver.arrows})
+    forced = [s for s in sources if 0 < e[s - 1] == dim[s - 1]]
+    free = [s for s in sources if 0 < e[s - 1] < dim[s - 1]]
+
+    def within(rows):
+        rows = {**rows, **{s: np.eye(dim[s - 1], dtype=np.int64) for s in forced}}
+        images = [np.zeros((0, dim[t - 1]), dtype=np.int64)]
+        for (s, _), f in zip(rep.quiver.arrows, rep.matrices):
+            if s in rows:
+                images.append((rows[s] @ f.T) % p)
+        return rank_mod(np.concatenate(images), p) <= e[t - 1]
+
+    total = 1 if forced else 0
+    for v in free:
+        lines = list(enumerate_subspaces(p, dim[v - 1], 1))
+        total += len(lines) + sum(within({v: u.basis}) for u in lines)
+    draws = [s for s in reversed(free) for _ in range(e[s - 1])]
+    for i in range(2, len(draws) + 1):
+        s, shape = draws[i - 1], {v: draws[:i].count(v) for v in free if v in draws[:i]}
+        for combo in product(*(enumerate_subspaces(p, dim[v - 1], k) for v, k in shape.items())):
+            planes = {v: u.basis for v, u in zip(shape, combo)}
+            total += within({s: planes[s][:1]}) and within({**planes, s: planes[s][1:]})
+    return total
+
+
+def test_one_sink_subrep_budget_charges_frontier():
+    # bipartite (3, 6, 4) over F_3, seed 0, has no subrep of dimension
+    # (2, 4, 2): levels 1-2 draw from vertex 3, levels 3-4 from vertex 1.
+    # The three-source quiver at (2, 3, 3, 7) has none of dimension
+    # (2, 2, 1, 5): vertex 1 is forced, and the frontier searches vertices
+    # 2 and 3 modulo its images at the bound 5 - 2.  Each charges exactly
+    # what enumeration counts, and nothing else.
+    cases = [
+        (random_rep(BIPARTITE, (3, 6, 4), 3, 0), (2, 4, 2), 1952),
+        (random_rep(THREE_SOURCES, (2, 3, 3, 7), 3, 0), (2, 2, 1, 5), 229),
+    ]
+    for rep, e, charge in cases:
+        assert _one_sink_charge(rep, e) == charge, e
+        assert not has_subrep_of_dim(rep, e, budget=charge)
+        with pytest.raises(BudgetExceededError) as info:
+            has_subrep_of_dim(rep, e, budget=charge - 1)
+        assert info.value.phase == "subrep", e
+
+
+def test_one_sink_lines_are_charged_before_they_are_built():
+    # over F_101, vertex 3 of bipartite (3, 6, 5) has 105,101,005 lines: at
+    # e = (1, 3, 2) the line count is refused before a line is built, where
+    # listing subspaces one by one would take minutes to reach the budget.
+    # Criterion 7's (3, 5, 1) forces vertex 1 and is decided by one rank.
+    import tracemalloc
+
+    rep = random_rep(BIPARTITE, (3, 6, 5), 101, 0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            has_subrep_of_dim(rep, (1, 3, 2))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.phase == "subrep"
+    assert info.value.spent == gaussian_binomial(3, 1, 101) + gaussian_binomial(5, 1, 101)
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
+    assert not has_subrep_of_dim(rep, (3, 5, 1), budget=1)
+
+
+def test_budget_errors_name_the_frontier_level():
+    # K(2) (12, 12) over F_5 has 61,035,156 lines, so at 10**6 the line
+    # listing trips before any level; K(3) (4, 4) over F_7 one unit short of
+    # its 3,650 (see above) trips at level 2 of 2; on a one-sink quiver the
+    # level also names the source it draws from
+    k2 = random_rep(make_kronecker(2), (12, 12), 5, 0)
+    k3 = random_rep(make_kronecker(3), (4, 4), 7, 0)
+    bipartite = random_rep(BIPARTITE, (3, 6, 5), 3, 0)
+    calls = [
+        (
+            lambda: is_expander_rep(k2, ExpanderParams(HALF, HALF), budget=10**6),
+            "frontier budget exceeded listing the lines of F_5^12: spent 61035156 > limit 1000000",
+        ),
+        (
+            lambda: is_expander_rep(k3, ExpanderParams(HALF, Fraction(9, 10)), budget=3649),
+            "frontier budget exceeded at level 2 of 2: spent 3650 > limit 3649",
+        ),
+        (
+            lambda: has_subrep_of_dim(bipartite, (2, 4, 4), budget=300),
+            "subrep budget exceeded at level 2 of 6, drawing from vertex 3: "
+            "spent 1478 > limit 300",
+        ),
+    ]
+    for call, message in calls:
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_random_rep_deterministic():

@@ -41,6 +41,17 @@ def test_kronecker_m_recognizes_exactly_k_m(bipartite):
     assert bipartite.kronecker_m == 0
 
 
+def test_one_sink_names_the_vertex_every_arrow_ends_at(bipartite):
+    assert make_kronecker(3).one_sink == 2
+    assert Quiver(2, ((2, 1), (2, 1))).one_sink == 1
+    assert bipartite.one_sink == 2
+    assert Quiver(4, ((1, 4), (2, 4), (3, 4))).one_sink == 4
+    assert Quiver(3, ((1, 2),)).one_sink == 2  # vertex 3 has no arrows
+    assert Quiver(3, ((1, 2), (2, 3))).one_sink == 0  # the length-2 path
+    assert Quiver(3, ((1, 2), (1, 3))).one_sink == 0  # two sinks
+    assert Quiver(2, ()).one_sink == 0
+
+
 def test_constructor_rejects_cycles():
     with pytest.raises(CycleError):
         Quiver(2, ((1, 2), (2, 1)))
