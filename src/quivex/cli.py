@@ -189,6 +189,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     if (args.delta is None) != (args.epsilon is None):
         raise ValueError("--delta and --epsilon must be given together")
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     d = _parse_int_csv(args.d)
     quiver = make_kronecker(args.kronecker)
     inputs = {

@@ -11,10 +11,14 @@ frontier error names the level, or the lines, it tripped at.
 
 Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
 echelon basis on Python ints grown one vector at a time, and
-_gauss_jordan, a batched numpy elimination that swaps no rows.  The
-batched kernels take the narrowest of int16, int32 and int64 that holds
-their largest intermediate value (_int_dtype): (p - 1)**2 in an
-elimination step, a sum of such products in a matrix product.
+_gauss_jordan, a batched numpy elimination that swaps no rows.  _Echelon
+builds every canonical basis.  A scalar rank alone is rank_mod's:
+forward elimination on Python ints that keeps no basis and stops at full
+column rank.  image_sum_dim ranks that way one product with the
+representation's stacked map.  The batched kernels take the narrowest of
+int16, int32 and int64 that holds their largest intermediate value
+(_int_dtype): (p - 1)**2 in an elimination step, a sum of such products
+in a matrix product.
 is_expander_rep eliminates the line images once, and every level's bound
 reads its candidate lines and their spans off that one elimination.  Its
 frontier keeps each plane's image span reduced, so each extension by a
@@ -36,6 +40,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
@@ -143,8 +148,36 @@ def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def rank_mod(mat, p: int) -> int:
-    """Rank of a matrix over F_p."""
-    return len(_echelon_of(mat, p).pivots)
+    """Rank of a matrix over F_p.
+
+    Forward elimination on Python ints, one row at a time: the row is
+    reduced against the pivot rows found so far, and if it is still
+    nonzero mod p, scaled to a leading 1, it becomes one.  Entries are
+    reduced mod p as they are read, so they may be negative or at least
+    p.  No row is back-substituted, and the scan stops once the rank
+    reaches the column count.  The canonical basis of the same span is
+    _echelon_of's, and ``len(rref_mod(mat, p)[1])`` is the same rank.
+    """
+    arr = np.asarray(mat, dtype=np.int64)
+    cols = arr.shape[-1]  # [] is the empty matrix
+    pivots: list[tuple[int, list[int]]] = []
+    for row in arr.tolist():
+        # each pivot row is zero on the pivot columns found before it, so
+        # one pass in the order they were found clears them all
+        for c, piv in pivots:
+            f = row[c] % p
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        for lead, x in enumerate(row):
+            if x % p:
+                inv = pow(x, p - 2, p)
+                pivots.append((lead, [y * inv % p for y in row]))
+                break
+        else:
+            continue
+        if len(pivots) == cols:
+            break
+    return len(pivots)
 
 
 def _int_dtype(bound: int):
@@ -412,20 +445,31 @@ class FiniteFieldRep:
             raise ValueError("one matrix per arrow required")
         mats = []
         for (s, t), mat in zip(self.quiver.arrows, self.matrices):
-            arr = np.asarray(mat, dtype=np.int64)
+            # an int64 cast would truncate 1.7 to 1 and take True for 1
+            arr = mat if isinstance(mat, np.ndarray) else np.array(mat, dtype=object)
             expected = (dim[t - 1], dim[s - 1])
             if arr.shape != expected:
                 raise ValueError(
                     f"matrix for arrow {s}->{t} has shape {arr.shape}, expected {expected}"
                 )
+            if arr.size and not _integer_entries(arr):
+                raise ValueError(
+                    f"matrix for arrow {s}->{t} has an entry that is not an integer"
+                )
             if arr.size and (arr.min() < 0 or arr.max() >= p):
                 raise ValueError("matrix entries must lie in [0, p)")
-            arr = arr.copy()
+            arr = arr.astype(np.int64)
             arr.setflags(write=False)
             mats.append(arr)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrices", tuple(mats))
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """[f_1^T | ... | f_m^T], (d1 x m * d2), on K(m): row i holds the
+        images of the i-th source basis vector, arrow by arrow."""
+        return np.concatenate([f.T for f in self.matrices], axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -440,16 +484,38 @@ class FiniteFieldRep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteFieldRep":
-        quiver = Quiver(
-            data["quiver"]["vertices"],
-            tuple(tuple(a) for a in data["quiver"]["arrows"]),
+        """The inverse of to_dict; a missing or ill-typed field raises
+        ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError("a representation must be a JSON object")
+        p = _field(data, "p", _is_int, "an integer")
+        spec = _field(data, "quiver", lambda x: isinstance(x, dict), "an object")
+        vertices = _field(spec, "quiver.vertices", _is_int, "an integer")
+        arrows = _field(
+            spec,
+            "quiver.arrows",
+            lambda x: isinstance(x, list) and all(_is_ints(a) and len(a) == 2 for a in x),
+            "a list of [source, target] pairs",
         )
-        dim = tuple(data["dim"])
+        dim = _field(data, "dim", _is_ints, "a list of integers")
+        entries = _field(
+            data,
+            "matrices",
+            lambda x: isinstance(x, list) and all(isinstance(m, list) for m in x),
+            "a list of matrices",
+        )
+        quiver = Quiver(vertices, tuple(tuple(a) for a in arrows))
+        dim = quiver.check_dim(dim)
+        if len(entries) != len(quiver.arrows):
+            raise ValueError("representation field 'matrices' must hold one matrix per arrow")
+        # entries stay Python objects, and nested as given: __post_init__
+        # refuses floats, bools and a wrong shape; only an empty matrix,
+        # which to_dict writes as [], takes its shape from dim
         mats = []
-        for (s, t), entries in zip(quiver.arrows, data["matrices"]):
-            shape = (dim[t - 1], dim[s - 1])
-            mats.append(np.array(entries, dtype=np.int64).reshape(shape))
-        return cls(data["p"], quiver, dim, tuple(mats))
+        for (s, t), m in zip(quiver.arrows, entries):
+            arr = np.array(m, dtype=object)
+            mats.append(arr if arr.size else arr.reshape(dim[t - 1], dim[s - 1]))
+        return cls(p, quiver, dim, tuple(mats))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -459,6 +525,32 @@ class FiniteFieldRep:
     def load(cls, path) -> "FiniteFieldRep":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _integer_entries(arr: np.ndarray) -> bool:
+    """Whether every entry of arr is an integer: an integer dtype, or an
+    object array of Python or numpy ints, booleans not counted."""
+    if arr.dtype == object:
+        return all(_is_int(x) or isinstance(x, np.integer) for x in arr.flat)
+    return arr.dtype.kind in "iu"
+
+
+def _field(data: dict, name: str, ok, kind: str):
+    """data's field name (dotted for a nested field), checked by ok."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in data:
+        raise ValueError(f"representation has no field '{name}'")
+    if not ok(data[key]):
+        raise ValueError(f"representation field '{name}' must be {kind}")
+    return data[key]
 
 
 def _require_kronecker(rep: FiniteFieldRep):
@@ -491,15 +583,19 @@ def dual_rep(rep: FiniteFieldRep) -> FiniteFieldRep:
 
 
 def image_sum_dim(rep: FiniteFieldRep, subspace: Subspace) -> int:
-    """dim (f_1(U) + ... + f_m(U)) for a subspace U of the source space."""
+    """dim (f_1(U) + ... + f_m(U)) for a subspace U of the source space.
+
+    One product with the representation's stacked map, ``U.basis @
+    [f_1^T | ... | f_m^T]``, read as the k * m image rows of width d2
+    (k = dim U), and rank_mod of those rows, which reduces them mod p.
+    """
     _require_kronecker(rep)
     d1, d2 = rep.dim
     if subspace.p != rep.p or subspace.ambient_dim != d1:
         raise ValueError("subspace does not live in the representation's source space")
     if subspace.dim == 0 or d2 == 0:
         return 0
-    rows = np.concatenate([(subspace.basis @ f.T) % rep.p for f in rep.matrices])
-    return rank_mod(rows, rep.p)
+    return rank_mod((subspace.basis @ rep._stacked).reshape(-1, d2), rep.p)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,31 @@ def test_verify(capsys, tmp_path):
     assert payload["result"]["witness"] == {"dim": 1, "basis": [[1, 0]]}
 
 
+def test_verify_malformed_rep_exit_2(capsys, tmp_path):
+    # a fractional or boolean entry is refused, not cast to the integer below it
+    rep = {
+        "p": 5,
+        "quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]},
+        "dim": [1, 1],
+        "matrices": [[[1]], [[1]]],
+    }
+    cases = [
+        ({**rep, "matrices": [[[1.7]], [[1]]]}, "not an integer"),
+        ({**rep, "matrices": [[[1]], [[True]]]}, "not an integer"),
+        ([1], "JSON object"),
+        ({"p": 5}, "no field 'quiver'"),
+    ]
+    argv = ["verify", "--rep", str(tmp_path / "rep.json"), "--delta", "1/2", "--epsilon", "1/2"]
+    for data, message in cases:
+        (tmp_path / "rep.json").write_text(json.dumps(data))
+        assert run(argv) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured.err
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and payload["result"] == {"ok": True, "witness": None}
+
+
 def test_verify_budget_exit_3(capsys, tmp_path):
     from quivex import random_rep
 
@@ -256,6 +281,9 @@ def test_input_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["epsilon", "--k", "2", "--bogus"]) == 2
     capsys.readouterr()
+    sample = ["sample", "--kronecker", "2", "--d", "2,2", "--p", "5", "--seed", "0"]
+    assert run(sample + ["--count", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --count must be non-negative, got -2\n"
     # the (delta, eps) contract of exists holds for exists-uniform and theta-scan
     uniform = ["exists-uniform", "--m", "3", "--alpha", "1", "--delta", "1/2", "--epsilon"]
     for eps in ("0", "-1"):

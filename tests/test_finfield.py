@@ -121,6 +121,104 @@ def test_rref_matches_sympy():
                 ], (p, mat.tolist())
 
 
+def test_rank_mod_matches_rref_and_sympy():
+    # the canonical RREF's pivot count is the oracle; sympy checks both
+    try:
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+    except ImportError:
+        DomainMatrix = None
+    rng = np.random.Generator(np.random.PCG64(23))
+    shapes = [(0, 4), (4, 0), (1, 5), (12, 4), (4, 12), (5, 5), (9, 3)]
+    for p in (2, 3, 5, 181, 46349, 1048573):
+        for rows, cols in shapes:
+            mats = []
+            for rank in range(min(rows, cols) + 1):
+                left = rng.integers(0, p, size=(rows, rank), dtype=np.int64)
+                right = rng.integers(0, p, size=(rank, cols), dtype=np.int64)
+                mats.append((left @ right) % p)
+            if rows > cols > 1:
+                # the first cols rows span a line, the rest span the whole row
+                # space: the rank reaches cols only after more than cols rows
+                tall = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+                tall[:cols] = np.outer(rng.integers(0, p, cols), tall[0]) % p
+                tall[cols:2 * cols] = np.eye(cols, dtype=np.int64)
+                mats.append(tall)
+            for mat in mats:
+                # entries negative or at least p, each congruent to mat's
+                shifted = mat + p * rng.integers(-3, 4, size=mat.shape)
+                expected = len(rref_mod(mat, p)[1])
+                assert rank_mod(shifted, p) == expected, (p, mat.tolist())
+                assert rank_mod(shifted.tolist(), p) == expected
+                assert len(rref_mod(shifted, p)[1]) == expected
+                if DomainMatrix is not None and rows and cols:
+                    dm = DomainMatrix.from_list(mat.tolist(), GF(p))
+                    assert dm.rank() == expected, (p, mat.tolist())
+    assert rank_mod([[5, 10], [-5, 0]], 5) == 0
+    assert rank_mod([[7, 0, 0, 0]] * 3 + [[0, 1, 0, 0]], 7) == 1
+
+
+def _plain_rank(rows: list[list[int]], p: int) -> int:
+    """Gauss-Jordan by columns on plain ints: the image_sum_dim oracle."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _plain_image_rank(rep, basis) -> int:
+    mats = [f.tolist() for f in rep.matrices]
+    images = [
+        [sum(a * b for a, b in zip(row, u)) for row in f]
+        for u in basis.tolist()
+        for f in mats
+    ]
+    return _plain_rank(images, rep.p)
+
+
+def test_image_sum_dim_matches_plain_int_rank():
+    calls = 0
+    for m in range(1, 5):
+        quiver = make_kronecker(m)
+        for p in (2, 3, 5):
+            for d1, d2, seed in product(range(5), range(5), range(2)):
+                rep = random_rep(quiver, (d1, d2), p, seed)
+                for k in range(d1 + 1):
+                    for u in enumerate_subspaces(p, d1, k):
+                        assert image_sum_dim(rep, u) == _plain_image_rank(rep, u.basis), (
+                            m, p, (d1, d2), seed, u.basis.tolist()
+                        )
+                        calls += 1
+    assert calls == 2 * 5 * 4 * sum(
+        gaussian_binomial(n, k, p) for p in (2, 3, 5) for n in range(5) for k in range(n + 1)
+    )
+    # two reps of one shape, called in turn: each reads its own stacked map
+    K2 = make_kronecker(2)
+    eye = np.eye(3, dtype=np.int64)
+    zero = np.zeros((3, 3), dtype=np.int64)
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    reps = [
+        FiniteFieldRep(5, K2, (3, 3), (eye, swap)),
+        FiniteFieldRep(5, K2, (3, 3), (zero, zero)),
+        FiniteFieldRep(5, K2, (3, 3), (eye, eye)),
+    ]
+    line = Subspace(5, 3, [[1, 0, 0]])
+    for _ in range(2):
+        assert [image_sum_dim(rep, line) for rep in reps] == [2, 0, 1]
+    whole = Subspace(5, 3, eye)
+    assert [image_sum_dim(rep, whole) for rep in reps] == [3, 0, 3]
+
+
 def test_prime_bound():
     # 1048573 is the largest prime below 2**20, 1048583 the smallest above
     assert random_rep(make_kronecker(2), (2, 2), 1048573, 0).p == 1048573
@@ -188,6 +286,61 @@ def test_rep_validation():
         FiniteFieldRep(2, K2, (2, 2), (np.eye(3, dtype=np.int64), np.eye(2, dtype=np.int64)))
     with pytest.raises(ValueError):
         FiniteFieldRep(2, K2, (2, 2), (np.full((2, 2), 2), np.eye(2, dtype=np.int64)))
+    # an int64 cast would read 1.7 as 1 and True as 1: floats and bools raise
+    ones = [[1, 0], [0, 1]]
+    for bad in (
+        np.array([[1.7, 0], [0, 1]]),
+        np.eye(2),
+        np.eye(2, dtype=bool),
+        [[1.7, 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        [[np.True_, 0], [0, 1]],
+        [["1", 0], [0, 1]],
+        [[2**70, 0], [0, 1]],
+    ):
+        with pytest.raises(ValueError):
+            FiniteFieldRep(5, K2, (2, 2), (bad, ones))
+    rep = FiniteFieldRep(5, K2, (2, 2), ([[np.int64(4), 0], [0, 1]], np.eye(2, dtype=np.uint8)))
+    assert [f.tolist() for f in rep.matrices] == [[[4, 0], [0, 1]], ones]
+    assert all(f.dtype == np.int64 for f in rep.matrices)
+    empty = FiniteFieldRep(5, K2, (0, 2), (np.zeros((2, 0)), [[], []]))
+    assert [f.shape for f in empty.matrices] == [(2, 0), (2, 0)]
+
+
+def test_from_dict_names_the_missing_or_ill_typed_field():
+    good = random_rep(make_kronecker(2), (1, 2), 5, 0).to_dict()
+    assert FiniteFieldRep.from_dict(good).dim == (1, 2)
+    for d in ((0, 2), (2, 0), (0, 0)):
+        rep = random_rep(make_kronecker(2), d, 5, 0)
+        assert FiniteFieldRep.from_dict(rep.to_dict()).dim == d
+
+    def bad(**fields):
+        return {**good, **fields}
+
+    cases = [
+        ([1], "JSON object"),
+        ({"p": 5}, "'quiver'"),
+        ({k: v for k, v in good.items() if k != "p"}, "'p'"),
+        ({k: v for k, v in good.items() if k != "matrices"}, "'matrices'"),
+        (bad(p="5"), "'p'"),
+        (bad(p=True), "'p'"),
+        (bad(quiver=3), "'quiver'"),
+        (bad(quiver={"arrows": [[1, 2]]}), "'quiver.vertices'"),
+        (bad(quiver={"vertices": 2, "arrows": [1, 2]}), "'quiver.arrows'"),
+        (bad(quiver={"vertices": 2, "arrows": [[1, 2.0]]}), "'quiver.arrows'"),
+        (bad(dim=5), "'dim'"),
+        (bad(dim=[1.5, 2]), "'dim'"),
+        (bad(matrices=5), "'matrices'"),
+        (bad(matrices=[[[1], [2]]]), "'matrices'"),
+        (bad(matrices=[[[1.7], [2]], [[3], [4]]]), "not an integer"),
+        (bad(matrices=[[[1], [True]], [[3], [4]]]), "not an integer"),
+        # a matrix written in another shape is refused, not reshaped
+        (bad(matrices=[[[1, 2]], [[3], [4]]]), "shape"),
+        (bad(matrices=[[[1], [2], [3]], [[3], [4]]]), "shape"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError, match=message):
+            FiniteFieldRep.from_dict(data)
 
 
 def test_image_sum_dim_examples():
