@@ -166,10 +166,9 @@ def expander_exists(
     exceed s, that is, clear (1 + eps) * (d2 / d1) * e1; the first
     (lexicographically smallest) failing pair is reported.
     """
-    dv = tuple(int(x) for x in d)
-    if len(dv) != 2 or dv[0] < 1 or dv[1] < 1:
+    dv = make_kronecker(m).check_dim(d)  # checks m >= 1, integers and the entry cap
+    if 0 in dv:
         raise ValueError("d must be a pair of positive integers")
-    make_kronecker(m).check_dim(dv)  # checks m >= 1 and the entry cap
     minimal = _minimal_second_coordinates(m, dv, cache if cache is not None else SubdimCache())
     for e1, s in _levels(params, *dv):
         if (e2 := minimal(e1)) <= s:

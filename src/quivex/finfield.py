@@ -24,11 +24,12 @@ reads its candidate lines and their spans off that one elimination.  Its
 frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
 the level's blocks: about one kernel call per level.  has_subrep_of_dim
-runs the same frontier on every quiver whose arrows all end at one
-vertex: on K(m) up to one dimension, on whichever of the representation
-and its dual needs fewer levels; on the others over the sum of the free
-source spaces, each level drawing its lines from one source.  Every
-other quiver is backtracked.
+decides every quiver whose arrows all end at one vertex, K(m) among
+them, by one set of rules: two that need no rank, a few single ranks,
+and otherwise the same frontier over the sum of the free source spaces,
+each level drawing its lines from one source (on K(m), from the dual's
+source when that needs fewer levels).  Every other quiver is
+backtracked.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -47,7 +48,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expander import ExpanderParams, _levels
-from .kronecker import dual_dim
 from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget
 
 
@@ -464,6 +464,14 @@ class FiniteFieldRep:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrices", tuple(mats))
+
+    @cached_property
+    def _maps_from(self) -> dict[int, list[np.ndarray]]:
+        """Each source vertex's arrow matrices, in arrow order."""
+        maps: dict[int, list[np.ndarray]] = {}
+        for (s, _), f in zip(self.quiver.arrows, self.matrices):
+            maps.setdefault(s, []).append(f)
+        return maps
 
     @cached_property
     def _stacked(self) -> np.ndarray:
@@ -885,113 +893,89 @@ def has_subrep_of_dim(
 ) -> bool:
     """Existence (over F_p itself) of a subrepresentation of dimension vector e.
 
-    On K(m) this asks for an e1-plane of the source space whose image rank
-    is at most e2, and is answered by _kronecker_subrep on the frontier of
-    is_expander_rep.  On any other quiver whose arrows all end at one
-    vertex t, it asks for subspaces U_s of the sources whose images span
-    at most e_t dimensions, and _one_sink_subrep searches the same
-    frontier, drawing each level's lines from one source.  Every other
-    quiver (arrows that end at several vertices, or none) is searched by
-    _backtrack.  The budget (phase "subrep") is charged as each of those
-    says.
+    On a quiver whose arrows all end at one vertex t, K(m) among them, it
+    asks for subspaces U_s of the sources whose images span at most e_t
+    dimensions, and _one_sink_subrep answers by a few rank rules or on the
+    frontier of is_expander_rep.  Every other quiver (arrows that end at
+    several vertices, or none) is searched by _backtrack.  The budget
+    (phase "subrep") is charged as each of those says.
     """
     ev = rep.quiver.check_dim(e)
     if any(a > b for a, b in zip(ev, rep.dim)):
         raise ValueError("e must be componentwise <= the representation's dimension")
     tracker = _Budget(budget, "subrep")
-    if rep.quiver.kronecker_m:
-        return _kronecker_subrep(rep, ev, tracker)
     if rep.quiver.one_sink:
         return _one_sink_subrep(rep, ev, rep.quiver.one_sink, tracker)
     return _backtrack(rep, ev, tracker)
-
-
-def _kronecker_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) -> bool:
-    """Whether some e1-plane of F_p^d1 has image rank <= e2 under K(m).
-
-    Four cases are True at no charge: e1 = 0, e2 = d2, e2 >= m * e1 (no
-    e1-plane has a larger image) and d1 - e1 >= m * (d2 - e2) (the vectors
-    that every f_i maps into a fixed e2-space span at least
-    d1 - m * (d2 - e2) dimensions).  Three take one rank, charged 1: m = 1,
-    where an e1-plane's least image rank is max(0, e1 - dim ker f_1);
-    e1 = d1, the stacked f_i^T against e2; and e2 = 0, the stacked f_i
-    against d1 - e1, as the common kernel must hold an e1-plane.
-    Otherwise the frontier searches, with j = e1 and s = e2, or on the
-    dual at (d2 - e2, d1 - e1) when d2 - e2 < e1: an e-subrep of rep is
-    the annihilator of a (d2 - e2, d1 - e1)-subrep of dual_rep(rep), and
-    the frontier costs most on deep levels.  It charges the searched
-    side's lines, then each candidate line and each plane tested, as in
-    is_expander_rep.
-    """
-    m, p = len(rep.matrices), rep.p
-    (d1, d2), (e1, e2) = rep.dim, e
-    if e1 == 0 or e2 == d2 or e2 >= m * e1 or d1 - e1 >= m * (d2 - e2):
-        return True
-    if m == 1:
-        tracker.charge(1)
-        return rank_mod(rep.matrices[0], p) <= d1 - e1 + e2
-    if e1 == d1:
-        tracker.charge(1)
-        return rank_mod(np.concatenate([f.T for f in rep.matrices]), p) <= e2
-    if e2 == 0:
-        tracker.charge(1)
-        return rank_mod(np.concatenate(rep.matrices), p) <= d1 - e1
-    if d2 - e2 < e1:
-        (e1, e2), _ = dual_dim((e1, e2), rep.dim)
-        rep = dual_rep(rep)
-    lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker)
-    cand = np.flatnonzero(ranks <= e2)
-    return _frontier_scan(p, lines, cand, e2, e1, tracker) is not None
 
 
 def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _Budget) -> bool:
     """Whether subspaces U_s of dimension e_s at the sources s have images
     that span at most e_t dimensions at t, where every arrow ends.
 
-    True at no charge when e_t = d_t.  A source with e_s = 0 drops out.  A
-    source with e_s = d_s is forced: the images of every forced source
-    span one space F at t, one rank charged 1.  If dim F > e_t the answer
-    is False; otherwise every other source's images are taken modulo F
-    and the bound is e_t - dim F.  Each free source (0 < e_s < d_s) is a
-    block of coordinates of the sum of their spaces, in vertex order.  Its
-    line count is charged before any line is built, and its line images
-    are padded with zero rows up to the largest arrow count.  The RREF of
-    a graded subspace is its blocks' RREFs stacked, so the frontier, with
-    j the sum of the free e_s, draws the lines of its levels block by
-    block, the last block first and e_s levels each, and builds every
-    graded plane once.  It charges the candidate lines of every block and
-    each plane tested, as in is_expander_rep.
+    a_s is the arrow count s -> t; a source with e_s = 0 drops out.  In turn:
+    - e_t >= sum a_s e_s: True, charged 0, as no images span more;
+    - d_s - e_s >= a_s (d_t - e_t) at every source: True, charged 0, as
+      that many vectors of V_s map into one fixed e_t-space by every arrow;
+    - sources with e_s = d_s are forced, and their images span one space
+      F at t: one rank, charged 1.  False if dim F > e_t, True if no other
+      source is left; else the others are searched modulo F, at bound
+      e_t - dim F;
+    - at bound 0, or for one free source (0 < e_s < d_s) with one arrow,
+      one rank per free source, charged 1 each: rank [f_a ...] <= d_s -
+      e_s + bound, as U_s lies in the maps' common kernel at bound 0, and
+      one map takes an e_s-plane to rank e_s - dim ker at least;
+    - otherwise the frontier, with j the sum of the free e_s, draws e_s
+      levels from each free source's block of coordinates, the last block
+      first: a graded plane's RREF is its blocks' RREFs stacked, so each
+      is built once.  Line images are padded with zero rows up to the
+      largest arrow count.  On K(m) with d2 - e2 < e1 it searches the
+      dual instead, one block of the untransposed f_a at j = d2 - e2 and
+      bound d1 - e1: an e-subrep is the annihilator of a (d2 - e2,
+      d1 - e1)-subrep of dual_rep(rep), and deep levels cost most.
+    The frontier charges each block's line count before it builds a line,
+    then the candidates and each plane tested, as in is_expander_rep; its
+    budget errors name the vertex it draws from.
     """
     p, dim = rep.p, rep.dim
-    bound = e[t - 1]
-    if bound == dim[t - 1]:
+    bound, gap = e[t - 1], dim[t - 1] - e[t - 1]
+    spanned, slack, free, forced = 0, True, [], []
+    for (s, _), a in rep.quiver.arrow_counts.items():
+        if x := e[s - 1]:
+            spanned += a * x
+            slack = slack and dim[s - 1] - x >= a * gap
+            (free if x < dim[s - 1] else forced).append(s)
+    if spanned <= bound or slack:
         return True
-    images: dict[int, list[np.ndarray]] = {}
-    for (s, _), f in zip(rep.quiver.arrows, rep.matrices):
-        images.setdefault(s, []).append(f.T)
-    free = sorted(s for s in images if 0 < e[s - 1] < dim[s - 1])
-    forced = [f for s in images if 0 < e[s - 1] == dim[s - 1] for f in images[s]]
+    maps = rep._maps_from
+    free.sort()
     if forced:
         tracker.charge(1)
-        span = _echelon_of(np.concatenate(forced), p)
+        images = np.concatenate([f.T for s in forced for f in maps[s]])
+        if not free:
+            return rank_mod(images, p) <= bound
+        span = _echelon_of(images, p)
         bound -= len(span.pivots)
         if bound < 0:
             return False
         if span.rows:
+            # each image column reduced modulo F, on the coordinates off its pivots
             rows, piv = np.array(span.rows, dtype=np.int64), span.pivots
             rest = [c for c in range(dim[t - 1]) if c not in piv]
-            for s in free:
-                images[s] = [((f - f[:, piv] @ rows) % p)[:, rest] for f in images[s]]
-    if not free:
+            maps = {s: [((f - rows.T @ f[piv]) % p)[rest] for f in maps[s]] for s in free}
+    if bound == 0 or (len(free) == 1 and len(maps[free[0]]) == 1):
+        for s in free:
+            tracker.charge(1)
+            if rank_mod(np.concatenate(maps[s]), p) > dim[s - 1] - e[s - 1] + bound:
+                return False
         return True
-    blocks = [images[s] for s in free]
+    blocks, levels = [[f.T for f in maps[s]] for s in free], [e[s - 1] for s in free]
+    if rep.quiver.kronecker_m and dim[1] - e[1] < e[0]:
+        free, blocks, levels, bound = [2], [rep.matrices], [dim[1] - e[1]], dim[0] - e[0]
     lines, ranks = _line_ranks(p, blocks, tracker, [f" at vertex {s}" for s in free])
     offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
-    draws = [
-        (offsets[b], offsets[b + 1], s)
-        for b, s in reversed(list(enumerate(free)))
-        for _ in range(e[s - 1])
-    ]
+    spans = reversed(list(zip(offsets, offsets[1:], free, levels)))
+    draws = [(lo, hi, s) for lo, hi, s, k in spans for _ in range(k)]
     cand = np.flatnonzero(ranks <= bound)
     return _frontier_scan(p, lines, cand, bound, len(draws), tracker, draws) is not None
 

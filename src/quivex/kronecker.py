@@ -14,7 +14,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Sequence
 
-from .quiver import MAX_DIM_ENTRY
+from .quiver import MAX_DIM_ENTRY, check_int
 from .surd import QuadraticSurd
 
 
@@ -30,15 +30,17 @@ class KroneckerContext:
     d: tuple[int, int]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
+        m = check_int(self.m, "m")
+        if m < 2:
             raise ValueError("m must be an integer >= 2")
-        d = tuple(int(x) for x in self.d)
+        d = tuple(check_int(x, "d entry") for x in self.d)
         if len(d) != 2 or any(x < 0 for x in d):
             raise ValueError("d must be a pair of non-negative integers")
         if d == (0, 0):
             raise ValueError("d must be nonzero")
         if max(d) > MAX_DIM_ENTRY:
             raise ValueError(f"dimension vector entries must not exceed {MAX_DIM_ENTRY}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "d", d)
 
     @cached_property
@@ -102,7 +104,7 @@ def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
     """Non-recursive embedding test, valid when <d, d> <= 0: e <= d and
     <e, d - e> >= 0, that is e2 >= c_d(e1) (see _boundary)."""
     _require_negative_form(ctx)
-    ev = tuple(int(v) for v in e)
+    ev = tuple(check_int(v, "e entry") for v in e)
     if len(ev) != 2:
         raise ValueError("e must have length 2")
     d1, d2 = ctx.d
@@ -116,8 +118,8 @@ def dual_dim(
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Reversal bijection on K(m) subdimension data:
     (e, d) |-> ((d2 - e2, d1 - e1), (d2, d1))."""
-    ev = tuple(int(v) for v in e)
-    dv = tuple(int(v) for v in d)
+    ev = tuple(check_int(v, "e entry") for v in e)
+    dv = tuple(check_int(v, "d entry") for v in d)
     if len(ev) != 2 or len(dv) != 2:
         raise ValueError("vectors must have length 2")
     if not (0 <= ev[0] <= dv[0] and 0 <= ev[1] <= dv[1]):

@@ -12,6 +12,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Sequence
 
 DimVector = tuple[int, ...]
@@ -61,6 +62,16 @@ class CycleError(QuiverError):
     """The arrow set contains a directed cycle."""
 
 
+def check_int(x, what: str) -> int:
+    """x as a Python int if it is a Python or numpy integer; a bool, a float
+    or anything else raises QuiverError, where int() takes True as 1 and 2.7 as 2."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Integral) and not isinstance(x, bool):
+        return int(x)
+    raise QuiverError(f"{what} must be an integer, got {x!r}")
+
+
 class QuiverParseError(QuiverError):
     """Malformed quiver file; carries the offending 1-based line number."""
 
@@ -77,9 +88,11 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.vertex_count, int) or self.vertex_count < 1:
+        vertex_count = check_int(self.vertex_count, "vertex_count")
+        if vertex_count < 1:
             raise QuiverError("vertex_count must be a positive integer")
-        arrows = tuple((int(s), int(t)) for s, t in self.arrows)
+        arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in self.arrows)
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
         for s, t in arrows:
             if not (1 <= s <= self.vertex_count and 1 <= t <= self.vertex_count):
@@ -148,7 +161,7 @@ class Quiver:
 
     def check_dim(self, vec: Sequence[int]) -> DimVector:
         """Validate a dimension vector for this quiver and return it as a tuple."""
-        entries = tuple(int(x) for x in vec)
+        entries = tuple(check_int(x, "dimension vector entry") for x in vec)
         if len(entries) != self.vertex_count:
             raise QuiverError(
                 f"dimension vector has length {len(entries)}, expected {self.vertex_count}"
@@ -162,9 +175,9 @@ class Quiver:
 
 def make_kronecker(m: int) -> Quiver:
     """The generalized Kronecker quiver K(m): two vertices, m arrows 1 -> 2."""
-    if not isinstance(m, int) or m < 1:
+    if check_int(m, "m") < 1:
         raise QuiverError("m must be a positive integer")
-    return Quiver(2, ((1, 2),) * m)
+    return Quiver(2, ((1, 2),) * int(m))
 
 
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

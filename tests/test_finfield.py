@@ -514,11 +514,11 @@ def test_kronecker_subrep_matches_backtrack_and_sweep():
 
 def test_one_sink_quivers_take_the_frontier(monkeypatch):
     # every arrow of reversed K(2) (2 -> 1) and of the bipartite quiver ends
-    # at one vertex, so has_subrep_of_dim searches the frontier, each level
-    # drawing from one source's block of coordinates; reversed K(2) still
-    # agrees with K(2) on the same matrices with the vertices swapped.  The
-    # length-2 path, a quiver with two sinks and one with no arrows still
-    # backtrack.
+    # at one vertex, so has_subrep_of_dim takes the one-sink rules and the
+    # frontier, each level drawing from one source's block of coordinates;
+    # reversed K(2) still agrees with K(2) on the same matrices with the
+    # vertices swapped.  The length-2 path, a quiver with two sinks and one
+    # with no arrows still backtrack.
     import quivex.finfield as ff
 
     backtracked, scanned = [], []
@@ -532,19 +532,17 @@ def test_one_sink_quivers_take_the_frontier(monkeypatch):
         scanned.append(draws)
         return scan(p, lines, cand, s, j, budget, draws)
 
-    def unused(*args):
-        raise AssertionError("only K(m) takes _kronecker_subrep")
-
     monkeypatch.setattr(ff, "_backtrack", spy_backtrack)
     monkeypatch.setattr(ff, "_frontier_scan", spy_scan)
-    monkeypatch.setattr(ff, "_kronecker_subrep", unused)
     rep = random_rep(Quiver(2, ((2, 1), (2, 1))), (3, 2), 3, 0)
     swapped = FiniteFieldRep(3, make_kronecker(2), (2, 3), rep.matrices)
     for e in product(range(4), range(3)):
         scanned.clear()
         assert has_subrep_of_dim(rep, e) == backtrack(swapped, e[::-1], _Budget(10**7, "")), e
-        # e_2 = 0 drops vertex 2, e_2 = 2 forces it, e_1 = 3 is true at once
-        assert scanned == ([[(0, 2, 2)]] if e[1] == 1 and e[0] < 3 else []), e
+        # only (1, 1) reaches the frontier: e_2 = 0 drops vertex 2, e_2 = 2
+        # forces it, (0, 1) is one rank at bound 0, and at (2, 1) and (3, 1)
+        # two arrows from a line span at most e_1
+        assert scanned == ([[(0, 2, 2)]] if e == (1, 1) else []), e
     with pytest.raises(ValueError):
         dual_rep(rep)
     # vertex 1 is coordinates 0-2 and vertex 3 coordinates 3-7: vertex 3's
@@ -652,13 +650,17 @@ def test_kronecker_subrep_budget_charges_frontier():
 
 
 THREE_SOURCES = Quiver(4, ((1, 4), (2, 4), (2, 4), (3, 4), (3, 4), (3, 4)))
+REVERSED_K2 = Quiver(2, ((2, 1), (2, 1)))
+INTO_1 = Quiver(3, ((2, 1), (3, 1)))  # 2 -> 1 <- 3
 
 
 def test_one_sink_subrep_matches_backtrack():
-    # the frontier on one-sink quivers against the backtracker: every e <= d
+    # the one-sink rules and frontier against the backtracker: every e <= d
     # on the bipartite quiver over F_2 and F_3, seeds 0-2; sources with 1, 2
     # and 3 arrows into one sink, whose line images are padded to 3 rows;
-    # and the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4
+    # the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4; and every
+    # e <= d over F_2 and F_3, seeds 0-1, on reversed K(2) and on 2 -> 1 <- 3,
+    # where a free source of one arrow is ranked next to a forced one
     bipartite = [(2, 3, 2), (3, 4, 2), (2, 4, 3), (3, 6, 3), (1, 3, 3), (3, 3, 0)]
     cases = [
         (BIPARTITE, d, p, seed, product(*(range(x + 1) for x in d)))
@@ -671,6 +673,12 @@ def test_one_sink_subrep_matches_backtrack():
     pool = {2: [(3, 5, 1), (2, 4, 4), (1, 2, 1), (0, 1, 3), (1, 4, 4), (3, 6, 4)]}
     pool[3] = [(3, 5, 1), (1, 2, 1), (0, 1, 3), (3, 6, 4)]
     cases += [(BIPARTITE, (3, 6, 5), p, seed, es) for p, es in pool.items() for seed in range(5)]
+    small = [(REVERSED_K2, d) for d in [(3, 2), (4, 3), (2, 3)]]
+    small += [(INTO_1, d) for d in [(5, 3, 2), (4, 2, 3), (3, 2, 2)]]
+    cases += [
+        (quiver, d, p, seed, product(*(range(x + 1) for x in d)))
+        for (quiver, d), p, seed in product(small, (2, 3), range(2))
+    ]
     checked = admitted = 0
     for quiver, d, p, seed, es in cases:
         rep = random_rep(quiver, d, p, seed)
@@ -679,8 +687,75 @@ def test_one_sink_subrep_matches_backtrack():
             assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (d, p, seed, e)
             checked += 1
             admitted += got
-    assert checked == 1896 + 288 + 50
+    assert checked == 1896 + 288 + 50 + 176 + 672
     assert 0 < admitted < checked
+
+
+def test_one_sink_rules_charge_nothing_or_one_rank_each(monkeypatch):
+    # off K(m): e_t >= sum a_s e_s, or d_s - e_s >= a_s (d_t - e_t) at every
+    # source with e_s > 0, is true with no rank and no charge.  Otherwise
+    # the forced sources' span is one rank, and so is each free source at
+    # bound 0 (after forcing) or when one free source of one arrow is left;
+    # each rank charges 1, and only the remaining inputs reach the frontier.
+    import quivex.finfield as ff
+
+    budgets, ranks, scans = [], [], []
+
+    class Recorded(_Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    rank, echelon, scan = ff.rank_mod, ff._echelon_of, ff._frontier_scan
+
+    def spy_rank(mat, p):
+        ranks.append(1)
+        return rank(mat, p)
+
+    def spy_echelon(mat, p):
+        ranks.append(1)
+        return echelon(mat, p)
+
+    def spy_scan(*args):
+        scans.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(ff, "_Budget", Recorded)
+    monkeypatch.setattr(ff, "rank_mod", spy_rank)
+    monkeypatch.setattr(ff, "_echelon_of", spy_echelon)
+    monkeypatch.setattr(ff, "_frontier_scan", spy_scan)
+    reps = [(REVERSED_K2, (3, 2), 3), (INTO_1, (5, 3, 2), 2), (INTO_1, (4, 2, 3), 3)]
+    reps += [(BIPARTITE, (2, 4, 3), 2), (THREE_SOURCES, (2, 2, 1, 5), 3)]
+    routes = set()
+    for quiver, d, p in reps:
+        rep, t = random_rep(quiver, d, p, 0), quiver.one_sink
+        for e in product(*(range(x + 1) for x in d)):
+            ranks.clear()
+            scans.clear()
+            got = has_subrep_of_dim(rep, e)
+            assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (d, e)
+            arrows = {s: a for (s, _), a in quiver.arrow_counts.items() if e[s - 1]}
+            forced = [s for s in arrows if e[s - 1] == d[s - 1]]
+            free = [s for s in arrows if e[s - 1] < d[s - 1]]
+            images = [f.T for (s, _), f in zip(quiver.arrows, rep.matrices) if s in forced]
+            bound = e[t - 1] - (rank_mod(np.concatenate(images), p) if forced else 0)
+            if sum(a * e[s - 1] for s, a in arrows.items()) <= e[t - 1] or all(
+                d[s - 1] - e[s - 1] >= a * (d[t - 1] - e[t - 1]) for s, a in arrows.items()
+            ):
+                route, want = "no charge", (0, 0, [])
+            elif not free or bound < 0:
+                route, want = "forced", (1, 1, [])
+            elif bound == 0 or (len(free) == 1 and arrows[free[0]] == 1):
+                # one rank per free source; False stops at the first one over
+                route = "one arrow, forced" if forced and bound else "ranks"
+                most = bool(forced) + len(free)
+                assert (len(ranks) == most) if got else (bool(forced) < len(ranks) <= most)
+                want = (len(ranks), len(ranks), [])
+            else:
+                route, want = "frontier", (bool(forced), budgets[-1].spent, [1])
+            assert (len(ranks), budgets[-1].spent, scans) == want, (d, e, route)
+            routes.add(route)
+    assert routes == {"no charge", "forced", "ranks", "one arrow, forced", "frontier"}
 
 
 def _one_sink_charge(rep, e):

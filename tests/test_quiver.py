@@ -1,18 +1,29 @@
 """Unit tests for quivers, the Euler form, and the quiver file format."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quivex import (
     CycleError,
+    ExpanderParams,
+    KroneckerContext,
     Quiver,
     QuiverError,
     QuiverParseError,
     dominates,
+    dual_dim,
+    embeds,
+    embeds_closed_form,
     euler_form,
+    expander_exists,
+    has_subrep_of_dim,
     in_fundamental_domain,
     make_kronecker,
     parse_quiver,
+    random_rep,
     symmetrized_form,
     unit_vector,
 )
@@ -68,6 +79,37 @@ def test_constructor_rejects_bad_indices():
         Quiver(2, ((0, 1),))
     with pytest.raises(QuiverError):
         Quiver(0, ())
+
+
+def test_one_integer_rule_refuses_bools_and_floats():
+    # int() would read True as 1 and truncate 2.7 to 2, so each of these
+    # used to answer for other inputs than it was given
+    k2, params = make_kronecker(2), ExpanderParams(Fraction(1, 2), Fraction(1, 2))
+    rep = random_rep(k2, (3, 3), 5, 0)
+    ctx = KroneckerContext(3, (3, 3))
+    calls = [
+        lambda: Quiver(2, ((1, 2.7),)),
+        lambda: Quiver(True, ()),
+        lambda: make_kronecker(True),
+        lambda: k2.check_dim((True, 2)),
+        lambda: has_subrep_of_dim(rep, (1.5, 1)),
+        lambda: embeds(k2, (1.5, 1), (3, 3)),
+        lambda: KroneckerContext(3, (2.9, 3)),
+        lambda: expander_exists(3, (10.7, 10), params),
+        lambda: dual_dim((1, 1.0), (3, 3)),
+        lambda: embeds_closed_form(ctx, (False, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(QuiverError, match="must be an integer"):
+            call()
+    # numpy integers are integers, and come back as Python ints
+    n = np.int64
+    assert Quiver(n(2), ((n(1), np.int32(2)),)) == Quiver(2, ((1, 2),))
+    assert type(k2.check_dim((n(2), np.uint8(1)))[0]) is int
+    assert KroneckerContext(n(3), np.array([3, 3])) == ctx
+    assert has_subrep_of_dim(rep, np.array([0, 1]))
+    assert expander_exists(3, np.array([10, 10]), params) == expander_exists(3, (10, 10), params)
+    assert dual_dim(np.array([1, 1]), (3, 3)) == ((2, 2), (3, 3))
 
 
 def test_euler_form_examples(bipartite):
