@@ -22,11 +22,11 @@ from .expander import (
     SlopeParams,
     StabilityFunction,
     _check_delta,
+    _theta_suprema,
     _uniform_decision,
     epsilon_k,
     epsilon_m_alpha_delta,
     expander_exists,
-    theta_epsilon_supremum,
 )
 from .finfield import FiniteFieldRep, is_expander_rep, random_rep
 from .kronecker import KroneckerContext, c_d_ceil, c_d_exact
@@ -253,17 +253,13 @@ def _cmd_theta_scan(args) -> int:
     for w in weights:
         scale = scale * w.denominator // math.gcd(scale, w.denominator)
     theta = StabilityFunction(tuple(int(w * scale) for w in weights))
-    rows = []
-    for d in product(range(args.dmax + 1), repeat=n):
-        if not any(d) or theta(d) != 0:
-            continue
-        sup = theta_epsilon_supremum(quiver, theta, d, delta)
-        rows.append(
-            {
-                "d": list(d),
-                "epsilon_sup": str(sup / scale) if sup is not None else None,
-            }
-        )
+    # one call for the whole scan, so one walk answers every vector of its box
+    zeros = [d for d in product(range(args.dmax + 1), repeat=n) if any(d) and theta(d) == 0]
+    sups = _theta_suprema(quiver, theta, zeros, delta)
+    rows = [
+        {"d": list(d), "epsilon_sup": str(sups[d] / scale) if sups[d] is not None else None}
+        for d in zeros
+    ]
     inputs = dict(
         qinput,
         theta=[str(w) for w in weights],

@@ -18,11 +18,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .kronecker import c_d_ceil, cone_context
-from .quiver import DimVector, Quiver, make_kronecker
-from .schofield import SubdimCache, embeds, generic_subdims
+from .quiver import DimVector, Quiver, check_int, make_kronecker
+from .schofield import SubdimCache, _walk, embeds, generic_subdims
 from .surd import QuadraticSurd
 
 
@@ -72,6 +74,14 @@ def _levels(params: ExpanderParams, d1: int, d2: int) -> Iterator[tuple[int, int
             last = s
 
 
+def _check_positive_m(m) -> int:
+    """The arrow count m as a Python int, refused unless an integer >= 1."""
+    m = check_int(m, "m")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return m
+
+
 @dataclass(frozen=True)
 class SlopeParams:
     """Arrow count m >= 1 and a rational slope alpha = d2/d1."""
@@ -80,8 +90,7 @@ class SlopeParams:
     alpha: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("m must be a positive integer")
+        object.__setattr__(self, "m", _check_positive_m(self.m))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
 
 
@@ -92,7 +101,8 @@ class StabilityFunction:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        weights = tuple(check_int(w, "theta weight") for w in self.weights)
+        object.__setattr__(self, "weights", weights)
 
     def __call__(self, vec: Sequence[int]) -> int:
         if len(vec) != len(self.weights):
@@ -109,7 +119,8 @@ class ExpanderDecision:
 def epsilon_k(k: int) -> QuadraticSurd:
     """Sharp expansion coefficient for k operators in equal dimensions:
     (k + 1 - sqrt(k*k - 2k + 5)) / 2, which lies strictly in (0, 1)."""
-    if not isinstance(k, int) or k < 2:
+    k = check_int(k, "k")
+    if k < 2:
         raise ValueError("k must be an integer >= 2")
     return QuadraticSurd(k + 1, -1, k * k - 2 * k + 5, 2)
 
@@ -122,8 +133,7 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     alpha^2 - m*alpha + 1 < 0;  m*delta + alpha - 2*alpha*delta > 0;
     0 < delta < 1.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _check_positive_m(m)
     alpha = Fraction(alpha)
     delta = _check_delta(delta)
     numerator = m * delta + alpha - 2 * alpha * delta
@@ -221,6 +231,71 @@ def theta_expander_exists(
     return ExpanderDecision(False, min(violating)) if violating else ExpanderDecision(True, None)
 
 
+def _row_suprema(
+    theta: StabilityFunction, delta: Fraction, d: DimVector, targets, box, member
+) -> dict[DimVector, Fraction | None]:
+    """The supremum of each target v <= d, read off row v of the walk of
+    box(d): per total s, the largest theta(e) over e in Sub(v) with |e| = s,
+    then the least -theta(e) / s over 0 < s <= delta * |v|.  Every total
+    0..|v| occurs in Sub(v): a subrepresentation U of dimension e != 0 stays
+    one when U loses a vector at a vertex of e's support that no arrow from
+    the support enters, and an acyclic quiver has such a vertex."""
+    exact = sum(abs(w) * x for w, x in zip(theta.weights, d)) < 2**62
+    values = box @ np.array(theta.weights, dtype=np.int64 if exact else object)
+    sizes = box.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(sum(d) + 2))  # of each total 0..|d|+1
+    floor = values.min()  # no larger than a member's value
+    shape = [x + 1 for x in d]
+    sups = {}
+    for v in targets:
+        bound = delta.numerator * sum(v) // delta.denominator
+        if bound == 0:
+            sups[v] = None
+            continue
+        cells = order[starts[1] : starts[bound + 1]]
+        row = np.where(member[np.ravel_multi_index(v, shape), cells], values[cells], floor)
+        best = np.maximum.reduceat(row, starts[1 : bound + 1] - starts[1]).tolist()
+        sups[v] = min(Fraction(-t, s) for s, t in enumerate(best, 1))
+    return sups
+
+
+def _theta_suprema(
+    quiver: Quiver,
+    theta: StabilityFunction,
+    vectors: Iterable[Sequence[int]],
+    delta,
+    cache: SubdimCache | None = None,
+) -> dict[DimVector, Fraction | None]:
+    """theta_epsilon_supremum of every vector of vectors, each with
+    theta(d) = 0, one vector at a time in descending lexicographic order.
+
+    A K(m) cone vector, or one the cache holds, is answered from
+    generic_subdims.  Any other d still unanswered gets one walk of its box,
+    charged as generic_subdims charges it, and every unanswered off-cone
+    vector v <= d is answered from row v; the table is then dropped.  So only
+    the maximal off-cone vectors are walked, one table at a time."""
+    delta = _check_delta(delta)
+    pending = sorted({quiver.check_dim(d) for d in vectors}, reverse=True)
+    for d in pending:
+        if theta(d) != 0:
+            raise ValueError(f"theta(d) = {theta(d)} != 0")
+    held = cache.table(quiver) if cache is not None else {}
+    m = quiver.kronecker_m
+    from_rows = {d for d in pending if d not in held and cone_context(m, d) is None}
+    sups: dict[DimVector, Fraction | None] = {}
+    for d in pending:
+        if d in sups:
+            continue
+        if d not in from_rows:
+            constraints = _theta_constraints(quiver, theta, d, delta, cache)
+            sups[d] = min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)
+            continue
+        below = [v for v in from_rows if v not in sups and all(a <= b for a, b in zip(v, d))]
+        sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d)))
+    return sups
+
+
 def theta_epsilon_supremum(
     quiver: Quiver,
     theta: StabilityFunction,
@@ -230,6 +305,7 @@ def theta_epsilon_supremum(
 ) -> Fraction | None:
     """Largest eps for which d carries a theta-relative expander: the minimum
     of -theta(e) / (total of e) over constraining nonzero e, or None when no
-    subdimension vector constrains the decision.  Requires 0 < delta < 1."""
-    constraints = _theta_constraints(quiver, theta, d, _check_delta(delta), cache)
-    return min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)
+    subdimension vector constrains the decision.  Requires theta(d) = 0 and
+    0 < delta < 1."""
+    dv = quiver.check_dim(d)
+    return _theta_suprema(quiver, theta, [dv], delta, cache)[dv]

@@ -60,7 +60,8 @@ def cone_context(m: int, d: Sequence[int]) -> KroneckerContext | None:
 
 def beta(m: int) -> QuadraticSurd:
     """(m + sqrt(m*m - 4)) / 2, the larger root of t^2 - m t + 1."""
-    if not isinstance(m, int) or m < 2:
+    m = check_int(m, "m")
+    if m < 2:
         raise ValueError("m must be an integer >= 2")
     return QuadraticSurd(m, 1, m * m - 4, 2)
 

@@ -1,22 +1,22 @@
 """Generic subrepresentation dimension vectors, by Schofield's criterion.
 
 ``e`` embeds generically into ``d`` iff <e', d - e> >= 0 for every e' in
-Sub(e), the vectors that embed generically into e.  Sub(d) comes from one
-bottom-up walk of the box {e : e <= d} in lexicographic order: Sub(e) is
-complete when e is reached, and one int64 product (Sub(e) F)(V - e)^T, with
-<a, b> = a F b and V the up-box {v : e <= v <= d}, decides e in Sub(v) for
-all v in V at once.  The walk's boolean table of (box size)^2 cells is
-charged to the work budget (phase "subdims") before it is allocated, so it
-stays under 10 MB; a form value stays under (box size)^2 times the largest
-arrow multiplicity, so int64 is exact.  For K(m), m >= 2, d nonzero and
-<d, d> <= 0, the closed form e2 >= c_d(e1) decides and no box is walked:
-Sub(d) is listed column by column, charged the box size first.
+Sub(e), the vectors that embed generically into e.  One bottom-up walk of
+the box {e : e <= d} in lexicographic order gives Sub(v) for every v of the
+box, not only for d: Sub(e) is complete when e is reached, and one int64
+product (Sub(e) F)(V - e)^T, with <a, b> = a F b and V the up-box
+{v : e <= v <= d}, decides e in Sub(v) for all v in V at once.  The walk's
+boolean table of (box size)^2 cells is charged to the work budget (phase
+"subdims") before it is allocated, so it stays under 10 MB; a form value
+stays under (box size)^2 times the largest arrow multiplicity, so int64 is
+exact.  For K(m), m >= 2, d nonzero and <d, d> <= 0, the closed form
+e2 >= c_d(e1) decides and no box is walked: Sub(d) is listed column by
+column, charged the box size first.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -46,20 +46,29 @@ class SubdimCache:
         return sum(len(t) for t in self._tables.values())
 
 
-def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
-    """Sub(d) by the bottom-up walk of box(d), every e <= d as a row in
-    lexicographic order, weighed by the rows e F with <e, x> = (e F) @ x:
-    F's columns are the form weights of the unit vectors."""
-    size = math.prod(x + 1 for x in d)
+def _walk(quiver: Quiver, d: DimVector) -> tuple[np.ndarray, np.ndarray]:
+    """The box of d, every e <= d as a row in lexicographic order, and the
+    walk's table member[v, e]: e lies in Sub(v), for every v and e of the
+    box.  Rows are weighed by e F with <e, x> = (e F) @ x: F's columns are the
+    form weights of the unit vectors.  The up-box of e is a slice of one
+    index grid."""
+    shape = [x + 1 for x in d]
+    size = math.prod(shape)
     _Budget(DEFAULT_BUDGET, "subdims").charge(size * size, f" at {d}")
-    box = np.indices([x + 1 for x in d]).reshape(len(d), -1).T
+    box = np.indices(shape).reshape(len(d), -1).T
     weights = box @ np.array([quiver.form_weights(u) for u in np.eye(len(d), dtype=np.int64)]).T
-    axes = [np.arange(x + 1) * math.prod(y + 1 for y in d[i + 1 :]) for i, x in enumerate(d)]
-    member = np.eye(size, dtype=bool)  # member[v, e]: e lies in Sub(v)
+    index = np.arange(size).reshape(shape)
+    member = np.eye(size, dtype=bool)
     for k, e in enumerate(box.tolist()):
-        up = reduce(np.add.outer, [a[x:] for a, x in zip(axes, e)]).ravel()
+        up = index[tuple(slice(x, None) for x in e)].ravel()
         values = weights[member[k]] @ box[up - k].T  # box[up - k] = up-box - e
         member[up, k] = values.min(axis=0) >= 0
+    return box, member
+
+
+def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
+    """Sub(d): the last row of the walk of box(d)."""
+    box, member = _walk(quiver, d)
     return frozenset(map(tuple, box[member[-1]].tolist()))
 
 

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quivex import (
@@ -11,6 +12,8 @@ from quivex import (
     ExpanderParams,
     KroneckerContext,
     QuadraticSurd,
+    QuiverError,
+    beta,
     SlopeParams,
     StabilityFunction,
     SubdimCache,
@@ -292,3 +295,32 @@ def test_theta_epsilon_supremum_frozen_values():
     theta = StabilityFunction((1, -1))
     sups = [theta_epsilon_supremum(K3, theta, (n, n), HALF) for n in (1, 2, 3, 4)]
     assert sups == [Fraction(1), Fraction(1), Fraction(1, 3), Fraction(1, 3)]
+
+
+def test_integer_arguments_refuse_bool_and_float():
+    # int() would take 1.9 as 1 and True as 1, and answer for another input
+    K3 = make_kronecker(3)
+    for bad in (1.9, True, "1"):
+        with pytest.raises(QuiverError, match="theta weight must be an integer"):
+            StabilityFunction((bad, -1))
+        with pytest.raises(QuiverError, match="m must be an integer"):
+            SlopeParams(bad, HALF)
+        with pytest.raises(QuiverError, match="m must be an integer"):
+            epsilon_m_alpha_delta(bad, 1, HALF)
+        with pytest.raises(QuiverError, match="k must be an integer"):
+            epsilon_k(bad)
+        with pytest.raises(QuiverError, match="m must be an integer"):
+            beta(bad)
+    with pytest.raises(QuiverError):
+        theta_epsilon_supremum(K3, StabilityFunction((1.9, -1)), (2, 2), HALF)
+    # numpy integers are integers, and come back as Python ints
+    theta = StabilityFunction((np.int64(1), np.int32(-1)))
+    assert theta.weights == (1, -1) and all(type(w) is int for w in theta.weights)
+    assert theta_epsilon_supremum(K3, theta, (2, 2), HALF) == 1
+    slope = SlopeParams(np.int64(3), 1)
+    assert slope == SlopeParams(3, 1) and type(slope.m) is int
+    assert epsilon_k(np.int64(2)) == epsilon_k(2)
+    assert beta(np.int64(3)) == beta(3)
+    assert epsilon_m_alpha_delta(np.int16(4), 2, HALF) == epsilon_m_alpha_delta(4, 2, HALF)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        SlopeParams(np.int64(0), 1)

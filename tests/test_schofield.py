@@ -4,6 +4,7 @@
 engine replaced; the differential tests below hold the engine to it.
 """
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction
@@ -23,9 +24,11 @@ from quivex import (
     make_kronecker,
     parse_quiver,
 )
-from quivex.schofield import _subdims
+from quivex.cli import run
+from quivex.schofield import _subdims, _walk
 
-BIPARTITE = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n")
+BIPARTITE_TEXT = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
+BIPARTITE = parse_quiver(BIPARTITE_TEXT)
 # a path 1 -> 2 -> 3 plus a double arrow 1 -> 3
 PATH_DOUBLE = parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n1 -> 3\n1 -> 3\n")
 
@@ -280,3 +283,111 @@ def test_bipartite_counterexample_witness():
 def test_length_mismatch_errors():
     with pytest.raises(Exception):
         embeds(make_kronecker(2), (1, 0, 0), (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "quiver, dmax",
+    [(BIPARTITE, (2, 4, 2)), (make_kronecker(2), (4, 5)), (make_kronecker(3), (3, 4))],
+    ids=["bipartite", "K2", "K3"],
+)
+def test_walk_rows_are_sub_of_every_vector_of_the_box(quiver, dmax):
+    # one walk of box(d) gives Sub(v) for every v <= d, not only for d
+    table: dict = {}
+    for d in _box(dmax):
+        box, member = _walk(quiver, d)
+        assert [tuple(v) for v in box.tolist()] == list(_box(d))
+        for k, v in enumerate(box.tolist()):
+            row = frozenset(map(tuple, box[member[k]].tolist()))
+            assert row == _subdims_reference(quiver.form_weights, tuple(v), table), (d, v)
+            # every total 0..|v| occurs in Sub(v), as theta-scan's row reading assumes
+            assert {sum(e) for e in row} == set(range(sum(v) + 1)), (d, v)
+
+
+def _supremum_reference(quiver, theta, d, delta, table):
+    # the per-d definition: the least -theta(e) / |e| over 0 < |e| <= delta |d|
+    subs = _subdims_reference(quiver.form_weights, d, table)
+    constraints = [e for e in subs if 0 < sum(e) <= delta * sum(d)]
+    ratios = [Fraction(-sum(w * x for w, x in zip(theta, e)), sum(e)) for e in constraints]
+    return min(ratios, default=None)
+
+
+def _maximal(vectors):
+    def below(d, v):
+        return v != d and all(a <= b for a, b in zip(d, v))
+
+    return [d for d in vectors if not any(below(d, v) for v in vectors)]
+
+
+def _spy_walks(monkeypatch) -> list:
+    # every vector theta-scan walks, recorded before the walk is charged
+    import quivex.expander
+
+    walked = []
+    real_walk = quivex.expander._walk
+    monkeypatch.setattr(
+        quivex.expander, "_walk", lambda q, d: walked.append(d) or real_walk(q, d)
+    )
+    return walked
+
+
+def _scan_against_reference(monkeypatch, capsys, quiver, source, thetas, dmax, on_cone):
+    walked = _spy_walks(monkeypatch)
+    table: dict = {}
+    for theta, delta in product(thetas, (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))):
+        walked.clear()
+        argv = ["theta-scan", *source, "--theta", ",".join(map(str, theta)),
+                "--delta", str(delta), "--dmax", str(dmax)]
+        assert run(argv) == 0, argv
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        zeros = [d for d in _box((dmax,) * len(theta))
+                 if any(d) and sum(w * x for w, x in zip(theta, d)) == 0]
+        assert [tuple(row["d"]) for row in rows] == zeros, argv
+        for row, d in zip(rows, zeros):
+            sup = _supremum_reference(quiver, theta, d, delta, table)
+            assert row["epsilon_sup"] == (None if sup is None else str(sup)), (argv, d)
+        # only the maximal off-cone vectors are walked, each once, largest first
+        expected = sorted(_maximal([d for d in zeros if not on_cone(d)]), reverse=True)
+        assert walked == expected, argv
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_theta_scan_matches_per_vector_reference_kronecker(monkeypatch, capsys, m):
+    # (2, -1) on K(2), (3, -1) and (1, -3) on K(3) are rays off the cone
+    thetas = [(1, -1), (2, -1), (1, -2), (3, -1), (1, -3), (2, -3)]
+    _scan_against_reference(monkeypatch, capsys, make_kronecker(m), ["--kronecker", str(m)],
+                            thetas, 12, lambda d: _on_cone(m, d))
+
+
+def test_theta_scan_matches_per_vector_reference_bipartite(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "bipartite.quiver"
+    path.write_text(BIPARTITE_TEXT, encoding="utf-8")
+    # weights past int64 are read off the rows in exact Python ints
+    thetas = [(1, -1, 0), (1, -1, 1), (2, -1, 1), (1, -2, 1), (0, -1, 2)]
+    thetas.append((2**62, -(2**62), 2**62))
+    _scan_against_reference(monkeypatch, capsys, BIPARTITE, ["--quiver", str(path)],
+                            thetas, 6, lambda d: False)
+
+
+def test_theta_scan_walk_count_and_budget(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "bipartite.quiver"
+    path.write_text(BIPARTITE_TEXT, encoding="utf-8")
+    walked = _spy_walks(monkeypatch)
+
+    def scan(theta, dmax):
+        walked.clear()
+        return run(["theta-scan", "--quiver", str(path), "--theta", theta,
+                    "--delta", "1/2", "--dmax", str(dmax)])
+
+    assert scan("1,-1,0", 4) == 0
+    assert walked == [(4, 4, 4)]
+    assert scan("1,-1,1", 4) == 0
+    assert walked == [(a, 4, 4 - a) for a in range(4, -1, -1)]
+    capsys.readouterr()
+    # the largest vector comes first: its box is over the budget, and no
+    # other box is walked before the scan exits 3
+    assert scan("1,-1,0", 14) == 3
+    assert walked == [(14, 14, 14)]
+    assert capsys.readouterr().err == (
+        f"error: subdims budget exceeded at (14, 14, 14): "
+        f"spent {15**6} > limit {DEFAULT_BUDGET}\n"
+    )
