@@ -158,11 +158,6 @@ def _minimal_second_coordinates(m: int, d: DimVector, cache: SubdimCache) -> Cal
     )
 
 
-def minimal_second_coordinate(m: int, d: tuple[int, int], e1: int, cache: SubdimCache) -> int:
-    """Smallest e2 with (e1, e2) embedding generically into d over K(m)."""
-    return _minimal_second_coordinates(m, d, cache)(e1)
-
-
 def expander_exists(
     m: int,
     d: Sequence[int],

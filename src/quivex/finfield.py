@@ -5,9 +5,9 @@ every subspace is enumerated exactly once and "first witness" outputs are
 reproducible.  All searches are capped by an explicit work budget
 (default 10**7): subspaces listed by enumerate_subspaces and by the
 backtracker of has_subrep_of_dim, and lines plus the candidate planes
-tried by the frontier of is_expander_rep and of has_subrep_of_dim on
-one-sink quivers.  Exceeding it raises, never silently truncates; a
-frontier error names the level, or the lines, it tripped at.
+tried by the frontier of is_expander_rep and of has_subrep_of_dim.
+Exceeding it raises, never silently truncates; a frontier error names
+the level, or the lines, it tripped at.
 
 Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
 echelon basis on Python ints grown one vector at a time, and
@@ -27,9 +27,11 @@ the level's blocks: about one kernel call per level.  has_subrep_of_dim
 decides every quiver whose arrows all end at one vertex, K(m) among
 them, by one set of rules: two that need no rank, a few single ranks,
 and otherwise the same frontier over the sum of the free source spaces,
-each level drawing its lines from one source (on K(m), from the dual's
-source when that needs fewer levels).  Every other quiver is
-backtracked.
+each level drawing its lines from one source.  An e-subrepresentation
+is the annihilator of a (d - e)-one of the dual on the opposite quiver,
+so a quiver whose arrows all start at one vertex is decided on its
+opposite, and so is K(m) (any quiver whose arrows are all s -> t) when
+that needs fewer levels.  Only if neither side is one-sink it backtracks.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -48,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expander import ExpanderParams, _levels
-from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget
+from .quiver import DEFAULT_BUDGET, PRIME_BOUND, BudgetExceededError, Quiver, _Budget, check_int
 
 
 def _is_prime(n: int) -> bool:
@@ -282,6 +284,7 @@ class Subspace:
 
     def __init__(self, p: int, ambient_dim: int, rows):
         p = _check_prime(p)
+        ambient_dim = check_int(ambient_dim, "ambient_dim")
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be non-negative")
         if ambient_dim == 0:
@@ -341,6 +344,7 @@ class Subspace:
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
+    n, k = check_int(n, "n"), check_int(k, "k")
     if k < 0 or k > n:
         return 0
     num = 1
@@ -348,7 +352,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     for i in range(k):
         num *= p ** (n - i) - 1
         den *= p ** (i + 1) - 1
-    assert num % den == 0
     return num // den
 
 
@@ -393,6 +396,7 @@ def enumerate_subspaces(
     before anything is produced.
     """
     p = _check_prime(p)
+    n, k = check_int(n, "n"), check_int(k, "k")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gaussian_binomial(n, k, p)
@@ -478,6 +482,14 @@ class FiniteFieldRep:
         """[f_1^T | ... | f_m^T], (d1 x m * d2), on K(m): row i holds the
         images of the i-th source basis vector, arrow by arrow."""
         return np.concatenate([f.T for f in self.matrices], axis=1)
+
+    @cached_property
+    def _opposite(self) -> "FiniteFieldRep":
+        """The dual on the opposite quiver: the same dim, every matrix
+        transposed.  Its subrepresentations of dimension d - e are the
+        annihilators of this one's of dimension e."""
+        mats = tuple(np.ascontiguousarray(f.T) for f in self.matrices)
+        return FiniteFieldRep(self.p, self.quiver.opposite, self.dim, mats)
 
     def to_dict(self) -> dict:
         return {
@@ -586,8 +598,7 @@ def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFie
 def dual_rep(rep: FiniteFieldRep) -> FiniteFieldRep:
     """Transpose every matrix and reverse the dimension vector (K(m) only)."""
     _require_kronecker(rep)
-    mats = tuple(np.ascontiguousarray(f.T) for f in rep.matrices)
-    return FiniteFieldRep(rep.p, rep.quiver, rep.dim[::-1], mats)
+    return FiniteFieldRep(rep.p, rep.quiver, rep.dim[::-1], rep._opposite.matrices)
 
 
 def image_sum_dim(rep: FiniteFieldRep, subspace: Subspace) -> int:
@@ -617,19 +628,28 @@ class ExpanderVerdict:
     witness: Subspace | None = None
 
 
-def _line_image_data(p: int, blocks: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, ...]:
+def _line_ranks(
+    p: int,
+    blocks: Sequence[Sequence[np.ndarray]],
+    tracker: _Budget,
+    names: Sequence[str] | None = None,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Every line of every block of source coordinates, eliminated once for
-    every bound.
+    every bound, and each line's image rank.
 
     Each block is a list of (d_s x d_t) matrices, one per arrow, whose rows
     are the images of the block's basis vectors.  A block's lines lie at its
     coordinates of the sum of the blocks, taken in order, and their images
-    are padded with zero rows up to the largest arrow count.  Returns the
-    line generators, in canonical order, their (arrows x d_t) image rows in
-    the kernel's dtype, and those rows reduced by _gauss_jordan with each
-    row's pivot column: a line's image rank is its pivot count.
+    are padded with zero rows up to the largest arrow count.  Every block's
+    line count is charged before anything is allocated; names[b], if given,
+    ends block b's budget message.  Returns the lines, as the line
+    generators in canonical order, their (arrows x d_t) image rows in the
+    kernel's dtype, and those rows reduced by _gauss_jordan with each row's
+    pivot column; and the ranks, each line's pivot count.
     """
     sizes = [maps[0].shape[0] for maps in blocks]
+    for n, name in zip(sizes, names or [""] * len(blocks)):
+        tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
     m, d2 = max(len(maps) for maps in blocks), blocks[0][0].shape[1]
     vecs, imgs, off = [], [], 0
     for n, maps in zip(sizes, blocks):
@@ -647,23 +667,7 @@ def _line_image_data(p: int, blocks: Sequence[Sequence[np.ndarray]]) -> tuple[np
         off += n
     imgs = np.concatenate(imgs)
     R, rpiv = _gauss_jordan(imgs.copy(), p)
-    return np.concatenate(vecs), imgs, R, rpiv
-
-
-def _line_ranks(
-    p: int,
-    blocks: Sequence[Sequence[np.ndarray]],
-    tracker: _Budget,
-    names: Sequence[str] | None = None,
-) -> tuple[tuple, np.ndarray]:
-    """_line_image_data and each line's image rank, charged every block's
-    line count before anything is allocated; names[b], if given, ends
-    block b's budget message."""
-    for maps, name in zip(blocks, names or [""] * len(blocks)):
-        n = maps[0].shape[0]
-        tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
-    lines = _line_image_data(p, blocks)
-    return lines, (lines[3] >= 0).sum(axis=1)
+    return (np.concatenate(vecs), imgs, R, rpiv), (rpiv >= 0).sum(axis=1)
 
 
 def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -733,7 +737,7 @@ def _frontier_scan(
 ) -> Subspace | None:
     """First violating j-plane among the spans of candidate lines.
 
-    lines is _line_image_data's output and cand indexes the lines whose
+    lines is _line_ranks's lines and cand indexes the lines whose
     image rank is at most s.  A plane is kept as the candidates whose
     generators are its RREF rows.  Level i holds every i-plane whose image
     rank is at most s, once each.  An (i+1)-plane W is built only from
@@ -893,23 +897,25 @@ def has_subrep_of_dim(
 ) -> bool:
     """Existence (over F_p itself) of a subrepresentation of dimension vector e.
 
-    On a quiver whose arrows all end at one vertex t, K(m) among them, it
-    asks for subspaces U_s of the sources whose images span at most e_t
-    dimensions, and _one_sink_subrep answers by a few rank rules or on the
-    frontier of is_expander_rep.  Every other quiver (arrows that end at
-    several vertices, or none) is searched by _backtrack.  The budget
-    (phase "subrep") is charged as each of those says.
+    A subrepresentation of dimension e and its annihilator, one of
+    dimension d - e of rep._opposite, determine each other.  So a quiver
+    whose arrows all end at one vertex goes to _one_sink_subrep, one whose
+    arrows all start at one vertex goes there as its opposite at d - e,
+    and only a quiver where neither holds is searched by _backtrack.  The
+    budget (phase "subrep") is charged as each of those says.
     """
     ev = rep.quiver.check_dim(e)
     if any(a > b for a, b in zip(ev, rep.dim)):
         raise ValueError("e must be componentwise <= the representation's dimension")
     tracker = _Budget(budget, "subrep")
     if rep.quiver.one_sink:
-        return _one_sink_subrep(rep, ev, rep.quiver.one_sink, tracker)
+        return _one_sink_subrep(rep, ev, tracker)
+    if rep.quiver.opposite.one_sink:
+        return _one_sink_subrep(rep._opposite, tuple(x - y for x, y in zip(rep.dim, ev)), tracker)
     return _backtrack(rep, ev, tracker)
 
 
-def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _Budget) -> bool:
+def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) -> bool:
     """Whether subspaces U_s of dimension e_s at the sources s have images
     that span at most e_t dimensions at t, where every arrow ends.
 
@@ -925,19 +931,21 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _
       one rank per free source, charged 1 each: rank [f_a ...] <= d_s -
       e_s + bound, as U_s lies in the maps' common kernel at bound 0, and
       one map takes an e_s-plane to rank e_s - dim ker at least;
+    - when every arrow is s -> t (K(m) among them), so the opposite quiver
+      has one sink too, and d_t - e_t < e_s: the answer on rep._opposite
+      at d - e, which needs fewer levels.  There each no-charge rule is
+      the other's dual, so it reaches its frontier at no charge, drawing
+      d_t - e_t levels from t at bound d_s - e_s;
     - otherwise the frontier, with j the sum of the free e_s, draws e_s
       levels from each free source's block of coordinates, the last block
       first: a graded plane's RREF is its blocks' RREFs stacked, so each
       is built once.  Line images are padded with zero rows up to the
-      largest arrow count.  On K(m) with d2 - e2 < e1 it searches the
-      dual instead, one block of the untransposed f_a at j = d2 - e2 and
-      bound d1 - e1: an e-subrep is the annihilator of a (d2 - e2,
-      d1 - e1)-subrep of dual_rep(rep), and deep levels cost most.
+      largest arrow count.
     The frontier charges each block's line count before it builds a line,
     then the candidates and each plane tested, as in is_expander_rep; its
     budget errors name the vertex it draws from.
     """
-    p, dim = rep.p, rep.dim
+    p, dim, t = rep.p, rep.dim, rep.quiver.one_sink
     bound, gap = e[t - 1], dim[t - 1] - e[t - 1]
     spanned, slack, free, forced = 0, True, [], []
     for (s, _), a in rep.quiver.arrow_counts.items():
@@ -970,8 +978,8 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _
                 return False
         return True
     blocks, levels = [[f.T for f in maps[s]] for s in free], [e[s - 1] for s in free]
-    if rep.quiver.kronecker_m and dim[1] - e[1] < e[0]:
-        free, blocks, levels, bound = [2], [rep.matrices], [dim[1] - e[1]], dim[0] - e[0]
+    if gap < sum(levels) and rep.quiver.opposite.one_sink:
+        return _one_sink_subrep(rep._opposite, tuple(x - y for x, y in zip(dim, e)), tracker)
     lines, ranks = _line_ranks(p, blocks, tracker, [f" at vertex {s}" for s in free])
     offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
     spans = reversed(list(zip(offsets, offsets[1:], free, levels)))
@@ -983,9 +991,9 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], t: int, tracker: _
 def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bool:
     """has_subrep_of_dim on any acyclic quiver, by backtracking.
 
-    has_subrep_of_dim sends here only the quivers whose arrows end at
-    more than one vertex (a path of length 2, several sinks) or that have
-    no arrows; on one-sink quivers it is the tests' oracle for the frontier.
+    has_subrep_of_dim sends here only the quivers where neither side is
+    one-sink (a path of length 2, 1 -> 3 <- 2 -> 4, no arrows); on the
+    others it is the tests' oracle for _one_sink_subrep.
     Vertices are taken in topological order.  Each vertex carries the
     span of the images arriving from its chosen predecessors, as an echelon
     basis; a branch copies the spans at its arrows' targets, extends them by

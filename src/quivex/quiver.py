@@ -124,6 +124,11 @@ class Quiver:
         targets = {t for _, t in self.arrows}
         return targets.pop() if len(targets) == 1 else 0
 
+    @cached_property
+    def opposite(self) -> "Quiver":
+        """The same vertices with every arrow reversed, in arrow order."""
+        return Quiver(self.vertex_count, tuple((t, s) for s, t in self.arrows))
+
     def form_weights(self, b: DimVector) -> list[int]:
         """w with <a, b> = sum_i a_i w_i for every a (no checks).
 

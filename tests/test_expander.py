@@ -112,7 +112,7 @@ def test_expander_exists_boundary_is_inclusive():
 def test_expander_exists_recursive_fallback_consistency():
     # <d, d> > 0 forces the Schofield engine; the binary search's minima must
     # agree with a linear scan of the embedding relation
-    from quivex.expander import minimal_second_coordinate
+    from quivex.expander import _minimal_second_coordinates
 
     cache = SubdimCache()
     m, d = 3, (12, 1)
@@ -120,7 +120,7 @@ def test_expander_exists_recursive_fallback_consistency():
     decision = expander_exists(m, d, ExpanderParams(HALF, Fraction(1, 100)), cache)
     for e1 in range(1, 7):
         expected = min(e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache))
-        assert minimal_second_coordinate(m, d, e1, cache) == expected
+        assert _minimal_second_coordinates(m, d, cache)(e1) == expected
     assert decision.exists in (True, False)
     for m in (3, 4):
         quiver = make_kronecker(m)
@@ -128,7 +128,7 @@ def test_expander_exists_recursive_fallback_consistency():
             assert d[0] ** 2 + d[1] ** 2 - m * d[0] * d[1] > 0  # off the cone
             for e1 in range(d[0] + 1):
                 scan = [e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache)]
-                assert minimal_second_coordinate(m, d, e1, cache) == scan[0], (m, d, e1)
+                assert _minimal_second_coordinates(m, d, cache)(e1) == scan[0], (m, d, e1)
 
 
 def test_dimension_cap_in_context_and_expander_exists():
@@ -178,7 +178,7 @@ def test_levels_leave_out_only_levels_that_cannot_fail_first():
     # s_j is the largest integer below (1 + eps) * (d2 / d1) * j; a level is
     # listed iff s_j > s_{j-1}, with s_0 = -1, and expander_exists over the
     # listed levels agrees with a scan of every e1 <= delta * d1
-    from quivex.expander import _levels, minimal_second_coordinate
+    from quivex.expander import _levels, _minimal_second_coordinates
 
     cache = SubdimCache()
     grid = product((Fraction(1, 3), HALF, Fraction(9, 10)), (Fraction(1, 10), Fraction(2)))
@@ -192,7 +192,7 @@ def test_levels_leave_out_only_levels_that_cannot_fail_first():
             continue
         first = next(
             ((e1, e2) for e1 in range(1, len(rhs))
-             if (e2 := minimal_second_coordinate(3, (d1, d2), e1, cache)) < rhs[e1]),
+             if (e2 := _minimal_second_coordinates(3, (d1, d2), cache)(e1)) < rhs[e1]),
             None,
         )
         decision = expander_exists(3, (d1, d2), params, cache)

@@ -517,22 +517,28 @@ def test_one_sink_quivers_take_the_frontier(monkeypatch):
     # at one vertex, so has_subrep_of_dim takes the one-sink rules and the
     # frontier, each level drawing from one source's block of coordinates;
     # reversed K(2) still agrees with K(2) on the same matrices with the
-    # vertices swapped.  The length-2 path, a quiver with two sinks and one
-    # with no arrows still backtrack.
+    # vertices swapped.  Every arrow of 1 -> 2, 1 -> 3 starts at one vertex,
+    # so it takes the same rules on its opposite at d - e.  The length-2
+    # path, 1 -> 3 <- 2 -> 4 and a quiver with no arrows still backtrack.
     import quivex.finfield as ff
 
-    backtracked, scanned = [], []
-    backtrack, scan = ff._backtrack, ff._frontier_scan
+    backtracked, sunk, scanned = [], [], []
+    backtrack, one_sink, scan = ff._backtrack, ff._one_sink_subrep, ff._frontier_scan
 
     def spy_backtrack(rep, ev, tracker):
         backtracked.append(ev)
         return backtrack(rep, ev, tracker)
+
+    def spy_one_sink(rep, e, tracker):
+        sunk.append((rep.quiver.arrows, e))
+        return one_sink(rep, e, tracker)
 
     def spy_scan(p, lines, cand, s, j, budget, draws=None):
         scanned.append(draws)
         return scan(p, lines, cand, s, j, budget, draws)
 
     monkeypatch.setattr(ff, "_backtrack", spy_backtrack)
+    monkeypatch.setattr(ff, "_one_sink_subrep", spy_one_sink)
     monkeypatch.setattr(ff, "_frontier_scan", spy_scan)
     rep = random_rep(Quiver(2, ((2, 1), (2, 1))), (3, 2), 3, 0)
     swapped = FiniteFieldRep(3, make_kronecker(2), (2, 3), rep.matrices)
@@ -554,16 +560,29 @@ def test_one_sink_quivers_take_the_frontier(monkeypatch):
         assert has_subrep_of_dim(rep, e) == backtrack(rep, e, _Budget(10**7, "")), e
         assert scanned == [want], e
     assert backtracked == []
+    # on the opposite 2 -> 1, 3 -> 1, (1, 1, 1) of (2, 2, 2) forces both
+    # sources, one rank; (2, 1, 1) of (3, 2, 2) leaves one level at each of
+    # vertices 2 and 3, coordinates 0-1 and 2-3, vertex 3's first
+    one_source = parse_quiver("vertices 3\n1 -> 2\n1 -> 3\n")
+    routes = [((2, 2, 2), (1, 1, 1), []), ((3, 2, 2), (2, 1, 1), [[(2, 4, 3), (0, 2, 2)]])]
+    for d, e, want in routes:
+        sunk.clear()
+        scanned.clear()
+        rep = random_rep(one_source, d, 2, 0)
+        assert has_subrep_of_dim(rep, e) == backtrack(rep, e, _Budget(10**7, "")), e
+        assert (sunk, scanned) == ([(((2, 1), (3, 1)), (1, 1, 1))], want), e
+    assert backtracked == []
     others = [
         (parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n"), (2, 2, 2), (1, 1, 1)),
-        (parse_quiver("vertices 3\n1 -> 2\n1 -> 3\n"), (2, 2, 2), (1, 1, 1)),
+        (parse_quiver("vertices 4\n1 -> 3\n2 -> 3\n2 -> 4\n"), (2, 2, 2, 2), (1, 1, 1, 1)),
         (Quiver(2, ()), (2, 2), (1, 1)),
     ]
     for quiver, d, e in others:
         backtracked.clear()
+        sunk.clear()
         scanned.clear()
         assert has_subrep_of_dim(random_rep(quiver, d, 2, 0), e)
-        assert (backtracked, scanned) == ([e], []), quiver
+        assert (backtracked, sunk, scanned) == ([e], [], []), quiver
 
 
 def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
@@ -652,6 +671,8 @@ def test_kronecker_subrep_budget_charges_frontier():
 THREE_SOURCES = Quiver(4, ((1, 4), (2, 4), (2, 4), (3, 4), (3, 4), (3, 4)))
 REVERSED_K2 = Quiver(2, ((2, 1), (2, 1)))
 INTO_1 = Quiver(3, ((2, 1), (3, 1)))  # 2 -> 1 <- 3
+OUT_OF_1 = Quiver(3, ((1, 2), (1, 2), (1, 3), (1, 3)))  # 1 => 2, 1 => 3
+THREE_SINKS = Quiver(4, ((1, 2), (1, 3), (1, 4)))
 
 
 def test_one_sink_subrep_matches_backtrack():
@@ -660,7 +681,9 @@ def test_one_sink_subrep_matches_backtrack():
     # and 3 arrows into one sink, whose line images are padded to 3 rows;
     # the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4; and every
     # e <= d over F_2 and F_3, seeds 0-1, on reversed K(2) and on 2 -> 1 <- 3,
-    # where a free source of one arrow is ranked next to a forced one
+    # where a free source of one arrow is ranked next to a forced one, and
+    # on the one-source quivers 1 => 2, 1 => 3 and 1 -> 2, 1 -> 3, 1 -> 4,
+    # decided on their opposites
     bipartite = [(2, 3, 2), (3, 4, 2), (2, 4, 3), (3, 6, 3), (1, 3, 3), (3, 3, 0)]
     cases = [
         (BIPARTITE, d, p, seed, product(*(range(x + 1) for x in d)))
@@ -675,6 +698,8 @@ def test_one_sink_subrep_matches_backtrack():
     cases += [(BIPARTITE, (3, 6, 5), p, seed, es) for p, es in pool.items() for seed in range(5)]
     small = [(REVERSED_K2, d) for d in [(3, 2), (4, 3), (2, 3)]]
     small += [(INTO_1, d) for d in [(5, 3, 2), (4, 2, 3), (3, 2, 2)]]
+    small += [(OUT_OF_1, d) for d in [(3, 2, 2), (4, 3, 2), (2, 2, 3)]]
+    small += [(THREE_SINKS, d) for d in [(3, 2, 2, 1), (4, 2, 1, 2), (2, 2, 2, 2)]]
     cases += [
         (quiver, d, p, seed, product(*(range(x + 1) for x in d)))
         for (quiver, d), p, seed in product(small, (2, 3), range(2))
@@ -687,7 +712,7 @@ def test_one_sink_subrep_matches_backtrack():
             assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (d, p, seed, e)
             checked += 1
             admitted += got
-    assert checked == 1896 + 288 + 50 + 176 + 672
+    assert checked == 1896 + 288 + 50 + 176 + 672 + 528 + 972
     assert 0 < admitted < checked
 
 
@@ -1138,7 +1163,9 @@ def test_has_subrep_matches_naive_product_search():
         return False
 
     path_quiver = parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n")
-    for quiver, d in [(make_kronecker(2), (2, 2)), (path_quiver, (2, 2, 2)), (BIPARTITE, (1, 2, 1))]:
+    one_source = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n1 -> 3\n")
+    cases = [(make_kronecker(2), (2, 2)), (path_quiver, (2, 2, 2)), (BIPARTITE, (1, 2, 1))]
+    for quiver, d in cases + [(one_source, (2, 2, 2))]:
         for seed in range(3):
             rep = random_rep(quiver, d, 2, seed)
             for e in product(*(range(x + 1) for x in d)):

@@ -13,12 +13,15 @@ from quivex import (
     Quiver,
     QuiverError,
     QuiverParseError,
+    Subspace,
     dominates,
     dual_dim,
     embeds,
     embeds_closed_form,
+    enumerate_subspaces,
     euler_form,
     expander_exists,
+    gaussian_binomial,
     has_subrep_of_dim,
     in_fundamental_domain,
     make_kronecker,
@@ -53,14 +56,24 @@ def test_kronecker_m_recognizes_exactly_k_m(bipartite):
 
 
 def test_one_sink_names_the_vertex_every_arrow_ends_at(bipartite):
-    assert make_kronecker(3).one_sink == 2
-    assert Quiver(2, ((2, 1), (2, 1))).one_sink == 1
-    assert bipartite.one_sink == 2
-    assert Quiver(4, ((1, 4), (2, 4), (3, 4))).one_sink == 4
-    assert Quiver(3, ((1, 2),)).one_sink == 2  # vertex 3 has no arrows
-    assert Quiver(3, ((1, 2), (2, 3))).one_sink == 0  # the length-2 path
-    assert Quiver(3, ((1, 2), (1, 3))).one_sink == 0  # two sinks
-    assert Quiver(2, ()).one_sink == 0
+    # the opposite keeps the vertex numbers and reverses every arrow, so it
+    # is one-sink exactly when every arrow starts at one vertex
+    assert make_kronecker(3).opposite == Quiver(2, ((2, 1),) * 3)
+    assert Quiver(3, ((1, 2), (2, 3))).opposite.arrows == ((2, 1), (3, 2))
+    sinks = [
+        (make_kronecker(3), 2, 1),
+        (Quiver(2, ((2, 1), (2, 1))), 1, 2),
+        (bipartite, 2, 0),  # two sources
+        (Quiver(4, ((1, 4), (2, 4), (3, 4))), 4, 0),
+        (Quiver(3, ((1, 2),)), 2, 1),  # vertex 3 has no arrows
+        (Quiver(3, ((1, 2), (2, 3))), 0, 0),  # the length-2 path
+        (Quiver(3, ((1, 2), (1, 3))), 0, 1),  # two sinks
+        (Quiver(4, ((1, 3), (2, 3), (2, 4))), 0, 0),
+        (Quiver(2, ()), 0, 0),
+    ]
+    for quiver, sink, source in sinks:
+        assert (quiver.one_sink, quiver.opposite.one_sink) == (sink, source), quiver
+        assert quiver.opposite.opposite == quiver
 
 
 def test_constructor_rejects_cycles():
@@ -98,6 +111,12 @@ def test_one_integer_rule_refuses_bools_and_floats():
         lambda: expander_exists(3, (10.7, 10), params),
         lambda: dual_dim((1, 1.0), (3, 3)),
         lambda: embeds_closed_form(ctx, (False, 2)),
+        lambda: gaussian_binomial(3.5, 1, 2),
+        lambda: gaussian_binomial(True, 1, 2),
+        lambda: gaussian_binomial(3, 1.0, 2),
+        lambda: enumerate_subspaces(5, 3.0, 1),
+        lambda: enumerate_subspaces(5, 3, True),
+        lambda: Subspace(5, 2.0, [[1, 0]]),
     ]
     for call in calls:
         with pytest.raises(QuiverError, match="must be an integer"):
@@ -110,6 +129,8 @@ def test_one_integer_rule_refuses_bools_and_floats():
     assert has_subrep_of_dim(rep, np.array([0, 1]))
     assert expander_exists(3, np.array([10, 10]), params) == expander_exists(3, (10, 10), params)
     assert dual_dim(np.array([1, 1]), (3, 3)) == ((2, 2), (3, 3))
+    assert gaussian_binomial(n(3), np.int32(1), 2) == 7
+    assert Subspace(5, n(2), [[1, 0]]).ambient_dim == 2
 
 
 def test_euler_form_examples(bipartite):
