@@ -9,16 +9,17 @@ tried by the frontier of is_expander_rep and of has_subrep_of_dim.
 Exceeding it raises, never silently truncates; a frontier error names
 the level, or the lines, it tripped at.
 
-Linear algebra mod p runs in two kernels: _Echelon, a scalar reduced
-echelon basis on Python ints grown one vector at a time, and
-_gauss_jordan, a batched numpy elimination that swaps no rows.  _Echelon
-builds every canonical basis.  A scalar rank alone is rank_mod's:
-forward elimination on Python ints that keeps no basis and stops at full
-column rank.  image_sum_dim ranks that way one product with the
-representation's stacked map.  The batched kernels take the narrowest of
-int16, int32 and int64 that holds their largest intermediate value
-(_int_dtype): (p - 1)**2 in an elimination step, a sum of such products
-in a matrix product.
+Linear algebra mod p runs in two kernels: _eliminate, forward
+elimination on Python ints that grows a list of (pivot, row) pairs and
+stops once the rank passes a limit, and _gauss_jordan, a batched numpy
+elimination that swaps no rows.  Scalar ranks (rank_mod, and so
+image_sum_dim's one product with the representation's stacked map) and
+the backtracker's spans are _eliminate's lists.  A canonical basis
+(rref_mod, Subspace, a one-sink search's forced span) is such a list
+sorted by pivot and back-substituted once (_rref_rows).  The batched
+kernels take the narrowest of int16, int32 and int64 that holds their
+largest intermediate value (_int_dtype): (p - 1)**2 in an elimination
+step, a sum of such products in a matrix product.
 is_expander_rep eliminates the line images once, and every level's bound
 reads its candidate lines and their spans off that one elimination.  Its
 frontier keeps each plane's image span reduced, so each extension by a
@@ -31,7 +32,9 @@ each level drawing its lines from one source.  An e-subrepresentation
 is the annihilator of a (d - e)-one of the dual on the opposite quiver,
 so a quiver whose arrows all start at one vertex is decided on its
 opposite, and so is K(m) (any quiver whose arrows are all s -> t) when
-that needs fewer levels.  Only if neither side is one-sink it backtracks.
+that needs fewer levels.  Only if neither side is one-sink it backtracks,
+or on the opposite, when a one-sink search has more lines than the
+budget has left but the subspaces the backtracker lists there fit it.
 
 Genericity statements hold over an algebraically closed field; over F_p a
 witness may exist only after a field extension, so cross-checks against
@@ -41,7 +44,6 @@ the exact theory are statistical by nature.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -80,53 +82,51 @@ def _check_prime(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Echelon:
-    """The reduced row-echelon basis of a subspace of F_p^n, grown in place.
+def _eliminate(span: list[tuple[int, list[int]]], rows, p: int, limit: int) -> bool:
+    """Grow span by rows over F_p, in place; False once its rank passes limit.
 
-    Rows are lists of Python ints sorted by pivot column.  ``insert``
-    replaces rows instead of mutating them, so ``copy`` may share them.
+    The one scalar kernel: forward elimination on Python ints.  span is a
+    list of (pivot, row) pairs.  Each row is reduced against the pairs in
+    the order they were added, and if it is still nonzero mod p, scaled
+    to a leading 1, it is added.  Entries are reduced mod p as they are
+    read, so they may be negative or at least p.  No row is
+    back-substituted, so a span's rows lead at distinct pivots but are
+    reduced only on the pivots added before them; _rref_rows finishes
+    the job when a canonical basis is wanted.
     """
-
-    __slots__ = ("p", "rows", "pivots")
-
-    def __init__(self, p: int, rows=(), pivots=()):
-        self.p = p
-        self.rows = list(rows)
-        self.pivots = list(pivots)
-
-    def copy(self) -> "_Echelon":
-        return _Echelon(self.p, self.rows, self.pivots)
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span in O(rank * n); False if it was already inside."""
-        p = self.p
-        v = [x % p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
+    for row in rows:
+        # each pivot row is zero on the pivot columns found before it, so
+        # one pass in the order they were found clears them all
+        for c, piv in span:
+            f = row[c] % p
             if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), -1)
-        if lead < 0:
-            return False
-        if v[lead] != 1:
-            inv = pow(v[lead], p - 2, p)
-            v = [x * inv % p for x in v]
-        rows = self.rows
-        for i, row in enumerate(rows):
-            f = row[lead]
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        for lead, x in enumerate(row):
+            if x % p:
+                inv = pow(x, p - 2, p)
+                span.append((lead, [y * inv % p for y in row]))
+                if len(span) > limit:
+                    return False
+                break
+    return True
+
+
+def _rref_rows(mat, p: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row-echelon basis of mat's row space over F_p, and its
+    pivot columns: _eliminate's rows sorted by pivot, then one
+    back-substitution, last pivot first."""
+    span: list[tuple[int, list[int]]] = []
+    mat = np.asarray(mat, dtype=np.int64).tolist()
+    _eliminate(span, mat, p, len(mat))  # the rank never passes the row count
+    span.sort(key=lambda pair: pair[0])
+    pivots, rows = [c for c, _ in span], [row for _, row in span]
+    for i in reversed(range(len(rows))):
+        c, row = pivots[i], rows[i]
+        for k in range(i):
+            f = rows[k][c]
             if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(row, v)]
-        k = bisect_left(self.pivots, lead)
-        rows.insert(k, v)
-        self.pivots.insert(k, lead)
-        return True
-
-
-def _echelon_of(mat, p: int) -> _Echelon:
-    ech = _Echelon(p)
-    for row in np.asarray(mat, dtype=np.int64).tolist():
-        ech.insert(row)
-    return ech
+                rows[k] = [(a - f * b) % p for a, b in zip(rows[k], row)]
+    return rows, pivots
 
 
 def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -139,47 +139,26 @@ def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     Returns:
         (R, pivot_cols): the unique RREF, shaped like ``mat`` with zero
         rows below the basis, and the pivot column indices; the rank is
-        ``len(pivot_cols)``.
+        ``len(pivot_cols)``.  The basis is _rref_rows's.
     """
     arr = np.asarray(mat, dtype=np.int64)
-    ech = _echelon_of(arr, p)
+    rows, pivots = _rref_rows(arr, p)
     R = np.zeros(arr.shape, dtype=np.int64)
-    if ech.rows:
-        R[: len(ech.rows)] = ech.rows
-    return R, tuple(ech.pivots)
+    if rows:
+        R[: len(rows)] = rows
+    return R, tuple(pivots)
 
 
 def rank_mod(mat, p: int) -> int:
-    """Rank of a matrix over F_p.
-
-    Forward elimination on Python ints, one row at a time: the row is
-    reduced against the pivot rows found so far, and if it is still
-    nonzero mod p, scaled to a leading 1, it becomes one.  Entries are
-    reduced mod p as they are read, so they may be negative or at least
-    p.  No row is back-substituted, and the scan stops once the rank
-    reaches the column count.  The canonical basis of the same span is
-    _echelon_of's, and ``len(rref_mod(mat, p)[1])`` is the same rank.
+    """Rank of a matrix over F_p: _eliminate on its rows with limit cols - 1,
+    so the scan stops once the rank reaches the column count.  Entries may
+    be negative or at least p.  ``len(rref_mod(mat, p)[1])`` is the same
+    rank.
     """
     arr = np.asarray(mat, dtype=np.int64)
-    cols = arr.shape[-1]  # [] is the empty matrix
-    pivots: list[tuple[int, list[int]]] = []
-    for row in arr.tolist():
-        # each pivot row is zero on the pivot columns found before it, so
-        # one pass in the order they were found clears them all
-        for c, piv in pivots:
-            f = row[c] % p
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, piv)]
-        for lead, x in enumerate(row):
-            if x % p:
-                inv = pow(x, p - 2, p)
-                pivots.append((lead, [y * inv % p for y in row]))
-                break
-        else:
-            continue
-        if len(pivots) == cols:
-            break
-    return len(pivots)
+    span: list[tuple[int, list[int]]] = []
+    _eliminate(span, arr.tolist(), p, arr.shape[-1] - 1)  # [] is the empty matrix
+    return len(span)
 
 
 def _int_dtype(bound: int):
@@ -291,8 +270,7 @@ class Subspace:
             basis = np.zeros((0, 0), dtype=np.int64)
         else:
             arr = np.asarray(rows, dtype=np.int64).reshape((-1, ambient_dim))
-            basis = np.array(_echelon_of(arr, p).rows, dtype=np.int64)
-            basis = basis.reshape((-1, ambient_dim))
+            basis = np.array(_rref_rows(arr, p)[0], dtype=np.int64).reshape((-1, ambient_dim))
         basis.setflags(write=False)
         self.p = p
         self.ambient_dim = ambient_dim
@@ -874,7 +852,7 @@ def is_expander_rep(
 
 
 def _subspaces_containing(
-    span: _Echelon, n: int, k: int, budget: _Budget
+    span: list[tuple[int, list[int]]], p: int, n: int, k: int, budget: _Budget
 ) -> Iterator[np.ndarray]:
     """Every dim-k subspace U of F_p^n containing span, as rows that extend
     span's basis to a basis of U.
@@ -882,9 +860,10 @@ def _subspaces_containing(
     They correspond to (k - dim span)-dim subspaces of the quotient,
     realized on the non-pivot coordinates of span.
     """
-    nonpiv = [c for c in range(n) if c not in span.pivots]
-    extra = k - len(span.pivots)
-    for t_basis in _iter_echelon_bases(span.p, len(nonpiv), extra):
+    pivots = {c for c, _ in span}
+    nonpiv = [c for c in range(n) if c not in pivots]
+    extra = k - len(span)
+    for t_basis in _iter_echelon_bases(p, len(nonpiv), extra):
         budget.charge(1)
         lifted = np.zeros((extra, n), dtype=np.int64)
         if nonpiv:
@@ -936,6 +915,10 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
       at d - e, which needs fewer levels.  There each no-charge rule is
       the other's dual, so it reaches its frontier at no charge, drawing
       d_t - e_t levels from t at bound d_s - e_s;
+    - when the free sources' lines number more than the budget has left
+      and the (d_t - e_t)-subspaces of V_t do not: the answer of
+      _backtrack on rep._opposite at d - e.  Every arrow there starts at
+      t, so it lists only those subspaces, each charged 1;
     - otherwise the frontier, with j the sum of the free e_s, draws e_s
       levels from each free source's block of coordinates, the last block
       first: a graded plane's RREF is its blocks' RREFs stacked, so each
@@ -962,13 +945,13 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
         images = np.concatenate([f.T for s in forced for f in maps[s]])
         if not free:
             return rank_mod(images, p) <= bound
-        span = _echelon_of(images, p)
-        bound -= len(span.pivots)
+        rows, piv = _rref_rows(images, p)
+        bound -= len(piv)
         if bound < 0:
             return False
-        if span.rows:
+        if rows:
             # each image column reduced modulo F, on the coordinates off its pivots
-            rows, piv = np.array(span.rows, dtype=np.int64), span.pivots
+            rows = np.array(rows, dtype=np.int64)
             rest = [c for c in range(dim[t - 1]) if c not in piv]
             maps = {s: [((f - rows.T @ f[piv]) % p)[rest] for f in maps[s]] for s in free}
     if bound == 0 or (len(free) == 1 and len(maps[free[0]]) == 1):
@@ -978,8 +961,13 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
                 return False
         return True
     blocks, levels = [[f.T for f in maps[s]] for s in free], [e[s - 1] for s in free]
+    dual_e = tuple(x - y for x, y in zip(dim, e))
     if gap < sum(levels) and rep.quiver.opposite.one_sink:
-        return _one_sink_subrep(rep._opposite, tuple(x - y for x, y in zip(dim, e)), tracker)
+        return _one_sink_subrep(rep._opposite, dual_e, tracker)
+    room = tracker.limit - tracker.spent
+    listed = sum(gaussian_binomial(dim[s - 1], 1, p) for s in free)
+    if listed > room >= gaussian_binomial(dim[t - 1], gap, p):
+        return _backtrack(rep._opposite, dual_e, tracker)
     lines, ranks = _line_ranks(p, blocks, tracker, [f" at vertex {s}" for s in free])
     offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
     spans = reversed(list(zip(offsets, offsets[1:], free, levels)))
@@ -992,12 +980,14 @@ def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bo
     """has_subrep_of_dim on any acyclic quiver, by backtracking.
 
     has_subrep_of_dim sends here only the quivers where neither side is
-    one-sink (a path of length 2, 1 -> 3 <- 2 -> 4, no arrows); on the
-    others it is the tests' oracle for _one_sink_subrep.
+    one-sink (a path of length 2, 1 -> 3 <- 2 -> 4, no arrows), and
+    _one_sink_subrep the opposite of a one-sink search with too many
+    lines; on the others it is the tests' oracle for _one_sink_subrep.
     Vertices are taken in topological order.  Each vertex carries the
-    span of the images arriving from its chosen predecessors, as an echelon
-    basis; a branch copies the spans at its arrows' targets, extends them by
-    the new images, and stops as soon as one outgrows its entry of ev.
+    span of the images arriving from its chosen predecessors, as
+    _eliminate's (pivot, row) list; a branch copies the lists at its
+    arrows' targets and extends them by the new images with the limit
+    e_t, stopping as soon as one passes it.
     Subspaces are chosen at vertices with outgoing arrows only, and each
     one listed is charged 1.
     """
@@ -1013,11 +1003,10 @@ def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bo
         """spans with the images of rows at v added; None once one is too big."""
         grown = dict(spans)
         for t in {t for _, t in out_arrows[v]}:
-            grown[t] = spans[t].copy()
+            grown[t] = list(spans[t])
         for mat_t, t in out_arrows[v]:
-            for img in (rows @ mat_t).tolist():
-                if grown[t].insert(img) and len(grown[t].pivots) > ev[t - 1]:
-                    return None
+            if not _eliminate(grown[t], (rows @ mat_t).tolist(), p, ev[t - 1]):
+                return None
         return grown
 
     def place(pos: int, spans: dict) -> bool:
@@ -1027,15 +1016,15 @@ def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bo
         if not out_arrows[v]:
             return place(pos + 1, spans)
         span = spans[v]
-        if span.rows:
+        if span:
             # every choice at v contains span, so its images are forced
-            spans = extended(spans, np.array(span.rows, dtype=np.int64), v)
+            spans = extended(spans, np.array([row for _, row in span], dtype=np.int64), v)
             if spans is None:
                 return False
-        for rows in _subspaces_containing(span, dim[v - 1], ev[v - 1], tracker):
+        for rows in _subspaces_containing(span, p, dim[v - 1], ev[v - 1], tracker):
             grown = extended(spans, rows, v)
             if grown is not None and place(pos + 1, grown):
                 return True
         return False
 
-    return place(0, {v: _Echelon(p) for v in order})
+    return place(0, {v: [] for v in order})

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivex import (
     BudgetExceededError,
@@ -147,10 +148,12 @@ def test_rank_mod_matches_rref_and_sympy():
             for mat in mats:
                 # entries negative or at least p, each congruent to mat's
                 shifted = mat + p * rng.integers(-3, 4, size=mat.shape)
-                expected = len(rref_mod(mat, p)[1])
+                R, piv = rref_mod(mat, p)
+                expected = len(piv)
                 assert rank_mod(shifted, p) == expected, (p, mat.tolist())
                 assert rank_mod(shifted.tolist(), p) == expected
                 assert len(rref_mod(shifted, p)[1]) == expected
+                assert np.array_equal(Subspace(p, cols, shifted).basis, R[:expected])
                 if DomainMatrix is not None and rows and cols:
                     dm = DomainMatrix.from_list(mat.tolist(), GF(p))
                     assert dm.rank() == expected, (p, mat.tolist())
@@ -731,15 +734,15 @@ def test_one_sink_rules_charge_nothing_or_one_rank_each(monkeypatch):
             super().__init__(*args)
             budgets.append(self)
 
-    rank, echelon, scan = ff.rank_mod, ff._echelon_of, ff._frontier_scan
+    rank, basis, scan = ff.rank_mod, ff._rref_rows, ff._frontier_scan
 
     def spy_rank(mat, p):
         ranks.append(1)
         return rank(mat, p)
 
-    def spy_echelon(mat, p):
+    def spy_basis(mat, p):
         ranks.append(1)
-        return echelon(mat, p)
+        return basis(mat, p)
 
     def spy_scan(*args):
         scans.append(1)
@@ -747,7 +750,7 @@ def test_one_sink_rules_charge_nothing_or_one_rank_each(monkeypatch):
 
     monkeypatch.setattr(ff, "_Budget", Recorded)
     monkeypatch.setattr(ff, "rank_mod", spy_rank)
-    monkeypatch.setattr(ff, "_echelon_of", spy_echelon)
+    monkeypatch.setattr(ff, "_rref_rows", spy_basis)
     monkeypatch.setattr(ff, "_frontier_scan", spy_scan)
     reps = [(REVERSED_K2, (3, 2), 3), (INTO_1, (5, 3, 2), 2), (INTO_1, (4, 2, 3), 3)]
     reps += [(BIPARTITE, (2, 4, 3), 2), (THREE_SOURCES, (2, 2, 1, 5), 3)]
@@ -856,6 +859,21 @@ def test_one_sink_lines_are_charged_before_they_are_built():
     assert info.value.spent == gaussian_binomial(3, 1, 101) + gaussian_binomial(5, 1, 101)
     assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
     assert not has_subrep_of_dim(rep, (3, 5, 1), budget=1)
+
+
+def test_one_source_search_backtracks_when_the_sinks_have_too_many_lines():
+    # 1 => 2, 1 => 3 at (3, 5, 2) over F_101 is decided on its opposite,
+    # where vertex 2 has 105,101,005 lines, past the budget.  Vertex 1's
+    # e_1-planes fit it (10,303 lines), so those are listed by the
+    # backtracker, each charged 1, and the search answers instead of
+    # raising; bipartite (3, 6, 5) at (1, 3, 2) still raises (see above).
+    rep = random_rep(OUT_OF_1, (3, 5, 2), 101, 0)
+    for e, want in [((1, 4, 1), True), ((1, 1, 1), False)]:
+        start = time.perf_counter()
+        got = has_subrep_of_dim(rep, e)
+        elapsed = time.perf_counter() - start
+        assert got == _backtrack(rep, e, _Budget(10**7, "subrep")) == want, e
+        assert elapsed < 1.0, (e, elapsed)
 
 
 def test_budget_errors_name_the_frontier_level():
@@ -1142,26 +1160,27 @@ def test_frontier_narrow_dtypes_match_int64(monkeypatch):
     assert sum(ok for ok, _ in narrow) >= 3
 
 
-def test_has_subrep_matches_naive_product_search():
+def _naive_subrep(rep, e):
     # independent reference: try every tuple of subspaces and check each
     # arrow containment directly
-    def naive(rep, e):
-        choices = [
-            list(enumerate_subspaces(rep.p, rep.dim[v], e[v]))
-            for v in range(rep.quiver.vertex_count)
-        ]
-        for combo in product(*choices):
-            ok = True
-            for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
-                image_rows = (combo[s - 1].basis @ mat.T) % rep.p
-                image = Subspace(rep.p, rep.dim[t - 1], image_rows)
-                if not combo[t - 1].contains(image):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    choices = [
+        list(enumerate_subspaces(rep.p, rep.dim[v], e[v]))
+        for v in range(rep.quiver.vertex_count)
+    ]
+    for combo in product(*choices):
+        ok = True
+        for (s, t), mat in zip(rep.quiver.arrows, rep.matrices):
+            image_rows = (combo[s - 1].basis @ mat.T) % rep.p
+            image = Subspace(rep.p, rep.dim[t - 1], image_rows)
+            if not combo[t - 1].contains(image):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
+
+def test_has_subrep_matches_naive_product_search():
     path_quiver = parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n")
     one_source = parse_quiver("vertices 3\n1 -> 2\n1 -> 2\n1 -> 3\n")
     cases = [(make_kronecker(2), (2, 2)), (path_quiver, (2, 2, 2)), (BIPARTITE, (1, 2, 1))]
@@ -1169,7 +1188,26 @@ def test_has_subrep_matches_naive_product_search():
         for seed in range(3):
             rep = random_rep(quiver, d, 2, seed)
             for e in product(*(range(x + 1) for x in d)):
-                assert has_subrep_of_dim(rep, e) == naive(rep, e), (d, seed, e)
+                assert has_subrep_of_dim(rep, e) == _naive_subrep(rep, e), (d, seed, e)
+
+
+@st.composite
+def _small_acyclic_reps(draw):
+    n = draw(st.integers(2, 4))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    arrows = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
+    d = draw(st.tuples(*[st.integers(1, 2)] * n))
+    p, seed = draw(st.sampled_from((2, 3))), draw(st.integers(0, 2**16))
+    return random_rep(Quiver(n, tuple(arrows)), d, p, seed)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_acyclic_reps())
+def test_has_subrep_matches_naive_search_on_small_acyclic_quivers(rep):
+    # arrows s -> t with s < t: one-sink quivers, one-source quivers decided
+    # on their opposite, and quivers the backtracker searches
+    for e in product(*(range(x + 1) for x in rep.dim)):
+        assert has_subrep_of_dim(rep, e) == _naive_subrep(rep, e), (rep.quiver.arrows, e)
 
 
 def test_oracle_vs_theory_statistics():
