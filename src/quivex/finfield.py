@@ -4,10 +4,11 @@ Subspaces are represented by their unique reduced-row-echelon bases, so
 every subspace is enumerated exactly once and "first witness" outputs are
 reproducible.  All searches are capped by an explicit work budget
 (default 10**7): subspaces listed by enumerate_subspaces and by the
-backtracker of has_subrep_of_dim, and lines plus the candidate planes
-tried by the frontier of is_expander_rep and of has_subrep_of_dim.
+backtracker of has_subrep_of_dim, and lines (or the members of an
+arrow pencil and their kernel lines) plus the candidate planes tried by
+the frontier of is_expander_rep and of has_subrep_of_dim.
 Exceeding it raises, never silently truncates; a frontier error names
-the level, or the lines, it tripped at.
+the level, the lines or the pencil it tripped at.
 
 Linear algebra mod p runs in two kernels: _eliminate, forward
 elimination on Python ints that grows a list of (pivot, row) pairs and
@@ -21,8 +22,14 @@ kernels take the narrowest of int16, int32 and int64 that holds their
 largest intermediate value (_int_dtype): (p - 1)**2 in an elimination
 step, a sum of such products in a matrix product.
 is_expander_rep eliminates the line images once, and every level's bound
-reads its candidate lines and their spans off that one elimination.  Its
-frontier keeps each plane's image span reduced, so each extension by a
+reads its candidate lines and their spans off that one elimination.  A
+block of n source coordinates and a arrows searched at a bound below a,
+with a < n, lists only the lines that some member sum_k c_k f_k of its
+arrow pencil kills, as a line's images are dependent exactly then: the
+(p**a - 1)/(p - 1) members are charged and reduced in one batch, then
+their kernel lines are charged, once per member.  A block whose kernel
+lines are not fewer than its lines lists them all, as every other does.
+The frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
 the level's blocks: about one kernel call per level.  has_subrep_of_dim
 decides every quiver whose arrows all end at one vertex, K(m) among
@@ -389,19 +396,16 @@ def enumerate_subspaces(
 
 
 def _canonical_lines(p: int, n: int) -> np.ndarray:
-    """Generators of all lines of F_p^n, one per line, in enumeration order."""
+    """Generators of all lines of F_p^n, one per line, in enumeration order:
+    by leading column, each followed by every tail in lexicographic order,
+    the last p**t rows of base-p digits for a tail of length t."""
+    digits = np.arange(p ** (n - 1))[:, None] // p ** np.arange(n - 2, -1, -1) % p
     blocks = []
     for c in range(n):
-        tail_len = n - c - 1
-        if tail_len:
-            grids = np.meshgrid(*([np.arange(p)] * tail_len), indexing="ij")
-            tail = np.stack([g.reshape(-1) for g in grids], axis=1)
-        else:
-            tail = np.zeros((1, 0), dtype=np.int64)
-        block = np.zeros((tail.shape[0], n), dtype=np.int64)
+        tail = digits[: p ** (n - c - 1), c:]
+        block = np.zeros((len(tail), n), dtype=np.int64)
         block[:, c] = 1
-        if tail_len:
-            block[:, c + 1 :] = tail
+        block[:, c + 1 :] = tail
         blocks.append(block)
     return np.concatenate(blocks, axis=0)
 
@@ -606,32 +610,98 @@ class ExpanderVerdict:
     witness: Subspace | None = None
 
 
+def _pencil_lines(
+    p: int, maps: Sequence[np.ndarray], tracker: _Budget, name: str = ""
+) -> np.ndarray | None:
+    """The lines of F_p^n that a member of a block's arrow pencil kills, one
+    generator each, in _canonical_lines order; None if, counted once per
+    member, they are not fewer than the block's lines.
+
+    maps are the block's a (n x d_t) matrices, rows the images of its basis
+    vectors.  A line v whose a images are dependent, every line of image
+    rank below a among them, has v (sum_k c_k f_k) = 0 for a point [c] of
+    P^{a-1}(F_p): it lies in the left kernel of that member of the pencil.
+    The (p**a - 1)/(p - 1) members are charged before they are built, and
+    their transposes reduced in one _gauss_jordan; each member's kernel
+    basis is read off its free columns.  The kernel lines, counted once per
+    member, are charged before any is built, and then scaled to a leading 1
+    and deduplicated.
+    """
+    n, a = maps[0].shape[0], len(maps)
+    where = f" listing the pencil of F_{p}^{a}{name}"
+    tracker.charge(gaussian_binomial(a, 1, p), where)
+    coef = _canonical_lines(p, a)
+    dtype = _int_dtype((p - 1) ** 2 * a)
+    members = np.tensordot(coef.astype(dtype), np.stack([f.T for f in maps]).astype(dtype), 1)
+    R, piv = _gauss_jordan(_mod(members, p).astype(_int_dtype((p - 1) ** 2)), p)
+    free = np.ones((len(coef), n + 1), dtype=bool)  # column n takes the zero rows
+    free[np.arange(len(coef))[:, None], np.where(piv >= 0, piv, n)] = False
+    free = free[:, :n]
+    dims = free.sum(axis=1)
+    kinds = np.bincount(dims, minlength=n + 1).tolist()  # members by kernel dimension
+    total = sum(count * gaussian_binomial(k, 1, p) for k, count in enumerate(kinds))
+    if total >= gaussian_binomial(n, 1, p):
+        return None
+    tracker.charge(total, where)
+    lines = [np.zeros((0, n), dtype=np.int64)]
+    for k in (k for k, count in enumerate(kinds) if k and count):
+        sel = np.flatnonzero(dims == k)
+        cols = np.nonzero(free[sel])[1].reshape(-1, k)  # each member's free columns
+        # kernel basis row i: 1 at free column i, and at each pivot column
+        # minus the entry of free column i in that pivot's row of R
+        basis = np.zeros((len(sel), k, n), dtype=np.int64)
+        basis[np.arange(len(sel))[:, None], np.arange(k), cols] = 1
+        entries = np.take_along_axis(R[sel].astype(np.int64), cols[:, None, :], axis=2)
+        g, r = np.nonzero(piv[sel] >= 0)
+        basis[g, :, piv[sel][g, r]] = -entries[g, r]
+        lines.append((_canonical_lines(p, k) @ basis).reshape(-1, n) % p)
+    vecs = np.concatenate(lines)
+    lead = np.argmax(vecs != 0, axis=1)
+    vecs = vecs * _inverse_mod(vecs[np.arange(len(vecs)), lead], p)[:, None] % p
+    vecs = vecs[np.lexsort([*vecs.T[::-1], lead])]  # by leading column, then entries
+    first = np.ones(len(vecs), dtype=bool)
+    first[1:] = (vecs[1:] != vecs[:-1]).any(axis=1)
+    return vecs[first]
+
+
 def _line_ranks(
     p: int,
     blocks: Sequence[Sequence[np.ndarray]],
     tracker: _Budget,
+    bound: int,
     names: Sequence[str] | None = None,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Every line of every block of source coordinates, eliminated once for
-    every bound, and each line's image rank.
+    """The lines of every block of source coordinates that may have image
+    rank at most bound, eliminated once for every bound up to it, and each
+    line's image rank.
 
     Each block is a list of (d_s x d_t) matrices, one per arrow, whose rows
     are the images of the block's basis vectors.  A block's lines lie at its
     coordinates of the sum of the blocks, taken in order, and their images
-    are padded with zero rows up to the largest arrow count.  Every block's
-    line count is charged before anything is allocated; names[b], if given,
+    are padded with zero rows up to the largest arrow count.  A block of n
+    coordinates and a arrows with bound < a < n lists the lines its arrow
+    pencil kills (_pencil_lines), which hold every line of image rank at
+    most bound; the pencil's members are fewer than the block's lines.  It
+    is charged as _pencil_lines says, and listed in full as every other
+    block is if they are not fewer.  A block listed in full has its line
+    count charged before anything of it is allocated.  names[b], if given,
     ends block b's budget message.  Returns the lines, as the line
     generators in canonical order, their (arrows x d_t) image rows in the
     kernel's dtype, and those rows reduced by _gauss_jordan with each row's
-    pivot column; and the ranks, each line's pivot count.
+    pivot column; and the ranks, each line's pivot count.  So the lines of
+    rank at most bound, and their rows, are the same either way.
     """
     sizes = [maps[0].shape[0] for maps in blocks]
-    for n, name in zip(sizes, names or [""] * len(blocks)):
-        tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
+    listed = []
+    for n, maps, name in zip(sizes, blocks, names or [""] * len(blocks)):
+        gens = _pencil_lines(p, maps, tracker, name) if bound < len(maps) < n else None
+        if gens is None:
+            tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
+        listed.append(gens)
     m, d2 = max(len(maps) for maps in blocks), blocks[0][0].shape[1]
     vecs, imgs, off = [], [], 0
-    for n, maps in zip(sizes, blocks):
-        gens = _canonical_lines(p, n)
+    for n, maps, gens in zip(sizes, blocks, listed):
+        gens = _canonical_lines(p, n) if gens is None else gens
         # the narrowest dtype the matmul cannot overflow: less memory traffic
         dtype = _int_dtype((p - 1) ** 2 * max(n, 1))
         work = gens.astype(dtype)
@@ -823,23 +893,29 @@ def is_expander_rep(
     lines, the lines whose image rank stays within s: a violating j-plane
     has only candidate lines, so the frontier of their spans finds it.
     The line images are eliminated once, when first needed, and every
-    level reads its candidates off those ranks.  The budget is charged
-    the line count once, then each candidate line and each plane the
+    level reads its candidates off those ranks.  The lines are listed
+    once per call for the largest bound s below d2 that a level searches:
+    if s < m < d1, only the lines the arrow pencil kills (_pencil_lines),
+    which hold every line of image rank at most s, else every line.  The
+    budget is charged the pencil's members and then its kernel lines, or
+    the line count, once; then each candidate line and each plane the
     frontier tries.
     """
     _require_kronecker(rep)
     p = rep.p
     d1, d2 = rep.dim
     tracker = _Budget(budget, "frontier")
+    levels = list(_levels(params, d1, d2))
+    top = max((s for _, s in levels if s < d2), default=0)  # the largest bound searched
     lines: tuple[np.ndarray, ...] | None = None
-    for j, s in _levels(params, d1, d2):
+    for j, s in levels:
         if s >= d2:
             # every dim-j subspace violates; report the first one
             tracker.charge(1)
             first = next(_iter_echelon_bases(p, d1, j))
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
-            lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker)
+            lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker, top)
         witness = _frontier_scan(p, lines, np.flatnonzero(ranks <= s), s, j, tracker)
         if witness is not None:
             return ExpanderVerdict(False, witness)
@@ -924,9 +1000,11 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
       first: a graded plane's RREF is its blocks' RREFs stacked, so each
       is built once.  Line images are padded with zero rows up to the
       largest arrow count.
-    The frontier charges each block's line count before it builds a line,
-    then the candidates and each plane tested, as in is_expander_rep; its
-    budget errors name the vertex it draws from.
+    The frontier lists each block's lines for the bound as _line_ranks
+    says, from the arrow pencil below the block's arrow count, charging
+    them before it builds a line; then the candidates and each plane
+    tested, as in is_expander_rep; its budget errors name the vertex it
+    draws from.
     """
     p, dim, t = rep.p, rep.dim, rep.quiver.one_sink
     bound, gap = e[t - 1], dim[t - 1] - e[t - 1]
@@ -968,7 +1046,7 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
     listed = sum(gaussian_binomial(dim[s - 1], 1, p) for s in free)
     if listed > room >= gaussian_binomial(dim[t - 1], gap, p):
         return _backtrack(rep._opposite, dual_e, tracker)
-    lines, ranks = _line_ranks(p, blocks, tracker, [f" at vertex {s}" for s in free])
+    lines, ranks = _line_ranks(p, blocks, tracker, bound, [f" at vertex {s}" for s in free])
     offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
     spans = reversed(list(zip(offsets, offsets[1:], free, levels)))
     draws = [(lo, hi, s) for lo, hi, s, k in spans for _ in range(k)]

@@ -407,9 +407,15 @@ def test_is_expander_rep_budget_charges_frontier_levels():
     # K(2) F_59: no line is a candidate at j = 1; at j = 2 every line is and
     # no plane violates, so the 3541 lines, then 3541 1-planes and all 3541
     # 2-planes of F_59^3: each level's subspace count, not lines * lines
+    # K(3) F_101 at s = 1, 2, below the 3 arrows: the 10,303 members of
+    # the arrow pencil, then the 83 singular members' one kernel line
+    # each; those 83 lines are every line of image rank 2, so no candidate
+    # at j = 1 and 83 at j = 2, which extend to no plane tested: 10,469
+    # where the full listing would charge 1,040,604 lines
     cases = [
         (make_kronecker(3), (4, 4), 7, 0, HALF, Fraction(9, 10), 3_650, False),
         (make_kronecker(2), (3, 3), 59, 3, Fraction(2, 3), Fraction(1, 10), 10_623, True),
+        (make_kronecker(3), (4, 4), 101, 0, HALF, Fraction(19, 50), 10_469, True),
     ]
     for quiver, d, p, seed, delta, eps, charge, ok in cases:
         rep = random_rep(quiver, d, p, seed)
@@ -638,18 +644,119 @@ def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
     assert routes == {"trivial", "rank", "dual", "primal"}
 
 
+def test_pencil_lines_match_the_full_listing(monkeypatch):
+    # Below the arrow count a, a line's a images are dependent exactly when
+    # a member sum c_k f_k of the arrow pencil kills it.  On K(2)-K(4) over
+    # F_2-F_7, _pencil_lines returns exactly the full listing's lines of
+    # image rank below a; every bound s < a reads the same candidate lines
+    # off either listing, in the same order and with the same image rows,
+    # reduced rows and pivots; and with the pencil is_expander_rep gives
+    # the same verdicts and witnesses, and has_subrep_of_dim the same
+    # answers for every e, as with the full listing alone.  The draws
+    # cover d1 > d2, where every member is singular; d1 <= d2; a kernel of
+    # dimension 2 or more; and no singular member, so no candidate.  When
+    # the kernel lines, counted once per member, are not fewer than the
+    # lines, the block is listed in full after the members' charge.
+    import quivex.finfield as ff
+
+    def answers(rep):
+        verdicts = [is_expander_rep(rep, params) for params in expanders]
+        found = [has_subrep_of_dim(rep, e) for e in product(*(range(x + 1) for x in rep.dim))]
+        return [(v.ok, v.witness) for v in verdicts], found
+
+    expanders = [ExpanderParams(HALF, Fraction(19, 50)), ExpanderParams(Fraction(2, 3), HALF)]
+    draws = [
+        (2, 2, (5, 3), 0),
+        (2, 7, (3, 3), 0),
+        (3, 2, (6, 5), 0),
+        (3, 3, (5, 4), 1),
+        (3, 5, (4, 4), 0),
+        (3, 7, (4, 6), 0),
+        (4, 2, (6, 6), 1),
+        (4, 3, (5, 5), 0),
+    ]
+    shapes = set()
+    for m, p, (d1, d2), seed in draws:
+        rep = random_rep(make_kronecker(m), (d1, d2), p, seed)
+        maps = [f.T for f in rep.matrices]
+        full, ranks = ff._line_ranks(p, [maps], _Budget(10**7, ""), m)  # bound m: listed in full
+        assert full[0].tolist() == [u.basis[0].tolist() for u in enumerate_subspaces(p, d1, 1)]
+        assert np.array_equal(ff._pencil_lines(p, maps, _Budget(10**7, "")), full[0][ranks < m])
+        for s in range(m):
+            lines, got = ff._line_ranks(p, [maps], _Budget(10**7, ""), s)
+            assert len(lines[0]) < len(full[0]), (m, p, d1, d2, s)
+            for mine, theirs in zip(lines, full):
+                assert np.array_equal(mine[got <= s], theirs[ranks <= s]), (m, p, d1, d2, s)
+        kernels = [
+            d1 - rank_mod(sum(int(c) * f for c, f in zip(u.basis[0], rep.matrices)), p)
+            for u in enumerate_subspaces(p, m, 1)
+        ]
+        shapes.add("d1 > d2" if d1 > d2 else "d1 <= d2")
+        shapes.update(
+            shape
+            for shape, seen in [
+                ("every member singular", min(kernels) > 0),
+                ("kernel of dim >= 2", max(kernels) >= 2),
+                ("no singular member", max(kernels) == 0),
+            ]
+            if seen
+        )
+        want = answers(rep)
+        with monkeypatch.context() as patch:
+            patch.setattr(ff, "_pencil_lines", lambda *args: None)
+            assert answers(rep) == want, (m, p, d1, d2)
+    assert shapes == {
+        "d1 > d2",
+        "d1 <= d2",
+        "every member singular",
+        "kernel of dim >= 2",
+        "no singular member",
+    }
+    # K(4) (5, 2) over F_2: 15 members, each killing at least 7 lines, and
+    # only 31 lines; K(3) (4, 3), seed 3: 7 members that kill 15 lines,
+    # counted once per member, as many as there are.  So both list every
+    # line, charged the members and then the lines
+    for m, d, seed, members, count in [(4, (5, 2), 0, 15, 31), (3, (4, 3), 3, 7, 15)]:
+        maps = [f.T for f in random_rep(make_kronecker(m), d, 2, seed).matrices]
+        tracker = _Budget(10**7, "")
+        assert ff._pencil_lines(2, maps, _Budget(10**7, "")) is None
+        lines, _ = ff._line_ranks(2, [maps], tracker, 1)
+        assert len(lines[0]) == count and tracker.spent == members + count, (m, d)
+
+
+def test_pencil_answers_where_the_lines_pass_the_budget():
+    # K(3) (5, 5) over F_101 has 105,101,005 lines, past the default
+    # budget, so a full listing refuses at once; its arrow pencil has
+    # 10,303 members, and at bounds below 3 both searches answer
+    rep = random_rep(make_kronecker(3), (5, 5), 101, 0)
+    start = time.perf_counter()
+    assert is_expander_rep(rep, ExpanderParams(HALF, Fraction(19, 50))).ok
+    assert has_subrep_of_dim(rep, (2, 2)) is False
+    assert time.perf_counter() - start < 2.0
+
+
 def _frontier_charge(rep, j, s):
     # what a frontier that finds no j-plane within s charges, counted by
-    # enumeration: the lines, the candidate lines, and at each level i >= 2
-    # every i-plane whose first RREF row spans a candidate line and whose
-    # other rows span a plane within s
-    p, n = rep.p, rep.dim[0]
+    # enumeration: the lines, or, at s below the arrow count m < n, the
+    # members of the arrow pencil and then each member's kernel lines
+    # (the lines, if those are not fewer); the candidate lines; and at
+    # each level i >= 2 every i-plane whose first RREF row spans a
+    # candidate line and whose other rows span a plane within s
+    p, n, m = rep.p, rep.dim[0], len(rep.matrices)
 
     def within(rows):
         return image_sum_dim(rep, Subspace(p, n, rows)) <= s
 
-    total = gaussian_binomial(n, 1, p)
-    total += sum(within(u.basis) for u in enumerate_subspaces(p, n, 1))
+    lines = list(enumerate_subspaces(p, n, 1))
+    total = len(lines)
+    if s < m < n:
+        members = [
+            sum(int(c) * f for c, f in zip(u.basis[0], rep.matrices))
+            for u in enumerate_subspaces(p, m, 1)
+        ]
+        killed = sum(not (f @ v.basis[0] % p).any() for f in members for v in lines)
+        total = len(members) + min(killed, total)
+    total += sum(within(u.basis) for u in lines)
     for i in range(2, j + 1):
         planes = enumerate_subspaces(p, n, i)
         total += sum(within(w.basis[:1]) and within(w.basis[1:]) for w in planes)
@@ -659,10 +766,12 @@ def _frontier_charge(rep, j, s):
 def test_kronecker_subrep_budget_charges_frontier():
     # K(3) (6, 6) over F_2, seed 0, has no subrep of dimension (3, 3),
     # searched on the representation at j = 3, s = 3, nor of dimension
-    # (4, 3), searched on the dual at j = 3, s = 2.  Each charges its 63
-    # lines, its candidates and every plane tested, and nothing else.
+    # (4, 3), searched on the dual at j = 3, s = 2.  The first charges its
+    # 63 lines; the second, below the 3 arrows, the 7 members of the arrow
+    # pencil and their kernel lines instead.  Then each charges its
+    # candidates and every plane tested, and nothing else.
     rep = random_rep(make_kronecker(3), (6, 6), 2, 0)
-    cases = [((3, 3), rep, 3, 3, 777), ((4, 3), dual_rep(rep), 3, 2, 77)]
+    cases = [((3, 3), rep, 3, 3, 777), ((4, 3), dual_rep(rep), 3, 2, 29)]
     for e, searched, j, s, charge in cases:
         assert _frontier_charge(searched, j, s) == charge, e
         assert not has_subrep_of_dim(rep, e, budget=charge)
@@ -880,11 +989,30 @@ def test_budget_errors_name_the_frontier_level():
     # K(2) (12, 12) over F_5 has 61,035,156 lines, so at 10**6 the line
     # listing trips before any level; K(3) (4, 4) over F_7 one unit short of
     # its 3,650 (see above) trips at level 2 of 2; on a one-sink quiver the
-    # level also names the source it draws from
+    # level also names the source it draws from.  Over F_101, K(3) at a
+    # bound below its 3 arrows lists its arrow pencil: 10,303 members, then
+    # 83 kernel lines (see above); either charge trips inside the pencil,
+    # and on has_subrep_of_dim the message names the vertex
     k2 = random_rep(make_kronecker(2), (12, 12), 5, 0)
     k3 = random_rep(make_kronecker(3), (4, 4), 7, 0)
     bipartite = random_rep(BIPARTITE, (3, 6, 5), 3, 0)
+    k3_101 = random_rep(make_kronecker(3), (4, 4), 101, 0)
+    k3_101_5 = random_rep(make_kronecker(3), (5, 5), 101, 0)
+    params = ExpanderParams(HALF, Fraction(19, 50))
+    pencil = "budget exceeded listing the pencil of F_101^3"
     calls = [
+        (
+            lambda: is_expander_rep(k3_101, params, budget=10_000),
+            f"frontier {pencil}: spent 10303 > limit 10000",
+        ),
+        (
+            lambda: is_expander_rep(k3_101, params, budget=10_350),
+            f"frontier {pencil}: spent 10386 > limit 10350",
+        ),
+        (
+            lambda: has_subrep_of_dim(k3_101_5, (2, 2), budget=10_000),
+            f"subrep {pencil} at vertex 1: spent 10303 > limit 10000",
+        ),
         (
             lambda: is_expander_rep(k2, ExpanderParams(HALF, HALF), budget=10**6),
             "frontier budget exceeded listing the lines of F_5^12: spent 61035156 > limit 1000000",
