@@ -787,13 +787,19 @@ def _frontier_scan(
 
     lines is _line_ranks's lines and cand indexes the lines whose
     image rank is at most s.  A plane is kept as the candidates whose
-    generators are its RREF rows.  Level i holds every i-plane whose image
-    rank is at most s, once each.  An (i+1)-plane W is built only from
-    the span S of all its RREF rows but the first, and the line through
-    that first row: a candidate that leads before S's pivots and is zero
-    on them, so [row; S] is W's RREF as it stands.  Complete, because S
-    and that line lie in W.  Built by leading column, then S's pivots,
-    then row-major, each level is in canonical order, so the first
+    generators are its RREF rows.  Level i holds, once each, every i-plane
+    whose image rank is at most s and whose first RREF row leads at or
+    after the level's floor.  Each level's new row leads before the last
+    level's, so level j's floor is the first column it draws from, and
+    level i's is the larger of that column and one past level i + 1's
+    floor: without draws, j - i.  A plane leading before its floor leaves
+    too few columns for the rows still to come, so it lies in no j-plane's
+    RREF and is neither built nor tested.  An (i+1)-plane W is built only
+    from the span S of all its RREF rows but the first, and the line
+    through that first row: a candidate that leads before S's pivots and
+    is zero on them, so [row; S] is W's RREF as it stands.  Complete,
+    because S and that line lie in W.  Built by leading column, then S's
+    pivots, then row-major, each level is in canonical order, so the first
     violating j-plane found is the witness.
 
     draws, when given, holds one (lo, hi, vertex) per level 1..j: level
@@ -813,12 +819,15 @@ def _frontier_scan(
     the planes kept for the next level get their span rebuilt.  A level's
     planes are tested in that canonical order, in numpy batches of
     _BATCH_ENTRIES // ((i + 1) * m * d2) planes that run across block
-    boundaries.  The candidates are charged at level 1, and each plane
-    tested once at its level; a budget error names that level.
+    boundaries.  Every candidate is charged at level 1, floor or not, and
+    each plane tested once at its level; a budget error names that level.
     """
     vecs, imgs, line_rows, line_pivs = lines
     n, (m, d2) = vecs.shape[1], imgs.shape[1:]
     draws = draws or [(0, n, 0)] * j
+    floors = [draws[-1][0]] * j  # floors[i - 1]: level i's first column
+    for i in reversed(range(j - 1)):
+        floors[i] = max(draws[i][0], floors[i + 1] + 1)
     gens, gimgs = vecs[cand], imgs[cand]
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
     zero = gens == 0
@@ -828,7 +837,7 @@ def _frontier_scan(
         return f" at level {i} of {j}" + (f", drawing from vertex {vertex}" if vertex else "")
 
     budget.charge(len(cand), where(1))
-    level = np.arange(*np.searchsorted(leads, draws[0][:2]))[:, None]
+    level = np.arange(*np.searchsorted(leads, (floors[0], draws[0][1])))[:, None]
     if j > 1:  # level 1's spans: each candidate's images joined to the zero span
         first = cand[level[:, 0]]
         zero_rows = np.zeros((len(first), 0, d2), dtype=gimgs.dtype)
@@ -837,7 +846,7 @@ def _frontier_scan(
             zero_rows, zero_pivs, line_rows[first], line_pivs[first], p, min(s, m)
         )
     for i in range(1, j):
-        lo, hi, _ = draws[i]
+        hi = draws[i][1]
         pivsets, group, sizes = np.unique(
             leads[level], axis=0, return_inverse=True, return_counts=True
         )
@@ -847,7 +856,7 @@ def _frontier_scan(
         cuts = [np.searchsorted(leads[ext], np.arange(n + 1)).tolist() for ext in exts]
         blocks = (
             (ext[cut[lead] : cut[lead + 1]], planes)
-            for lead in range(lo, hi)
+            for lead in range(floors[i], hi)
             for ext, cut, planes in zip(exts, cuts, members)
         )
         room = s - (span_pivs < d2).sum(axis=1)  # rank the new images may add
@@ -899,7 +908,8 @@ def is_expander_rep(
     which hold every line of image rank at most s, else every line.  The
     budget is charged the pencil's members and then its kernel lines, or
     the line count, once; then each candidate line and each plane the
-    frontier tries.
+    frontier tries, which at level i < j is only a plane whose first row
+    leads at column j - i or later, as no other lies in a j-plane.
     """
     _require_kronecker(rep)
     p = rep.p
@@ -1003,8 +1013,10 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
     The frontier lists each block's lines for the bound as _line_ranks
     says, from the arrow pencil below the block's arrow count, charging
     them before it builds a line; then the candidates and each plane
-    tested, as in is_expander_rep; its budget errors name the vertex it
-    draws from.
+    tested, as in is_expander_rep: a level's planes lead at or after its
+    floor, one column past the next level's floor, or the first column
+    of its own block if that is later.  Its budget errors name the
+    vertex it draws from.
     """
     p, dim, t = rep.p, rep.dim, rep.quiver.one_sink
     bound, gap = e[t - 1], dim[t - 1] - e[t - 1]

@@ -412,10 +412,16 @@ def test_is_expander_rep_budget_charges_frontier_levels():
     # each; those 83 lines are every line of image rank 2, so no candidate
     # at j = 1 and 83 at j = 2, which extend to no plane tested: 10,469
     # where the full listing would charge 1,040,604 lines
+    # K(3) (6, 6) F_3 at j = 3: the 364 lines; no candidate at (1, 1); 6
+    # candidates and 6 planes at (2, 2); at (3, 4) every line is a
+    # candidate, level 2 of 3 tests only the 1,210 planes leading at column
+    # 1 or later (the 2-planes of coordinates 1..5), not all 11,011 2-planes
+    # of F_3^6, and level 3 tests 873 planes: 364 + 12 + 364 + 1,210 + 873
     cases = [
         (make_kronecker(3), (4, 4), 7, 0, HALF, Fraction(9, 10), 3_650, False),
         (make_kronecker(2), (3, 3), 59, 3, Fraction(2, 3), Fraction(1, 10), 10_623, True),
         (make_kronecker(3), (4, 4), 101, 0, HALF, Fraction(19, 50), 10_469, True),
+        (make_kronecker(3), (6, 6), 3, 0, HALF, Fraction(19, 50), 2_823, True),
     ]
     for quiver, d, p, seed, delta, eps, charge, ok in cases:
         rep = random_rep(quiver, d, p, seed)
@@ -741,7 +747,9 @@ def _frontier_charge(rep, j, s):
     # members of the arrow pencil and then each member's kernel lines
     # (the lines, if those are not fewer); the candidate lines; and at
     # each level i >= 2 every i-plane whose first RREF row spans a
-    # candidate line and whose other rows span a plane within s
+    # candidate line and leads at column j - i or later, leaving a column
+    # for each row still to come, and whose other rows span a plane
+    # within s
     p, n, m = rep.p, rep.dim[0], len(rep.matrices)
 
     def within(rows):
@@ -759,7 +767,10 @@ def _frontier_charge(rep, j, s):
     total += sum(within(u.basis) for u in lines)
     for i in range(2, j + 1):
         planes = enumerate_subspaces(p, n, i)
-        total += sum(within(w.basis[:1]) and within(w.basis[1:]) for w in planes)
+        total += sum(
+            w.pivots[0] >= j - i and within(w.basis[:1]) and within(w.basis[1:])
+            for w in planes
+        )
     return total
 
 
@@ -769,9 +780,10 @@ def test_kronecker_subrep_budget_charges_frontier():
     # (4, 3), searched on the dual at j = 3, s = 2.  The first charges its
     # 63 lines; the second, below the 3 arrows, the 7 members of the arrow
     # pencil and their kernel lines instead.  Then each charges its
-    # candidates and every plane tested, and nothing else.
+    # candidates and every plane tested at or after its level's floor, and
+    # nothing else.
     rep = random_rep(make_kronecker(3), (6, 6), 2, 0)
-    cases = [((3, 3), rep, 3, 3, 777), ((4, 3), dual_rep(rep), 3, 2, 29)]
+    cases = [((3, 3), rep, 3, 3, 281), ((4, 3), dual_rep(rep), 3, 2, 23)]
     for e, searched, j, s, charge in cases:
         assert _frontier_charge(searched, j, s) == charge, e
         assert not has_subrep_of_dim(rep, e, budget=charge)
@@ -791,7 +803,9 @@ def test_one_sink_subrep_matches_backtrack():
     # the one-sink rules and frontier against the backtracker: every e <= d
     # on the bipartite quiver over F_2 and F_3, seeds 0-2; sources with 1, 2
     # and 3 arrows into one sink, whose line images are padded to 3 rows;
-    # the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4; and every
+    # the benchmark pool's bipartite e at (3, 6, 5), seeds 0-4; every e of
+    # bipartite (3, 6, 4) over F_3, seed 0, whose frontiers draw up to 5
+    # levels from both sources, each leading at or after its floor; and every
     # e <= d over F_2 and F_3, seeds 0-1, on reversed K(2) and on 2 -> 1 <- 3,
     # where a free source of one arrow is ranked next to a forced one, and
     # on the one-source quivers 1 => 2, 1 => 3 and 1 -> 2, 1 -> 3, 1 -> 4,
@@ -808,6 +822,7 @@ def test_one_sink_subrep_matches_backtrack():
     pool = {2: [(3, 5, 1), (2, 4, 4), (1, 2, 1), (0, 1, 3), (1, 4, 4), (3, 6, 4)]}
     pool[3] = [(3, 5, 1), (1, 2, 1), (0, 1, 3), (3, 6, 4)]
     cases += [(BIPARTITE, (3, 6, 5), p, seed, es) for p, es in pool.items() for seed in range(5)]
+    cases += [(BIPARTITE, (3, 6, 4), 3, 0, product(range(4), range(7), range(5)))]
     small = [(REVERSED_K2, d) for d in [(3, 2), (4, 3), (2, 3)]]
     small += [(INTO_1, d) for d in [(5, 3, 2), (4, 2, 3), (3, 2, 2)]]
     small += [(OUT_OF_1, d) for d in [(3, 2, 2), (4, 3, 2), (2, 2, 3)]]
@@ -824,8 +839,26 @@ def test_one_sink_subrep_matches_backtrack():
             assert got == _backtrack(rep, e, _Budget(10**7, "subrep")), (d, p, seed, e)
             checked += 1
             admitted += got
-    assert checked == 1896 + 288 + 50 + 176 + 672 + 528 + 972
+    assert checked == 1896 + 288 + 50 + 140 + 176 + 672 + 528 + 972
     assert 0 < admitted < checked
+
+
+def test_a_floor_may_empty_a_frontier_level():
+    # vertex 3's maps are I and diag(1, C), C irreducible over F_2, so its
+    # only line of image rank 1 is (1, 0, 0).  It leads at its block's
+    # first column, below level 1's floor at e_3 = 2, so at e_2 = 1 level
+    # 1 keeps no plane; at e_2 = 2 the floor keeps the lines that lead
+    # later, and the search finds a subrepresentation
+    g = np.eye(3, dtype=np.int64)
+    g[1:, 1:] = [[0, 1], [1, 1]]
+    ones = np.ones((3, 2), dtype=np.int64)
+    rep = FiniteFieldRep(2, BIPARTITE, (2, 3, 3), (ones, ones, np.eye(3, dtype=np.int64), g))
+    lines = [u.basis for u in enumerate_subspaces(2, 3, 1)]
+    assert [u.tolist() for u in lines if rank_mod(np.concatenate([u, u @ g.T]), 2) == 1] == [
+        [[1, 0, 0]]
+    ]
+    for e, want in [((0, 1, 2), False), ((1, 1, 2), False), ((1, 2, 2), True)]:
+        assert has_subrep_of_dim(rep, e) == _backtrack(rep, e, _Budget(10**7, "subrep")) == want
 
 
 def test_one_sink_rules_charge_nothing_or_one_rank_each(monkeypatch):
@@ -901,7 +934,9 @@ def _one_sink_charge(rep, e):
     # and, at level 1, those whose images join the forced ones within e_t;
     # at each level i >= 2, every graded i-plane of that level's shape whose
     # first RREF row spans such a line and whose other rows span a plane
-    # within e_t.  Levels fill the free sources last one first.
+    # within e_t, if that row leads, in its source, at or after the number
+    # of that source's rows still to come.  Levels fill the free sources
+    # last one first.
     p, dim, t = rep.p, rep.dim, rep.quiver.one_sink
     sources = sorted({s for s, _ in rep.quiver.arrows})
     forced = [s for s in sources if 0 < e[s - 1] == dim[s - 1]]
@@ -923,7 +958,10 @@ def _one_sink_charge(rep, e):
     for i in range(2, len(draws) + 1):
         s, shape = draws[i - 1], {v: draws[:i].count(v) for v in free if v in draws[:i]}
         for combo in product(*(enumerate_subspaces(p, dim[v - 1], k) for v, k in shape.items())):
-            planes = {v: u.basis for v, u in zip(shape, combo)}
+            subspaces = dict(zip(shape, combo))
+            if subspaces[s].pivots[0] < e[s - 1] - shape[s]:
+                continue
+            planes = {v: u.basis for v, u in subspaces.items()}
             total += within({s: planes[s][:1]}) and within({**planes, s: planes[s][1:]})
     return total
 
@@ -936,8 +974,8 @@ def test_one_sink_subrep_budget_charges_frontier():
     # 2 and 3 modulo its images at the bound 5 - 2.  Each charges exactly
     # what enumeration counts, and nothing else.
     cases = [
-        (random_rep(BIPARTITE, (3, 6, 4), 3, 0), (2, 4, 2), 1952),
-        (random_rep(THREE_SOURCES, (2, 3, 3, 7), 3, 0), (2, 2, 1, 5), 229),
+        (random_rep(BIPARTITE, (3, 6, 4), 3, 0), (2, 4, 2), 782),
+        (random_rep(THREE_SOURCES, (2, 3, 3, 7), 3, 0), (2, 2, 1, 5), 112),
     ]
     for rep, e, charge in cases:
         assert _one_sink_charge(rep, e) == charge, e
@@ -1023,8 +1061,8 @@ def test_budget_errors_name_the_frontier_level():
         ),
         (
             lambda: has_subrep_of_dim(bipartite, (2, 4, 4), budget=300),
-            "subrep budget exceeded at level 2 of 6, drawing from vertex 3: "
-            "spent 1478 > limit 300",
+            "subrep budget exceeded at level 3 of 6, drawing from vertex 3: "
+            "spent 321 > limit 300",
         ),
     ]
     for call, message in calls:
@@ -1129,15 +1167,18 @@ def _naive_verdict(rep, params):
 
 
 def test_is_expander_rep_matches_naive_subspace_sweep():
-    # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level;
-    # K(3) over F_7 at eps = 9/10 and K(2) over F_59 at delta = 2/3 have
-    # levels where every line is a candidate
+    # K(3) over F_2 at (6, 6) has witnesses of dim 3, past the pair level,
+    # and so has K(4) over F_2 at (6, 6), seed 2: levels 1 and 2 of j = 3
+    # build only the planes leading at or after their floors; K(3) over
+    # F_7 at eps = 9/10 and K(2) over F_59 at delta = 2/3 have levels
+    # where every line is a candidate
     K2, K3 = make_kronecker(2), make_kronecker(3)
     eps_grid = (Fraction(1, 10), Fraction(38, 100), Fraction(1, 2), Fraction(9, 10))
     cases = [
         (K2, (4, 4), 2, HALF, eps_grid, None),
         (K2, (4, 4), 3, HALF, eps_grid, None),
         (K3, (6, 6), 2, HALF, (Fraction(38, 100),), 3),
+        (make_kronecker(4), (6, 6), 2, HALF, (Fraction(38, 100),), None),
         (K3, (4, 4), 7, HALF, (Fraction(9, 10),), None),
         (K2, (3, 3), 59, Fraction(2, 3), (Fraction(1, 10),), None),
     ]
@@ -1180,6 +1221,16 @@ def test_is_expander_rep_matches_naive_sweep_on_seeded_inputs():
     # both verdicts, and witnesses past the line level, are exercised
     assert 10 <= len(witness_dims) <= 40, witness_dims
     assert sum(dim >= 2 for dim in witness_dims) >= 5, witness_dims
+
+
+def test_frontier_floors_fit_k3_8_8_in_a_small_budget():
+    # K(3) (8, 8) over F_3, seed 0, at delta 1/2, eps 19/50 searches j = 3
+    # and j = 4 with every line a candidate.  Building every plane at every
+    # level below j charged 3,166,764; with level i's planes leading at
+    # column j - i or later it charges 179,565, so it answers at a budget
+    # of 200,000
+    rep = random_rep(make_kronecker(3), (8, 8), 3, 0)
+    assert is_expander_rep(rep, ExpanderParams(HALF, Fraction(19, 50)), budget=200_000).ok
 
 
 def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
