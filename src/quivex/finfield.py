@@ -17,10 +17,17 @@ elimination that swaps no rows.  Scalar ranks (rank_mod, and so
 image_sum_dim's one product with the representation's stacked map) and
 the backtracker's spans are _eliminate's lists.  A canonical basis
 (rref_mod, Subspace, a one-sink search's forced span) is such a list
-sorted by pivot and back-substituted once (_rref_rows).  The batched
-kernels take the narrowest of int16, int32 and int64 that holds their
-largest intermediate value (_int_dtype): (p - 1)**2 in an elimination
-step, a sum of such products in a matrix product.
+sorted by pivot and back-substituted once (_rref_rows).  _gauss_jordan
+runs in two phases: a forward pass (_forward), row by row, that already
+gives every rank, and a back-substitution (_back_substitute) to the
+reduced echelon form, which the frontier runs only on the pairs it keeps.
+A stack with more rows than columns (_tall) is reduced column by column
+instead (_by_columns), in one phase; on the others that loop is the row
+loop's test oracle.  Both loops take inverses mod p by square-and-multiply
+on the values they scale by (_inverse_mod).  The batched kernels take the
+narrowest of int16, int32 and int64 that holds their largest
+intermediate value (_int_dtype): (p - 1)**2 in an elimination step, a
+sum of such products in a matrix product.
 is_expander_rep eliminates the line images once, and every level's bound
 reads its candidate lines and their spans off that one elimination.  A
 block of n source coordinates and a arrows searched at a bound below a,
@@ -31,7 +38,8 @@ their kernel lines are charged, once per member.  A block whose kernel
 lines are not fewer than its lines lists them all, as every other does.
 The frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
-the level's blocks: about one kernel call per level.  has_subrep_of_dim
+the level's blocks: about one forward pass per level, and one
+back-substitution of the planes it keeps.  has_subrep_of_dim
 decides every quiver whose arrows all end at one vertex, K(m) among
 them, by one set of rules: two that need no rank, a few single ranks,
 and otherwise the same frontier over the sum of the free source spaces,
@@ -185,12 +193,16 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a**(p - 2) mod p elementwise, exact in any dtype holding (p - 1)**2."""
+    """a**(p - 2) mod p elementwise, exact in any dtype holding (p - 1)**2:
+    each nonzero entry's inverse.  At 0 it is 0, or 1 at p = 2, which only
+    ever scales a zero row."""
     out, e = np.ones_like(a), p - 2
     while e:
         if e & 1:
             out = _mod(out * a, p)
-        a, e = _mod(a * a, p), e >> 1
+        e >>= 1
+        if e:
+            a = _mod(a * a, p)
     return out
 
 
@@ -212,7 +224,7 @@ def batch_rank(mats, p: int) -> np.ndarray:
     M = np.mod(np.asarray(mats, dtype=np.int64), p)
     if M.ndim != 3:
         raise ValueError("expected a 3-d array (count, rows, cols)")
-    _, pivots = _gauss_jordan(M.astype(_int_dtype((p - 1) ** 2)), p)
+    _, pivots = _forward(M.astype(_int_dtype((p - 1) ** 2)), p)
     return (pivots >= 0).sum(axis=1)
 
 
@@ -220,14 +232,70 @@ def _gauss_jordan(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a stack of matrices over F_p, batched, swapping no rows.
 
     M is (count, rows, cols) with entries in [0, p), in a dtype that holds
-    +-(p - 1)**2.  Column by column, in each matrix the first row that is
-    not yet a pivot row and is nonzero there becomes one: it is scaled to a
-    leading 1 and cleared from every other row.  Returns the stack in
-    reduced echelon form but with its rows left where they were, and each
-    row's pivot column, -1 for the rows that ended zero; a matrix's rank is
-    its pivot count; M may be overwritten.  The work runs on M laid out as
-    (cols, rows, count), so every step is a long contiguous numpy loop, and
-    the pivot rows are picked by a mask, not gathered by index.
+    +-(p - 1)**2.  Returns the stack in reduced echelon form but with its
+    rows left where they were, and each row's pivot column, -1 for the
+    rows that ended zero; a matrix's rank is its pivot count; M may be
+    overwritten.
+
+    Two phases: _forward goes row by row, gives every pivot and so every
+    rank, and clears each pivot only from the rows below it; then
+    _back_substitute clears it from the rows above.  A caller that needs
+    only ranks, or the echelon form of a few of the matrices, skips the
+    second phase or runs it on those alone.  A tall stack (_tall), with
+    more rows than columns, is reduced column by column instead
+    (_by_columns), whose loop is the shorter there, in the first phase
+    alone.  Both loops give the same R and pivots, bit for bit.
+    """
+    E, pivots = _forward(M, p)
+    return _back_substitute(E, pivots, p), pivots
+
+
+def _tall(M: np.ndarray) -> bool:
+    """A stack with more rows than columns: _forward reduces it column by
+    column, whose loop is the shorter there, and so fully, in one phase."""
+    return M.shape[1] > M.shape[2]
+
+
+def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gauss_jordan's first phase: every row's pivot column, and the stack
+    in row echelon form (rows left where they were) that _back_substitute
+    finishes.
+
+    Row by row: each row, reduced already against the pivot rows above
+    it, takes its first nonzero column as its pivot, is scaled to a
+    leading 1 and cleared from the rows below.  The work runs on M laid
+    out as (rows, cols, count), so every step is a long contiguous numpy
+    loop.  A tall stack goes to _by_columns instead.
+    """
+    if _tall(M):
+        return _by_columns(M, p)
+    count, rows = M.shape[:2]
+    W = np.ascontiguousarray(M.transpose(1, 2, 0))
+    pivots = np.full((rows, count), -1, dtype=np.intp)
+    at = np.arange(count)
+    for r in range(rows):
+        row = W[r]
+        lead = (row != 0).argmax(axis=0)
+        value = row[lead, at]
+        if not value.any():
+            continue
+        pivots[r] = np.where(value != 0, lead, -1)
+        row *= _inverse_mod(value, p)
+        _mod(row, p)
+        if r + 1 < rows:
+            below = W[r + 1 :]  # a matrix whose row r is zero subtracts zero
+            below -= below[:, lead, at][:, None, :] * row
+            _mod(below, p)
+    return W.transpose(2, 0, 1), pivots.T
+
+
+def _by_columns(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_gauss_jordan column by column, in one phase: in each matrix the
+    first row that is not yet a pivot row and is nonzero in the column
+    becomes one, is scaled to a leading 1 and cleared from every other
+    row.  It gives every row the pivot the row loop gives it.  The work
+    runs on M laid out as (cols, rows, count), and the pivot rows are
+    picked by a mask, not gathered by index.
     """
     count, rows, cols = M.shape
     W = np.ascontiguousarray(M.transpose(2, 1, 0))
@@ -251,6 +319,28 @@ def _gauss_jordan(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         if not free.any():
             break
     return W.transpose(2, 1, 0), pivots.T
+
+
+def _back_substitute(E: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """_gauss_jordan's second phase, on _forward's output or some of its
+    matrices: each pivot, last row first, cleared from the rows above it.
+    A tall stack comes out of _forward reduced already, and is returned
+    as it is.
+    """
+    if _tall(E):
+        return E
+    count, rows = E.shape[:2]
+    W = np.ascontiguousarray(E.transpose(1, 2, 0))  # (rows, cols, count)
+    at = np.arange(count)
+    for r in range(rows - 1, 0, -1):
+        piv = pivots[:, r]
+        if (piv < 0).all():
+            continue
+        # a zero row r (pivot -1) subtracts zero from the rows above
+        above = W[:r]
+        above -= above[:, piv, at][:, None, :] * W[r]
+        _mod(above, p)
+    return W.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +814,8 @@ def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.
     X is (count, k, n) and each span is (rows[i], pivots[i]).  A pivot n
     pads a zero row, so it adds nothing.
     """
-    coef = np.take_along_axis(X, np.minimum(pivots, X.shape[2] - 1)[:, None, :], axis=2)
+    at = np.arange(len(X))[:, None]
+    coef = X.transpose(0, 2, 1)[at, np.minimum(pivots, X.shape[2] - 1)].transpose(0, 2, 1)
     dtype = _int_dtype(rows.shape[1] * (p - 1) ** 2 + p)
     return _mod(X - np.matmul(coef, rows, dtype=dtype), p).astype(X.dtype, copy=False)
 
@@ -732,7 +823,8 @@ def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.
 def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Spans (rows, pivots) joined with the rows R reduced against them.
 
-    R and its pivot columns rpiv come from _gauss_jordan.  The join is the
+    R and its pivot columns rpiv are _gauss_jordan's output, or both of
+    its phases run on some of a stack's matrices.  The join is the
     span's rows cleared on R's pivot columns, then both sets of rows in
     pivot order, cut to width rows, which the rank must not pass.
     """
@@ -740,10 +832,8 @@ def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray,
     keys = np.concatenate([pivots, rpiv], axis=1)
     order = np.argsort(keys, axis=1, kind="stable")[:, :width]
     joined = np.concatenate([_reduced(rows, R, rpiv, p), R], axis=1)
-    return (
-        np.take_along_axis(joined, order[:, :, None], axis=1),
-        np.take_along_axis(keys, order, axis=1),
-    )
+    at = np.arange(len(keys))[:, None]
+    return joined[at, order], keys[at, order]
 
 
 # caps the image entries of one rank batch in _frontier_scan, and so its memory
@@ -815,12 +905,15 @@ def _frontier_scan(
     i * m) rows and their pivot columns, padded with zero rows and pivot
     d2 past its rank r.  Level 1's spans are the lines' reduced images.
     W = [row; S] is tested on the new line's m images only, reduced
-    against S's span: W stays within s iff they have rank <= s - r.  Only
-    the planes kept for the next level get their span rebuilt.  A level's
-    planes are tested in that canonical order, in numpy batches of
-    _BATCH_ENTRIES // ((i + 1) * m * d2) planes that run across block
-    boundaries.  Every candidate is charged at level 1, floor or not, and
-    each plane tested once at its level; a budget error names that level.
+    against S's span: W stays within s iff they have rank <= s - r, which
+    the kernel's forward pass gives.  Only the planes kept for the next
+    level are back-substituted and get their span rebuilt, so the last
+    level back-substitutes nothing.  A level's planes come in runs of one
+    pivot set each, as the order is canonical, and are tested in that
+    order, in numpy batches of _BATCH_ENTRIES // ((i + 1) * m * d2)
+    planes that run across block boundaries.  Every candidate is charged
+    at level 1, floor or not, and each plane tested once at its level; a
+    budget error names that level.
     """
     vecs, imgs, line_rows, line_pivs = lines
     n, (m, d2) = vecs.shape[1], imgs.shape[1:]
@@ -838,19 +931,24 @@ def _frontier_scan(
 
     budget.charge(len(cand), where(1))
     level = np.arange(*np.searchsorted(leads, (floors[0], draws[0][1])))[:, None]
-    if j > 1:  # level 1's spans: each candidate's images joined to the zero span
-        first = cand[level[:, 0]]
-        zero_rows = np.zeros((len(first), 0, d2), dtype=gimgs.dtype)
-        zero_pivs = np.zeros((len(first), 0), dtype=np.intp)
-        span_rows, span_pivs = _grown_spans(
-            zero_rows, zero_pivs, line_rows[first], line_pivs[first], p, min(s, m)
-        )
+    if not len(level):
+        return None
+    if j == 1:
+        return Subspace._from_echelon(p, n, gens[level[:1, 0]])
+    # level 1's spans: each candidate's images joined to the zero span
+    first = cand[level[:, 0]]
+    zero_rows = np.zeros((len(first), 0, d2), dtype=gimgs.dtype)
+    zero_pivs = np.zeros((len(first), 0), dtype=np.intp)
+    span_rows, span_pivs = _grown_spans(
+        zero_rows, zero_pivs, line_rows[first], line_pivs[first], p, min(s, m)
+    )
     for i in range(1, j):
         hi = draws[i][1]
-        pivsets, group, sizes = np.unique(
-            leads[level], axis=0, return_inverse=True, return_counts=True
-        )
-        members = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+        # the level is in canonical order, so each pivot set is one run
+        sets = leads[level]
+        starts = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
+        pivsets = sets[starts]
+        members = [np.arange(a, b) for a, b in zip(starts, [*starts[1:], len(level)])]
         # the lines that may extend each pivot set, cut by leading column
         exts = [np.flatnonzero(zero[:, piv].all(axis=1) & (leads < piv[0])) for piv in pivsets]
         cuts = [np.searchsorted(leads[ext], np.arange(n + 1)).tolist() for ext in exts]
@@ -866,7 +964,7 @@ def _frontier_scan(
         for new, old in _pair_batches(blocks, step):
             budget.charge(len(new), where(i + 1))
             X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
-            R, rpiv = _gauss_jordan(X, p)
+            E, rpiv = _forward(X, p)
             keep = (rpiv >= 0).sum(axis=1) <= room[old]
             new, old = new[keep], old[keep]
             if i + 1 == j:
@@ -874,14 +972,16 @@ def _frontier_scan(
                     basis = gens[[new[0], *level[old[0]]]]
                     return Subspace._from_echelon(p, n, basis)
                 continue
-            rows, pivs = _grown_spans(
-                span_rows[old], span_pivs[old], R[keep], rpiv[keep], p, width
-            )
+            if not len(new):
+                continue
+            rpiv = rpiv[keep]
+            R = _back_substitute(E[keep], rpiv, p)
+            rows, pivs = _grown_spans(span_rows[old], span_pivs[old], R, rpiv, p, width)
             grown.append((np.column_stack([new, level[old]]), rows, pivs))
         if not grown:
             return None
         level, span_rows, span_pivs = (np.concatenate(part) for part in zip(*grown))
-    return Subspace._from_echelon(p, n, gens[level[:1, 0]]) if j == 1 and len(level) else None
+    return None
 
 
 def is_expander_rep(

@@ -452,38 +452,63 @@ def test_frontier_batches_do_not_change_verdicts(monkeypatch):
 
 
 def test_frontier_eliminates_once_per_level(monkeypatch):
-    # with batches wide enough for a whole level, a decision runs the
-    # kernel once on the line images, which every bound shares, then once
-    # per frontier level it tests: levels 1..j-1 of each searched j
+    # with batches wide enough for a whole level, a decision runs the full
+    # kernel once on the line images, which every bound shares; then, per
+    # searched j, one forward pass per frontier level it tests (levels
+    # 2..j) and one back-substitution per level that keeps planes for the
+    # next (levels 2..j-1), on the kept pairs alone
     import quivex.finfield as ff
 
-    calls, scans = [], []
-    kernel, scan = ff._gauss_jordan, ff._frontier_scan
+    events = []
+    kernel, forward, back, scan = (
+        ff._gauss_jordan, ff._forward, ff._back_substitute, ff._frontier_scan
+    )
 
-    def counted(M, p):
-        calls.append(len(M))
+    def full(M, p):
+        events.append(("full", len(M)))
         return kernel(M, p)
 
+    def forward_pass(M, p):
+        events.append(("forward", len(M)))
+        return forward(M, p)
+
+    def back_substitution(E, pivots, p):
+        events.append(("back", len(E)))
+        return back(E, pivots, p)
+
     def recorded(p, lines, cand, s, j, budget):
-        scans.append(j)
+        events.append(("scan", j))
         return scan(p, lines, cand, s, j, budget)
 
     def unused(*args):
         raise AssertionError("batch_rank_le is not on the frontier's path")
 
     monkeypatch.setattr(ff, "_BATCH_ENTRIES", 1 << 30)
-    monkeypatch.setattr(ff, "_gauss_jordan", counted)
+    monkeypatch.setattr(ff, "_gauss_jordan", full)
+    monkeypatch.setattr(ff, "_forward", forward_pass)
+    monkeypatch.setattr(ff, "_back_substitute", back_substitution)
     monkeypatch.setattr(ff, "_frontier_scan", recorded)
     monkeypatch.setattr(ff, "batch_rank_le", unused)
     params = ExpanderParams(HALF, Fraction(19, 50))
+    lines = gaussian_binomial(6, 1, 3)
     for seed in range(4):
         rep = random_rep(make_kronecker(3), (6, 6), 3, seed)
-        calls.clear()
-        scans.clear()
+        events.clear()
         is_expander_rep(rep, params)
-        assert calls[0] == gaussian_binomial(6, 1, 3), seed
-        assert len(calls) == 1 + sum(j - 1 for j in scans), (seed, scans, calls)
+        assert events[:3] == [("full", lines), ("forward", lines), ("back", lines)], seed
+        scans = [j for kind, j in events if kind == "scan"]
+        expected = ["full", "forward", "back"]
+        for j in scans:
+            expected += ["scan"] + ["forward", "back"] * (j - 2) + ["forward"] * (j > 1)
+        assert [kind for kind, _ in events] == expected, (seed, events)
         assert scans[-1] == 3, (seed, scans)
+        # each back-substitution takes only the pairs its forward pass kept
+        frontier = [e for e in events[3:] if e[0] != "scan"]
+        for (_, tested), (kind, kept) in zip(frontier, frontier[1:]):
+            if kind == "back":
+                assert kept <= tested, (seed, events)
+        tested = sum(n for kind, n in frontier if kind == "forward")
+        assert sum(n for kind, n in frontier if kind == "back") < tested, (seed, events)
 
 
 def test_has_subrep_examples():
@@ -1281,14 +1306,23 @@ def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
 def test_batch_kernel_matches_rank_mod_across_dtypes():
     # primes on both sides of each dtype threshold: int16 holds (p - 1)**2
     # up to p = 181, int32 up to p = 46337; larger entries go to int64
-    from quivex.finfield import _gauss_jordan, _int_dtype
+    from quivex.finfield import _by_columns, _forward, _gauss_jordan, _int_dtype, _inverse_mod
 
     widths = {2: 2, 3: 2, 181: 2, 191: 4, 46337: 4, 46349: 8, 1048573: 8}
     rng = np.random.Generator(np.random.PCG64(17))
     for p, width in widths.items():
-        assert np.dtype(_int_dtype((p - 1) ** 2)).itemsize == width, p
-        stacks = []
-        for rows, cols in [(3, 8), (4, 6), (12, 8), (1, 5), (6, 1), (5, 5)]:
+        dtype = _int_dtype((p - 1) ** 2)
+        assert np.dtype(dtype).itemsize == width, p
+        inverses = _inverse_mod(np.arange(p, dtype=dtype), p)
+        assert inverses.dtype == dtype, p
+        # x**(p - 2) is x's inverse, the only one: checking every product
+        # is checking every power, and a sample is checked as a power too
+        assert inverses[0] == pow(0, p - 2, p), p
+        assert (inverses[1:].astype(np.int64) * np.arange(1, p) % p == 1).all(), p
+        for x in np.random.Generator(np.random.PCG64(p)).integers(0, p, size=200).tolist():
+            assert inverses[x] == pow(x, p - 2, p), (p, x)
+        stacks = [np.zeros((0, 3, 4), dtype=np.int64), np.zeros((5, 4, 4), dtype=np.int64)]
+        for rows, cols in [(3, 8), (4, 6), (12, 8), (1, 5), (6, 1), (5, 5), (1, 1)]:
             mats = rng.integers(0, p, size=(24, rows, cols), dtype=np.int64)
             mats[0] = 0
             mats[1] = np.outer(rng.integers(0, p, rows), rng.integers(1, p, cols)) % p
@@ -1309,7 +1343,17 @@ def test_batch_kernel_matches_rank_mod_across_dtypes():
             for s in range(-1, min(mats.shape[1:]) + 1):
                 assert np.array_equal(batch_rank_le(mats, s, p), expected <= s), (p, s)
             # the reduced rows, put in pivot order, are the RREF
-            R, pivots = _gauss_jordan(mats.astype(_int_dtype((p - 1) ** 2)), p)
+            R, pivots = _gauss_jordan(mats.astype(dtype), p)
+            assert R.shape == mats.shape and R.dtype == dtype, (p, mats.shape)
+            # the forward pass alone already gives every pivot, so every rank
+            _, forward_pivots = _forward(mats.astype(dtype), p)
+            assert np.array_equal(forward_pivots, pivots), (p, mats.shape)
+            assert (forward_pivots >= 0).sum(axis=1).tolist() == expected.tolist(), p
+            # the column loop is the row loop's oracle: bit for bit on wide
+            # and square stacks too, where _forward goes row by row
+            oracle_R, oracle_pivots = _by_columns(mats.astype(dtype), p)
+            assert np.array_equal(oracle_R, R), (p, mats.shape)
+            assert np.array_equal(oracle_pivots, pivots), (p, mats.shape)
             for mat, red, piv in zip(mats, R, pivots):
                 order = np.argsort(np.where(piv >= 0, piv, mat.shape[1]), kind="stable")
                 want, want_piv = rref_mod(mat, p)
