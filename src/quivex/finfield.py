@@ -2,7 +2,9 @@
 
 Subspaces are represented by their unique reduced-row-echelon bases, so
 every subspace is enumerated exactly once and "first witness" outputs are
-reproducible.  All searches are capped by an explicit work budget
+reproducible; each pivot set's bases are built in one array, in chunks
+that grow from one basis, and each Subspace copies out its own.  All
+searches are capped by an explicit work budget
 (default 10**7): subspaces listed by enumerate_subspaces and by the
 backtracker of has_subrep_of_dim, and lines (or the members of an
 arrow pencil and their kernel lines) plus the candidate planes tried by
@@ -10,14 +12,15 @@ the frontier of is_expander_rep and of has_subrep_of_dim.
 Exceeding it raises, never silently truncates; a frontier error names
 the level, the lines or the pencil it tripped at.
 
-Linear algebra mod p runs in two kernels: _eliminate, forward
-elimination on Python ints that grows a list of (pivot, row) pairs and
-stops once the rank passes a limit, and _gauss_jordan, a batched numpy
-elimination that swaps no rows.  Scalar ranks (rank_mod, and so
-image_sum_dim's one product with the representation's stacked map) and
-the backtracker's spans are _eliminate's lists.  A canonical basis
-(rref_mod, Subspace, a one-sink search's forced span) is such a list
-sorted by pivot and back-substituted once (_rref_rows).  _gauss_jordan
+Linear algebra mod p runs in two kernels: _eliminate, fraction-free
+forward elimination on Python ints that grows a list of (pivot, row)
+pairs, takes no inverse, and stops once the rank passes a limit, and
+_gauss_jordan, a batched numpy elimination that swaps no rows.  Scalar
+ranks (rank_mod, and so image_sum_dim's one product with the
+representation's stacked map) and the backtracker's spans are
+_eliminate's lists.  A canonical basis (rref_mod, Subspace, a one-sink
+search's forced span) is such a list sorted by pivot, scaled to a
+leading 1 and back-substituted once (_rref_rows).  _gauss_jordan
 runs in two phases: a forward pass (_forward), row by row, that already
 gives every rank, and a back-substitution (_back_substitute) to the
 reduced echelon form, which the frontier runs only on the pairs it keeps.
@@ -31,11 +34,16 @@ sum of such products in a matrix product.
 is_expander_rep eliminates the line images once, and every level's bound
 reads its candidate lines and their spans off that one elimination.  A
 block of n source coordinates and a arrows searched at a bound below a,
-with a < n, lists only the lines that some member sum_k c_k f_k of its
-arrow pencil kills, as a line's images are dependent exactly then: the
-(p**a - 1)/(p - 1) members are charged and reduced in one batch, then
-their kernel lines are charged, once per member.  A block whose kernel
-lines are not fewer than its lines lists them all, as every other does.
+with a < n and at least _PENCIL_MIN_LINES lines, lists only the lines
+that some member sum_k c_k f_k of its arrow pencil kills, as a line's
+images are dependent exactly then: the (p**a - 1)/(p - 1) members are
+charged and reduced in one batch, then their kernel lines are charged,
+once per member.  A block whose kernel lines are not fewer than its
+lines lists them all, as every other does; a smaller block lists them
+all at once, as the pencil's second batched elimination would cost it
+more than it saves.  Lines are built and eliminated in chunks of at
+most _BATCH_ENTRIES image entries, each keeping only the lines within
+the bound, so a listing's memory is one chunk's and the lines it keeps.
 The frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
 the level's blocks: about one forward pass per level, and one
@@ -61,7 +69,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -97,29 +105,44 @@ def _check_prime(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# caps the entries of one batch: of a rank batch in _line_ranks and
+# _frontier_scan, and of a chunk of _iter_echelon_bases, and so their memory
+_BATCH_ENTRIES = 1 << 18
+
+# the fewest lines a block must have for _line_ranks to list it from its
+# arrow pencil: below it the pencil's fixed cost, a second batched
+# elimination, loses to listing every line
+_PENCIL_MIN_LINES = 1000
+
+
 def _eliminate(span: list[tuple[int, list[int]]], rows, p: int, limit: int) -> bool:
     """Grow span by rows over F_p, in place; False once its rank passes limit.
 
-    The one scalar kernel: forward elimination on Python ints.  span is a
-    list of (pivot, row) pairs.  Each row is reduced against the pairs in
-    the order they were added, and if it is still nonzero mod p, scaled
-    to a leading 1, it is added.  Entries are reduced mod p as they are
-    read, so they may be negative or at least p.  No row is
+    The one scalar kernel: forward elimination on Python ints, fraction
+    free.  span is a list of (pivot, row) pairs.  Each row is reduced
+    against the pairs in the order they were added, a pivot entry v and
+    the row's entry f in that column giving v * row - f * pivot row, and
+    if it is still nonzero it is added.  Rows are reduced mod p as they
+    are read, so their entries may be negative or at least p, and every
+    stored row has its entries in [0, p), which keeps products of them
+    with other such matrices exact in int64.  No row is scaled or
     back-substituted, so a span's rows lead at distinct pivots but are
-    reduced only on the pivots added before them; _rref_rows finishes
-    the job when a canonical basis is wanted.
+    reduced only on the pivots added before them, and their leading
+    entries need not be 1; _rref_rows finishes the job when a canonical
+    basis is wanted.
     """
     for row in rows:
+        row = [a % p for a in row]
         # each pivot row is zero on the pivot columns found before it, so
         # one pass in the order they were found clears them all
         for c, piv in span:
-            f = row[c] % p
+            f = row[c]
             if f:
-                row = [(a - f * b) % p for a, b in zip(row, piv)]
+                v = piv[c]
+                row = [(v * a - f * b) % p for a, b in zip(row, piv)]
         for lead, x in enumerate(row):
-            if x % p:
-                inv = pow(x, p - 2, p)
-                span.append((lead, [y * inv % p for y in row]))
+            if x:
+                span.append((lead, row))
                 if len(span) > limit:
                     return False
                 break
@@ -128,13 +151,17 @@ def _eliminate(span: list[tuple[int, list[int]]], rows, p: int, limit: int) -> b
 
 def _rref_rows(mat, p: int) -> tuple[list[list[int]], list[int]]:
     """The reduced row-echelon basis of mat's row space over F_p, and its
-    pivot columns: _eliminate's rows sorted by pivot, then one
-    back-substitution, last pivot first."""
+    pivot columns: _eliminate's rows sorted by pivot and scaled to a
+    leading 1, then one back-substitution, last pivot first."""
     span: list[tuple[int, list[int]]] = []
     mat = np.asarray(mat, dtype=np.int64).tolist()
     _eliminate(span, mat, p, len(mat))  # the rank never passes the row count
     span.sort(key=lambda pair: pair[0])
-    pivots, rows = [c for c, _ in span], [row for _, row in span]
+    pivots, rows = [], []
+    for c, row in span:
+        inv = pow(row[c], p - 2, p)
+        pivots.append(c)
+        rows.append([y * inv % p for y in row])
     for i in reversed(range(len(rows))):
         c, row = pivots[i], rows[i]
         for k in range(i):
@@ -375,12 +402,13 @@ class Subspace:
 
     @classmethod
     def _from_echelon(cls, p: int, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """The subspace whose RREF basis is basis, an int64 array that no
+        one else holds: it is made read-only and kept, not copied."""
         obj = object.__new__(cls)
-        arr = np.array(basis, dtype=np.int64)
-        arr.setflags(write=False)
+        basis.setflags(write=False)
         obj.p = p
         obj.ambient_dim = ambient_dim
-        obj.basis = arr
+        obj.basis = basis
         return obj
 
     @property
@@ -435,31 +463,41 @@ def _iter_echelon_bases(p: int, n: int, k: int) -> Iterator[np.ndarray]:
 
     Order: pivot-column sets lexicographically; within a pivot set, free
     entries run through all values with the last (row-major) free position
-    varying fastest.
+    varying fastest, so basis i of a pivot set holds i's base-p digits.
+    Each pivot set's bases are built in one int64 array, in chunks of 1,
+    then 8 times as many each time, up to _BATCH_ENTRIES entries: a
+    search that stops at its first subspace builds one basis, and a long
+    one a few arrays.  Each yielded basis is a read-only view into its
+    chunk; a caller that keeps one copies it.
     """
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64)
-        return
+    cap = max(1, _BATCH_ENTRIES // max(1, k * n))
     for pivots in combinations(range(n), k):
-        pivset = set(pivots)
         free = [
-            (i, j)
+            i * n + j
             for i in range(k)
             for j in range(pivots[i] + 1, n)
-            if j not in pivset
+            if j not in pivots
         ]
-        base = np.zeros((k, n), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            base[i, c] = 1
-        if not free:
-            yield base.copy()
-            continue
-        rows = np.array([f[0] for f in free])
-        cols = np.array([f[1] for f in free])
-        for values in product(range(p), repeat=len(free)):
-            B = base.copy()
-            B[rows, cols] = values
-            yield B
+        # the first chunk, basis 0, is the pivots' rows alone
+        chunk = np.zeros(k * n, dtype=np.int64)
+        chunk[[i * n + c for i, c in enumerate(pivots)]] = 1
+        chunk.setflags(write=False)
+        yield chunk.reshape(k, n)
+        base, total, lo, step = chunk, p ** len(free), 1, 8
+        while lo < total:
+            hi = min(total, lo + step)
+            # the base-p digits of hi - 1: the free entries before the last
+            # `digits` are 0 in this chunk, and their weights may not fit int64
+            digits, x = 0, hi - 1
+            while x:
+                digits, x = digits + 1, x // p
+            chunk = np.empty((hi - lo, k * n), dtype=np.int64)
+            chunk[:] = base
+            weights = p ** np.arange(digits - 1, -1, -1)
+            chunk[:, free[len(free) - digits :]] = np.arange(lo, hi)[:, None] // weights % p
+            chunk.setflags(write=False)
+            yield from chunk.reshape(hi - lo, k, n)
+            lo, step = hi, min(cap, 8 * step)
 
 
 def enumerate_subspaces(
@@ -480,24 +518,37 @@ def enumerate_subspaces(
 
     def generate():
         for basis in _iter_echelon_bases(p, n, k):
-            yield Subspace._from_echelon(p, n, basis)
+            yield Subspace._from_echelon(p, n, basis.copy())
 
     return generate()
 
 
-def _canonical_lines(p: int, n: int) -> np.ndarray:
-    """Generators of all lines of F_p^n, one per line, in enumeration order:
+def _canonical_lines(p: int, n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Generators of the lines of F_p^n, one per line, in enumeration order:
     by leading column, each followed by every tail in lexicographic order,
-    the last p**t rows of base-p digits for a tail of length t."""
-    digits = np.arange(p ** (n - 1))[:, None] // p ** np.arange(n - 2, -1, -1) % p
-    blocks = []
+    the base-p digits of its index in the column's p**t lines for a tail
+    of length t.  lo and hi pick the lines [lo, hi) of that order.
+
+    The digits of a run of tail indices are computed once, and each later
+    column whose tails lie in that run reads its digits off the same
+    table: a whole listing computes one table, and a range that starts
+    inside a column two, neither longer than the range.
+    """
+    hi = (p**n - 1) // (p - 1) if hi is None else hi
+    weights = p ** np.arange(n - 2, -1, -1)
+    blocks, start, first, table = [], 0, 0, None
     for c in range(n):
-        tail = digits[: p ** (n - c - 1), c:]
-        block = np.zeros((len(tail), n), dtype=np.int64)
-        block[:, c] = 1
-        block[:, c + 1 :] = tail
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+        size = p ** (n - c - 1)
+        a, b = max(lo - start, 0), min(hi - start, size)
+        if a < b:
+            if table is None or not first <= a < b <= first + len(table):
+                first, table = a, np.arange(a, b)[:, None] // weights % p
+            block = np.zeros((b - a, n), dtype=np.int64)
+            block[:, c] = 1
+            block[:, c + 1 :] = table[a - first : b - first, c:]
+            blocks.append(block)
+        start += size
+    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +766,9 @@ def _pencil_lines(
     their transposes reduced in one _gauss_jordan; each member's kernel
     basis is read off its free columns.  The kernel lines, counted once per
     member, are charged before any is built, and then scaled to a leading 1
-    and deduplicated.
+    and deduplicated.  That second batched elimination is a fixed cost the
+    full listing does not pay, so _line_ranks asks for the pencil only of
+    a block of at least _PENCIL_MIN_LINES lines.
     """
     n, a = maps[0].shape[0], len(maps)
     where = f" listing the pencil of F_{p}^{a}{name}"
@@ -761,51 +814,67 @@ def _line_ranks(
     bound: int,
     names: Sequence[str] | None = None,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The lines of every block of source coordinates that may have image
-    rank at most bound, eliminated once for every bound up to it, and each
+    """The lines of every block of source coordinates whose image rank is
+    at most bound, eliminated once for every bound up to it, and each
     line's image rank.
 
     Each block is a list of (d_s x d_t) matrices, one per arrow, whose rows
     are the images of the block's basis vectors.  A block's lines lie at its
     coordinates of the sum of the blocks, taken in order, and their images
     are padded with zero rows up to the largest arrow count.  A block of n
-    coordinates and a arrows with bound < a < n lists the lines its arrow
-    pencil kills (_pencil_lines), which hold every line of image rank at
-    most bound; the pencil's members are fewer than the block's lines.  It
-    is charged as _pencil_lines says, and listed in full as every other
-    block is if they are not fewer.  A block listed in full has its line
-    count charged before anything of it is allocated.  names[b], if given,
-    ends block b's budget message.  Returns the lines, as the line
-    generators in canonical order, their (arrows x d_t) image rows in the
-    kernel's dtype, and those rows reduced by _gauss_jordan with each row's
-    pivot column; and the ranks, each line's pivot count.  So the lines of
-    rank at most bound, and their rows, are the same either way.
+    coordinates and a arrows with bound < a < n, and at least
+    _PENCIL_MIN_LINES lines, lists the lines its arrow pencil kills
+    (_pencil_lines), which hold every line of image rank at most bound; the
+    pencil's members are fewer than the block's lines.  It is charged as
+    _pencil_lines says, and listed in full as every other block is if they
+    are not fewer.  A smaller block is listed in full, as a second batched
+    elimination costs more than the lines it would save.  A block listed
+    in full has its line count charged before anything of it is
+    allocated.  Every block's lines are built and eliminated in chunks of
+    at most _BATCH_ENTRIES image entries, each keeping only its lines
+    within bound, and only those are back-substituted.  names[b], if
+    given, ends block b's budget message.  Returns
+    the lines, as the line generators in canonical order, their (arrows x
+    d_t) image rows in the kernel's dtype, and those rows reduced by
+    _gauss_jordan with each row's pivot column; and the ranks, each line's
+    pivot count.  So the lines, and their rows, are the same either way.
     """
     sizes = [maps[0].shape[0] for maps in blocks]
     listed = []
     for n, maps, name in zip(sizes, blocks, names or [""] * len(blocks)):
-        gens = _pencil_lines(p, maps, tracker, name) if bound < len(maps) < n else None
+        count = gaussian_binomial(n, 1, p)
+        pencil = bound < len(maps) < n and count >= _PENCIL_MIN_LINES
+        gens = _pencil_lines(p, maps, tracker, name) if pencil else None
         if gens is None:
-            tracker.charge(gaussian_binomial(n, 1, p), f" listing the lines of F_{p}^{n}{name}")
-        listed.append(gens)
+            tracker.charge(count, f" listing the lines of F_{p}^{n}{name}")
+        listed.append((count if gens is None else len(gens), gens))
     m, d2 = max(len(maps) for maps in blocks), blocks[0][0].shape[1]
-    vecs, imgs, off = [], [], 0
-    for n, maps, gens in zip(sizes, blocks, listed):
-        gens = _canonical_lines(p, n) if gens is None else gens
+    step = max(1, _BATCH_ENTRIES // max(1, m * d2))
+    parts, off = [], 0
+    for n, maps, (total, gens) in zip(sizes, blocks, listed):
         # the narrowest dtype the matmul cannot overflow: less memory traffic
         dtype = _int_dtype((p - 1) ** 2 * max(n, 1))
-        work = gens.astype(dtype)
-        img = np.zeros((len(gens), m, d2), dtype=_int_dtype((p - 1) ** 2))
-        for k, f in enumerate(maps):
-            img[:, k] = (work @ f.astype(dtype)) % p
-        vec = np.zeros((len(gens), sum(sizes)), dtype=np.int64)
-        vec[:, off : off + n] = gens
-        vecs.append(vec)
-        imgs.append(img)
+        a = len(maps)
+        stacked = np.concatenate(maps, axis=1).astype(dtype)  # (n x a * d_t)
+        for lo in range(0, total or 1, step):  # an empty block still gives its empty part
+            hi = min(total, lo + step)
+            chunk = _canonical_lines(p, n, lo, hi) if gens is None else gens[lo:hi]
+            img = np.zeros((hi - lo, m, d2), dtype=_int_dtype((p - 1) ** 2))
+            img[:, :a] = (chunk.astype(dtype) @ stacked % p).reshape(hi - lo, a, d2)
+            # both phases of _gauss_jordan, the second on the kept lines alone
+            E, rpiv = _forward(img.copy(), p)
+            ranks = (rpiv >= 0).sum(axis=1)
+            keep = ranks <= bound
+            if not keep.all():
+                chunk, img, E, rpiv, ranks = (x[keep] for x in (chunk, img, E, rpiv, ranks))
+            vec = np.zeros((len(chunk), sum(sizes)), dtype=np.int64)
+            vec[:, off : off + n] = chunk
+            parts.append((vec, img, _back_substitute(E, rpiv, p), rpiv, ranks))
         off += n
-    imgs = np.concatenate(imgs)
-    R, rpiv = _gauss_jordan(imgs.copy(), p)
-    return (np.concatenate(vecs), imgs, R, rpiv), (rpiv >= 0).sum(axis=1)
+    if len(parts) > 1:
+        parts = [[np.concatenate(part) for part in zip(*parts)]]
+    *lines, ranks = parts[0]
+    return tuple(lines), ranks
 
 
 def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -834,10 +903,6 @@ def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray,
     joined = np.concatenate([_reduced(rows, R, rpiv, p), R], axis=1)
     at = np.arange(len(keys))[:, None]
     return joined[at, order], keys[at, order]
-
-
-# caps the image entries of one rank batch in _frontier_scan, and so its memory
-_BATCH_ENTRIES = 1 << 18
 
 
 def _pair_batches(blocks, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1004,8 +1069,9 @@ def is_expander_rep(
     The line images are eliminated once, when first needed, and every
     level reads its candidates off those ranks.  The lines are listed
     once per call for the largest bound s below d2 that a level searches:
-    if s < m < d1, only the lines the arrow pencil kills (_pencil_lines),
-    which hold every line of image rank at most s, else every line.  The
+    if s < m < d1 and F_p^d1 has at least _PENCIL_MIN_LINES lines, only
+    the lines the arrow pencil kills (_pencil_lines), which hold every
+    line of image rank at most s, else every line.  The
     budget is charged the pencil's members and then its kernel lines, or
     the line count, once; then each candidate line and each plane the
     frontier tries, which at level i < j is only a plane whose first row
@@ -1022,7 +1088,7 @@ def is_expander_rep(
         if s >= d2:
             # every dim-j subspace violates; report the first one
             tracker.charge(1)
-            first = next(_iter_echelon_bases(p, d1, j))
+            first = next(_iter_echelon_bases(p, d1, j)).copy()
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
             lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker, top)
@@ -1111,8 +1177,9 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
       is built once.  Line images are padded with zero rows up to the
       largest arrow count.
     The frontier lists each block's lines for the bound as _line_ranks
-    says, from the arrow pencil below the block's arrow count, charging
-    them before it builds a line; then the candidates and each plane
+    says, from the arrow pencil below the block's arrow count if the
+    block has at least _PENCIL_MIN_LINES lines, charging them before it
+    builds a line; then the candidates and each plane
     tested, as in is_expander_rep: a level's planes lead at or after its
     floor, one column past the next level's floor, or the first column
     of its own block if that is later.  Its budget errors name the

@@ -1,8 +1,9 @@
 """Unit tests for the finite-field oracle: subspaces, enumeration, verification."""
 
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from quivex import (
     parse_quiver,
     random_rep,
 )
-from quivex.finfield import _backtrack, batch_rank, batch_rank_le, rank_mod, rref_mod
+from quivex.finfield import (
+    _PENCIL_MIN_LINES,
+    _backtrack,
+    batch_rank,
+    batch_rank_le,
+    rank_mod,
+    rref_mod,
+)
 from quivex.quiver import _Budget
 
 HALF = Fraction(1, 2)
@@ -80,6 +88,80 @@ def test_enumerate_subspaces_zero_dimension():
     subs = list(enumerate_subspaces(5, 3, 0))
     assert len(subs) == 1
     assert subs[0].dim == 0
+
+
+def _product_echelon_bases(p, n, k):
+    # the test oracle for the chunked enumeration: every RREF basis, one
+    # itertools.product over each pivot set's free entries, last varying
+    # fastest, stacked in one (count, k, n) array
+    out = [np.zeros((0, k, n), dtype=np.int64)]
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        values = np.array(list(product(range(p), repeat=len(free))), dtype=np.int64)
+        bases = np.zeros((p ** len(free), k, n), dtype=np.int64)
+        bases[:, range(k), pivots] = 1
+        for f, (i, j) in enumerate(free):
+            bases[:, i, j] = values[:, f]
+        out.append(bases)
+    return np.concatenate(out)
+
+
+def test_chunked_enumeration_matches_the_product_oracle(monkeypatch):
+    # every k-subspace of F_p^n, p in {2, 3, 5, 7}, n <= 5, in the product
+    # oracle's order, whether the chunks are at their default cap (F_7^5
+    # has pivot sets of 7**6 bases, past it) or cut to 1 or 64 entries;
+    # each Subspace owns its own read-only basis, so none pins a chunk or
+    # shares memory with another
+    import quivex.finfield as ff
+
+    for p in (2, 3, 5, 7):
+        for n in range(6):
+            for k in range(n + 1):
+                want = _product_echelon_bases(p, n, k)
+                got = list(ff._iter_echelon_bases(p, n, k))
+                assert len(want) == gaussian_binomial(n, k, p), (p, n, k)
+                assert np.array_equal(np.array(got).reshape(want.shape), want), (p, n, k)
+                assert not any(b.flags.writeable for b in got), (p, n, k)
+    for entries in (1, 64):
+        monkeypatch.setattr(ff, "_BATCH_ENTRIES", entries)
+        for p, n in [(2, 5), (3, 4), (5, 3)]:
+            for k in range(n + 1):
+                subs = list(enumerate_subspaces(p, n, k))
+                assert [u.basis.tolist() for u in subs] == _product_echelon_bases(p, n, k).tolist()
+                for u in subs:
+                    assert u.basis.base is None and u.basis.flags.owndata
+                    assert not u.basis.flags.writeable
+                for u, v in zip(subs, subs[1:]):
+                    assert not np.shares_memory(u.basis, v.basis)
+    # pivot sets of more than 2**63 bases, in F_101^14 and F_1048573^6:
+    # their first 600 bases (chunks of 1, 8, 64 and 512 at the default
+    # cap) still hold the base-p digits of their index
+    monkeypatch.undo()
+    for p, n, k in [(101, 14, 1), (1048573, 6, 2)]:
+        free = [(i, j) for i in range(k) for j in range(k, n)]
+        for index, basis in enumerate(islice(ff._iter_echelon_bases(p, n, k), 600)):
+            want = np.zeros((k, n), dtype=np.int64)
+            want[range(k), range(k)] = 1
+            for (i, j), e in zip(free, reversed(range(len(free)))):
+                want[i, j] = index // p**e % p
+            assert np.array_equal(basis, want), (p, n, k, index)
+
+
+def test_canonical_line_ranges_are_slices_of_the_listing():
+    # a full line listing is every line's generator once, in enumeration
+    # order, and _canonical_lines(p, n, lo, hi), which _line_ranks builds
+    # its chunks from, is exactly rows lo..hi - 1 of it, within a leading
+    # column or across several
+    import quivex.finfield as ff
+
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            full = ff._canonical_lines(p, n)
+            assert full.tolist() == [u.basis[0].tolist() for u in enumerate_subspaces(p, n, 1)]
+            cuts = range(0, len(full) + 1, max(1, len(full) // 7))
+            for lo in cuts:
+                for hi in range(lo, len(full) + 1):
+                    assert np.array_equal(ff._canonical_lines(p, n, lo, hi), full[lo:hi])
 
 
 def test_enumerate_subspaces_budget():
@@ -452,11 +534,13 @@ def test_frontier_batches_do_not_change_verdicts(monkeypatch):
 
 
 def test_frontier_eliminates_once_per_level(monkeypatch):
-    # with batches wide enough for a whole level, a decision runs the full
-    # kernel once on the line images, which every bound shares; then, per
-    # searched j, one forward pass per frontier level it tests (levels
-    # 2..j) and one back-substitution per level that keeps planes for the
-    # next (levels 2..j-1), on the kept pairs alone
+    # with batches wide enough for a whole level, a decision runs both
+    # phases of the kernel once on the line images, which every bound
+    # shares: a forward pass on every line and a back-substitution on the
+    # lines within the largest bound (here all 364, as no line's image rank
+    # passes 3 < 4); then, per searched j, one forward pass per frontier
+    # level it tests (levels 2..j) and one back-substitution per level that
+    # keeps planes for the next (levels 2..j-1), on the kept pairs alone
     import quivex.finfield as ff
 
     events = []
@@ -495,15 +579,15 @@ def test_frontier_eliminates_once_per_level(monkeypatch):
         rep = random_rep(make_kronecker(3), (6, 6), 3, seed)
         events.clear()
         is_expander_rep(rep, params)
-        assert events[:3] == [("full", lines), ("forward", lines), ("back", lines)], seed
+        assert events[:2] == [("forward", lines), ("back", lines)], seed
         scans = [j for kind, j in events if kind == "scan"]
-        expected = ["full", "forward", "back"]
+        expected = ["forward", "back"]
         for j in scans:
             expected += ["scan"] + ["forward", "back"] * (j - 2) + ["forward"] * (j > 1)
         assert [kind for kind, _ in events] == expected, (seed, events)
         assert scans[-1] == 3, (seed, scans)
         # each back-substitution takes only the pairs its forward pass kept
-        frontier = [e for e in events[3:] if e[0] != "scan"]
+        frontier = [e for e in events[2:] if e[0] != "scan"]
         for (_, tested), (kind, kept) in zip(frontier, frontier[1:]):
             if kind == "back":
                 assert kept <= tested, (seed, events)
@@ -679,15 +763,20 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
     # Below the arrow count a, a line's a images are dependent exactly when
     # a member sum c_k f_k of the arrow pencil kills it.  On K(2)-K(4) over
     # F_2-F_7, _pencil_lines returns exactly the full listing's lines of
-    # image rank below a; every bound s < a reads the same candidate lines
-    # off either listing, in the same order and with the same image rows,
-    # reduced rows and pivots; and with the pencil is_expander_rep gives
-    # the same verdicts and witnesses, and has_subrep_of_dim the same
-    # answers for every e, as with the full listing alone.  The draws
-    # cover d1 > d2, where every member is singular; d1 <= d2; a kernel of
-    # dimension 2 or more; and no singular member, so no candidate.  When
-    # the kernel lines, counted once per member, are not fewer than the
-    # lines, the block is listed in full after the members' charge.
+    # image rank below a.  _line_ranks takes the pencil only for a block of
+    # at least _PENCIL_MIN_LINES lines: the draws below that cut are listed
+    # and charged in full, the one above it (K(2) (5, 5) over F_7, 2,801
+    # lines) is charged the pencil's members and kernel lines, far fewer.
+    # Either way every bound s < a gives the full listing's lines of rank
+    # at most s, in the same order and with the same image rows, reduced
+    # rows and pivots.  With the pencil taken for every block (the cut at
+    # 0) is_expander_rep gives the same verdicts and witnesses, and
+    # has_subrep_of_dim the same answers for every e, as with the full
+    # listing alone.  The draws cover d1 > d2, where every member is
+    # singular; d1 <= d2; a kernel of dimension 2 or more; and no singular
+    # member, so no candidate.  When the kernel lines, counted once per
+    # member, are not fewer than the lines, the block is listed in full
+    # after the members' charge.
     import quivex.finfield as ff
 
     def answers(rep):
@@ -705,24 +794,32 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
         (3, 7, (4, 6), 0),
         (4, 2, (6, 6), 1),
         (4, 3, (5, 5), 0),
+        (2, 7, (5, 5), 0),
     ]
-    shapes = set()
+    shapes, cut = set(), ff._PENCIL_MIN_LINES
     for m, p, (d1, d2), seed in draws:
         rep = random_rep(make_kronecker(m), (d1, d2), p, seed)
         maps = [f.T for f in rep.matrices]
+        count = gaussian_binomial(d1, 1, p)
         full, ranks = ff._line_ranks(p, [maps], _Budget(10**7, ""), m)  # bound m: listed in full
         assert full[0].tolist() == [u.basis[0].tolist() for u in enumerate_subspaces(p, d1, 1)]
         assert np.array_equal(ff._pencil_lines(p, maps, _Budget(10**7, "")), full[0][ranks < m])
         for s in range(m):
-            lines, got = ff._line_ranks(p, [maps], _Budget(10**7, ""), s)
-            assert len(lines[0]) < len(full[0]), (m, p, d1, d2, s)
+            tracker = _Budget(10**7, "")
+            lines, got = ff._line_ranks(p, [maps], tracker, s)
+            if count < cut:
+                assert tracker.spent == count, (m, p, d1, d2, s)
+            else:
+                assert tracker.spent < count, (m, p, d1, d2, s)
+            assert np.array_equal(got, ranks[ranks <= s]), (m, p, d1, d2, s)
             for mine, theirs in zip(lines, full):
-                assert np.array_equal(mine[got <= s], theirs[ranks <= s]), (m, p, d1, d2, s)
+                assert np.array_equal(mine, theirs[ranks <= s]), (m, p, d1, d2, s)
         kernels = [
             d1 - rank_mod(sum(int(c) * f for c, f in zip(u.basis[0], rep.matrices)), p)
             for u in enumerate_subspaces(p, m, 1)
         ]
         shapes.add("d1 > d2" if d1 > d2 else "d1 <= d2")
+        shapes.add("above the cut" if count >= cut else "below the cut")
         shapes.update(
             shape
             for shape, seen in [
@@ -734,25 +831,59 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
         )
         want = answers(rep)
         with monkeypatch.context() as patch:
+            patch.setattr(ff, "_PENCIL_MIN_LINES", 0)
+            assert answers(rep) == want, (m, p, d1, d2)
             patch.setattr(ff, "_pencil_lines", lambda *args: None)
             assert answers(rep) == want, (m, p, d1, d2)
     assert shapes == {
         "d1 > d2",
         "d1 <= d2",
+        "below the cut",
+        "above the cut",
         "every member singular",
         "kernel of dim >= 2",
         "no singular member",
     }
+    # above the cut both searches still list their lines from the pencil,
+    # and answer as the full listing does: is_expander_rep at delta 1/5,
+    # whose one level is j = 1 at bound 1, and has_subrep_of_dim at
+    # e = (2, 1), bound 1, both below the 2 arrows
+    pencils = []
+    pencil_lines = ff._pencil_lines
+
+    def spy(*args):
+        gens = pencil_lines(*args)
+        pencils.append(gens is not None)
+        return gens
+
+    rep, params = random_rep(make_kronecker(2), (5, 5), 7, 0), ExpanderParams(Fraction(1, 5), HALF)
+    with monkeypatch.context() as patch:
+        patch.setattr(ff, "_pencil_lines", lambda *args: None)
+        want = is_expander_rep(rep, params)
+        assert has_subrep_of_dim(rep, (2, 1)) is False
+    monkeypatch.setattr(ff, "_pencil_lines", spy)
+    got = is_expander_rep(rep, params)
+    assert (got.ok, got.witness) == (want.ok, want.witness) and not got.ok
+    assert has_subrep_of_dim(rep, (2, 1)) is False
+    assert pencils == [True, True]
+    monkeypatch.setattr(ff, "_pencil_lines", pencil_lines)
     # K(4) (5, 2) over F_2: 15 members, each killing at least 7 lines, and
     # only 31 lines; K(3) (4, 3), seed 3: 7 members that kill 15 lines,
-    # counted once per member, as many as there are.  So both list every
-    # line, charged the members and then the lines
+    # counted once per member, as many as there are.  So with the cut at 0
+    # both list every line, charged the members and then the lines; at the
+    # cut they are charged the lines alone
     for m, d, seed, members, count in [(4, (5, 2), 0, 15, 31), (3, (4, 3), 3, 7, 15)]:
         maps = [f.T for f in random_rep(make_kronecker(m), d, 2, seed).matrices]
-        tracker = _Budget(10**7, "")
         assert ff._pencil_lines(2, maps, _Budget(10**7, "")) is None
-        lines, _ = ff._line_ranks(2, [maps], tracker, 1)
-        assert len(lines[0]) == count and tracker.spent == members + count, (m, d)
+        full, ranks = ff._line_ranks(2, [maps], _Budget(10**7, ""), m)
+        assert len(full[0]) == count, (m, d)
+        for cut, charge in [(0, members + count), (ff._PENCIL_MIN_LINES, count)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(ff, "_PENCIL_MIN_LINES", cut)
+                tracker = _Budget(10**7, "")
+                lines, _ = ff._line_ranks(2, [maps], tracker, 1)
+            assert tracker.spent == charge, (m, d, cut)
+            assert np.array_equal(lines[0], full[0][ranks <= 1]), (m, d, cut)
 
 
 def test_pencil_answers_where_the_lines_pass_the_budget():
@@ -766,11 +897,30 @@ def test_pencil_answers_where_the_lines_pass_the_budget():
     assert time.perf_counter() - start < 2.0
 
 
+def test_full_listing_memory_is_bounded_at_a_large_prime():
+    # K(3) (2, 2) over F_1048573: 1,048,574 lines, listed in full (the 3
+    # arrows are not below the 2 source coordinates), built and eliminated
+    # in chunks of at most _BATCH_ENTRIES image entries that keep only the
+    # lines within the bound.  Both searches answer as when every line was
+    # eliminated in one array, whose traced peak was 361 MiB; now it stays
+    # below 64 MiB
+    rep = random_rep(make_kronecker(3), (2, 2), 1048573, 0)
+    tracemalloc.start()
+    try:
+        assert is_expander_rep(rep, ExpanderParams(HALF, Fraction(19, 50))).ok
+        assert has_subrep_of_dim(rep, (1, 1)) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+
+
 def _frontier_charge(rep, j, s):
     # what a frontier that finds no j-plane within s charges, counted by
-    # enumeration: the lines, or, at s below the arrow count m < n, the
-    # members of the arrow pencil and then each member's kernel lines
-    # (the lines, if those are not fewer); the candidate lines; and at
+    # enumeration: the lines, or, at s below the arrow count m < n with at
+    # least _PENCIL_MIN_LINES lines, the members of the arrow pencil and
+    # then each member's kernel lines (the lines, if those are not
+    # fewer); the candidate lines; and at
     # each level i >= 2 every i-plane whose first RREF row spans a
     # candidate line and leads at column j - i or later, leaving a column
     # for each row still to come, and whose other rows span a plane
@@ -782,7 +932,7 @@ def _frontier_charge(rep, j, s):
 
     lines = list(enumerate_subspaces(p, n, 1))
     total = len(lines)
-    if s < m < n:
+    if s < m < n and total >= _PENCIL_MIN_LINES:
         members = [
             sum(int(c) * f for c, f in zip(u.basis[0], rep.matrices))
             for u in enumerate_subspaces(p, m, 1)
@@ -802,13 +952,14 @@ def _frontier_charge(rep, j, s):
 def test_kronecker_subrep_budget_charges_frontier():
     # K(3) (6, 6) over F_2, seed 0, has no subrep of dimension (3, 3),
     # searched on the representation at j = 3, s = 3, nor of dimension
-    # (4, 3), searched on the dual at j = 3, s = 2.  The first charges its
-    # 63 lines; the second, below the 3 arrows, the 7 members of the arrow
-    # pencil and their kernel lines instead.  Then each charges its
+    # (4, 3), searched on the dual at j = 3, s = 2.  Each charges its 63
+    # lines: the second is below the 3 arrows, but 63 lines are fewer than
+    # _PENCIL_MIN_LINES, so it lists them all rather than the 7 members of
+    # the arrow pencil and their 8 kernel lines.  Then each charges its
     # candidates and every plane tested at or after its level's floor, and
-    # nothing else.
+    # nothing else: 281 and 71.
     rep = random_rep(make_kronecker(3), (6, 6), 2, 0)
-    cases = [((3, 3), rep, 3, 3, 281), ((4, 3), dual_rep(rep), 3, 2, 23)]
+    cases = [((3, 3), rep, 3, 3, 281), ((4, 3), dual_rep(rep), 3, 2, 71)]
     for e, searched, j, s, charge in cases:
         assert _frontier_charge(searched, j, s) == charge, e
         assert not has_subrep_of_dim(rep, e, budget=charge)
