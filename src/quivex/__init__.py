@@ -23,7 +23,6 @@ from .finfield import (
     ExpanderVerdict,
     FiniteFieldRep,
     Subspace,
-    dual_rep,
     enumerate_subspaces,
     gaussian_binomial,
     has_subrep_of_dim,
@@ -37,7 +36,6 @@ from .kronecker import (
     beta,
     c_d_ceil,
     c_d_exact,
-    dual_dim,
     embeds_closed_form,
 )
 from .quiver import (
@@ -85,8 +83,6 @@ __all__ = [
     "c_d_ceil",
     "c_d_exact",
     "dominates",
-    "dual_dim",
-    "dual_rep",
     "embeds",
     "embeds_closed_form",
     "enumerate_subspaces",

@@ -171,6 +171,7 @@ def _rref_rows(mat, p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+# no caller in src; kept while bench/spans.py traces it by name
 def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row-echelon form over F_p.
 
@@ -233,11 +234,13 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# no caller in src; kept while bench/spans.py traces it by name
 def batch_rank_le(mats, s: int, p: int) -> np.ndarray:
     """Boolean mask of matrices with rank <= s over F_p, batched."""
     return batch_rank(mats, p) <= s
 
 
+# no caller in src; kept while bench/spans.py traces it by name
 def batch_rank(mats, p: int) -> np.ndarray:
     """Ranks over F_p for a whole batch of matrices at once.
 
@@ -419,15 +422,6 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(int(np.argmax(row != 0)) for row in self.basis)
 
-    def contains(self, other: "Subspace") -> bool:
-        if (other.p, other.ambient_dim) != (self.p, self.ambient_dim):
-            raise ValueError("subspaces live in different ambient spaces")
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return rank_mod(stacked, self.p) == self.dim
-
-    def enumeration_key(self) -> tuple:
-        return (self.pivots, tuple(int(x) for x in self.basis.reshape(-1)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -446,8 +440,10 @@ class Subspace:
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
-    n, k = check_int(n, "n"), check_int(k, "k")
+    """Number of k-dimensional subspaces of F_p^n (p is not tested for primality)."""
+    n, k, p = check_int(n, "n"), check_int(k, "k"), check_int(p, "p")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     if k < 0 or k > n:
         return 0
     num = 1
@@ -716,12 +712,6 @@ def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFie
         for s, t in quiver.arrows
     )
     return FiniteFieldRep(p, quiver, dim, mats)
-
-
-def dual_rep(rep: FiniteFieldRep) -> FiniteFieldRep:
-    """Transpose every matrix and reverse the dimension vector (K(m) only)."""
-    _require_kronecker(rep)
-    return FiniteFieldRep(rep.p, rep.quiver, rep.dim[::-1], rep._opposite.matrices)
 
 
 def image_sum_dim(rep: FiniteFieldRep, subspace: Subspace) -> int:

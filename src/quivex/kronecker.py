@@ -112,18 +112,3 @@ def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:
     if not (0 <= ev[0] <= d1 and 0 <= ev[1] <= d2):
         return False
     return ev[1] >= c_d_ceil(ctx, ev[0])
-
-
-def dual_dim(
-    e: Sequence[int], d: Sequence[int]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Reversal bijection on K(m) subdimension data:
-    (e, d) |-> ((d2 - e2, d1 - e1), (d2, d1))."""
-    ev = tuple(check_int(v, "e entry") for v in e)
-    dv = tuple(check_int(v, "d entry") for v in d)
-    if len(ev) != 2 or len(dv) != 2:
-        raise ValueError("vectors must have length 2")
-    if not (0 <= ev[0] <= dv[0] and 0 <= ev[1] <= dv[1]):
-        raise ValueError("e must be componentwise <= d")
-    return (dv[1] - ev[1], dv[0] - ev[0]), (dv[1], dv[0])
-

@@ -13,7 +13,6 @@ from quivex import (
     beta,
     c_d_ceil,
     c_d_exact,
-    dual_dim,
     embeds,
     embeds_closed_form,
     euler_form,
@@ -130,14 +129,6 @@ def test_embeds_closed_form_examples():
 def test_embeds_closed_form_refuses_positive_form():
     with pytest.raises(ClosedFormInapplicableError):
         embeds_closed_form(KroneckerContext(2, (3, 1)), (1, 1))
-
-
-def test_dual_dim_examples():
-    assert dual_dim((1, 2), (2, 2)) == ((0, 1), (2, 2))
-    assert dual_dim((0, 0), (3, 5)) == ((5, 3), (5, 3))
-    assert dual_dim((2, 2), (2, 2)) == ((0, 0), (2, 2))
-    with pytest.raises(ValueError):
-        dual_dim((3, 0), (2, 2))
 
 
 def test_estimate_bounds_exact():

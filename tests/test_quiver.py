@@ -15,7 +15,6 @@ from quivex import (
     QuiverParseError,
     Subspace,
     dominates,
-    dual_dim,
     embeds,
     embeds_closed_form,
     enumerate_subspaces,
@@ -109,11 +108,12 @@ def test_one_integer_rule_refuses_bools_and_floats():
         lambda: embeds(k2, (1.5, 1), (3, 3)),
         lambda: KroneckerContext(3, (2.9, 3)),
         lambda: expander_exists(3, (10.7, 10), params),
-        lambda: dual_dim((1, 1.0), (3, 3)),
         lambda: embeds_closed_form(ctx, (False, 2)),
         lambda: gaussian_binomial(3.5, 1, 2),
         lambda: gaussian_binomial(True, 1, 2),
         lambda: gaussian_binomial(3, 1.0, 2),
+        lambda: gaussian_binomial(3, 1, 2.5),
+        lambda: gaussian_binomial(3, 1, True),
         lambda: enumerate_subspaces(5, 3.0, 1),
         lambda: enumerate_subspaces(5, 3, True),
         lambda: Subspace(5, 2.0, [[1, 0]]),
@@ -128,7 +128,6 @@ def test_one_integer_rule_refuses_bools_and_floats():
     assert KroneckerContext(n(3), np.array([3, 3])) == ctx
     assert has_subrep_of_dim(rep, np.array([0, 1]))
     assert expander_exists(3, np.array([10, 10]), params) == expander_exists(3, (10, 10), params)
-    assert dual_dim(np.array([1, 1]), (3, 3)) == ((2, 2), (3, 3))
     assert gaussian_binomial(n(3), np.int32(1), 2) == 7
     assert Subspace(5, n(2), [[1, 0]]).ambient_dim == 2
 
