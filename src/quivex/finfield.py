@@ -24,10 +24,8 @@ leading 1 and back-substituted once (_rref_rows).  _gauss_jordan
 runs in two phases: a forward pass (_forward), row by row, that already
 gives every rank, and a back-substitution (_back_substitute) to the
 reduced echelon form, which the frontier runs only on the pairs it keeps.
-A stack with more rows than columns (_tall) is reduced column by column
-instead (_by_columns), in one phase; on the others that loop is the row
-loop's test oracle.  Both loops take inverses mod p by square-and-multiply
-on the values they scale by (_inverse_mod).  The batched kernels take the
+The forward pass takes inverses mod p by square-and-multiply on the
+values it scales by (_inverse_mod).  The batched kernels take the
 narrowest of int16, int32 and int64 that holds their largest
 intermediate value (_int_dtype): (p - 1)**2 in an elimination step, a
 sum of such products in a matrix product.
@@ -271,19 +269,10 @@ def _gauss_jordan(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     rank, and clears each pivot only from the rows below it; then
     _back_substitute clears it from the rows above.  A caller that needs
     only ranks, or the echelon form of a few of the matrices, skips the
-    second phase or runs it on those alone.  A tall stack (_tall), with
-    more rows than columns, is reduced column by column instead
-    (_by_columns), whose loop is the shorter there, in the first phase
-    alone.  Both loops give the same R and pivots, bit for bit.
+    second phase or runs it on those alone.
     """
     E, pivots = _forward(M, p)
     return _back_substitute(E, pivots, p), pivots
-
-
-def _tall(M: np.ndarray) -> bool:
-    """A stack with more rows than columns: _forward reduces it column by
-    column, whose loop is the shorter there, and so fully, in one phase."""
-    return M.shape[1] > M.shape[2]
 
 
 def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +284,8 @@ def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     it, takes its first nonzero column as its pivot, is scaled to a
     leading 1 and cleared from the rows below.  The work runs on M laid
     out as (rows, cols, count), so every step is a long contiguous numpy
-    loop.  A tall stack goes to _by_columns instead.
+    loop.
     """
-    if _tall(M):
-        return _by_columns(M, p)
     count, rows = M.shape[:2]
     W = np.ascontiguousarray(M.transpose(1, 2, 0))
     pivots = np.full((rows, count), -1, dtype=np.intp)
@@ -319,46 +306,10 @@ def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return W.transpose(2, 0, 1), pivots.T
 
 
-def _by_columns(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_gauss_jordan column by column, in one phase: in each matrix the
-    first row that is not yet a pivot row and is nonzero in the column
-    becomes one, is scaled to a leading 1 and cleared from every other
-    row.  It gives every row the pivot the row loop gives it.  The work
-    runs on M laid out as (cols, rows, count), and the pivot rows are
-    picked by a mask, not gathered by index.
-    """
-    count, rows, cols = M.shape
-    W = np.ascontiguousarray(M.transpose(2, 1, 0))
-    pivots = np.full((rows, count), -1, dtype=np.intp)
-    free = np.ones((rows, count), dtype=bool)
-    for col in range(cols):
-        cand = (W[col] != 0) & free
-        if not cand.any():
-            continue
-        pick = cand & (np.cumsum(cand, axis=0) == 1)  # each matrix's first candidate
-        # the scaled pivot rows from col on (zero where a matrix has none);
-        # their columns before col are zero already
-        lead = (W[col:] * pick).sum(axis=1, dtype=W.dtype)
-        lead = _mod(lead * _inverse_mod(lead[0], p), p)
-        # subtracting (v - 1) * lead from the pivot row v * lead leaves lead
-        rest = W[col:]
-        rest -= lead[:, None, :] * (W[col] - pick)
-        _mod(rest, p)
-        pivots[pick] = col
-        free &= ~pick
-        if not free.any():
-            break
-    return W.transpose(2, 1, 0), pivots.T
-
-
 def _back_substitute(E: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
     """_gauss_jordan's second phase, on _forward's output or some of its
     matrices: each pivot, last row first, cleared from the rows above it.
-    A tall stack comes out of _forward reduced already, and is returned
-    as it is.
     """
-    if _tall(E):
-        return E
     count, rows = E.shape[:2]
     W = np.ascontiguousarray(E.transpose(1, 2, 0))  # (rows, cols, count)
     at = np.arange(count)
@@ -803,10 +754,9 @@ def _line_ranks(
     tracker: _Budget,
     bound: int,
     names: Sequence[str] | None = None,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lines of every block of source coordinates whose image rank is
-    at most bound, eliminated once for every bound up to it, and each
-    line's image rank.
+    at most bound, eliminated once for every bound up to it.
 
     Each block is a list of (d_s x d_t) matrices, one per arrow, whose rows
     are the images of the block's basis vectors.  A block's lines lie at its
@@ -814,20 +764,16 @@ def _line_ranks(
     are padded with zero rows up to the largest arrow count.  A block of n
     coordinates and a arrows with bound < a < n, and at least
     _PENCIL_MIN_LINES lines, lists the lines its arrow pencil kills
-    (_pencil_lines), which hold every line of image rank at most bound; the
-    pencil's members are fewer than the block's lines.  It is charged as
-    _pencil_lines says, and listed in full as every other block is if they
-    are not fewer.  A smaller block is listed in full, as a second batched
-    elimination costs more than the lines it would save.  A block listed
-    in full has its line count charged before anything of it is
-    allocated.  Every block's lines are built and eliminated in chunks of
-    at most _BATCH_ENTRIES image entries, each keeping only its lines
-    within bound, and only those are back-substituted.  names[b], if
-    given, ends block b's budget message.  Returns
-    the lines, as the line generators in canonical order, their (arrows x
-    d_t) image rows in the kernel's dtype, and those rows reduced by
-    _gauss_jordan with each row's pivot column; and the ranks, each line's
-    pivot count.  So the lines, and their rows, are the same either way.
+    (_pencil_lines), which hold every line of image rank at most bound,
+    charged as _pencil_lines says; every other block, or one whose kernel
+    lines are not fewer than its lines, is listed in full, its line count
+    charged before anything of it is allocated.  Lines are built and
+    eliminated in chunks of at most _BATCH_ENTRIES image entries, and only
+    those within bound are back-substituted and kept.  names[b], if given,
+    ends block b's budget message.  Returns the line generators in
+    canonical order, their (arrows x d_t) image rows reduced by
+    _gauss_jordan in its dtype, and each row's pivot column, so a line's
+    image rank is its pivot count.  The lines are the same either way.
     """
     sizes = [maps[0].shape[0] for maps in blocks]
     listed = []
@@ -852,19 +798,17 @@ def _line_ranks(
             img = np.zeros((hi - lo, m, d2), dtype=_int_dtype((p - 1) ** 2))
             img[:, :a] = (chunk.astype(dtype) @ stacked % p).reshape(hi - lo, a, d2)
             # both phases of _gauss_jordan, the second on the kept lines alone
-            E, rpiv = _forward(img.copy(), p)
-            ranks = (rpiv >= 0).sum(axis=1)
-            keep = ranks <= bound
+            E, rpiv = _forward(img, p)
+            keep = (rpiv >= 0).sum(axis=1) <= bound
             if not keep.all():
-                chunk, img, E, rpiv, ranks = (x[keep] for x in (chunk, img, E, rpiv, ranks))
+                chunk, E, rpiv = chunk[keep], E[keep], rpiv[keep]
             vec = np.zeros((len(chunk), sum(sizes)), dtype=np.int64)
             vec[:, off : off + n] = chunk
-            parts.append((vec, img, _back_substitute(E, rpiv, p), rpiv, ranks))
+            parts.append((vec, _back_substitute(E, rpiv, p), rpiv))
         off += n
     if len(parts) > 1:
         parts = [[np.concatenate(part) for part in zip(*parts)]]
-    *lines, ranks = parts[0]
-    return tuple(lines), ranks
+    return tuple(parts[0])
 
 
 def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -921,62 +865,50 @@ def _pair_batches(blocks, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 def _frontier_scan(
     p: int,
-    lines: tuple[np.ndarray, ...],
-    cand: np.ndarray,
+    lines: tuple[np.ndarray, np.ndarray, np.ndarray],
     s: int,
-    j: int,
     budget: _Budget,
-    draws: Sequence[tuple[int, int, int]] | None = None,
+    draws: Sequence[tuple[int, int, int]],
 ) -> Subspace | None:
-    """First violating j-plane among the spans of candidate lines.
+    """First violating j-plane among the spans of candidate lines, the
+    lines of _line_ranks whose image rank is at most s.
 
-    lines is _line_ranks's lines and cand indexes the lines whose
-    image rank is at most s.  A plane is kept as the candidates whose
-    generators are its RREF rows.  Level i holds, once each, every i-plane
-    whose image rank is at most s and whose first RREF row leads at or
-    after the level's floor.  Each level's new row leads before the last
-    level's, so level j's floor is the first column it draws from, and
-    level i's is the larger of that column and one past level i + 1's
-    floor: without draws, j - i.  A plane leading before its floor leaves
-    too few columns for the rows still to come, so it lies in no j-plane's
-    RREF and is neither built nor tested.  An (i+1)-plane W is built only
-    from the span S of all its RREF rows but the first, and the line
-    through that first row: a candidate that leads before S's pivots and
-    is zero on them, so [row; S] is W's RREF as it stands.  Complete,
-    because S and that line lie in W.  Built by leading column, then S's
-    pivots, then row-major, each level is in canonical order, so the first
-    violating j-plane found is the witness.
-
-    draws, when given, holds one (lo, hi, vertex) per level 1..j: level
-    i's planes take their first RREF row from the candidates that lead in
-    columns [lo, hi), a block of coordinates that belongs to that vertex.
-    Blocks run last block first, so each level's lines lead before the
-    planes they extend, and lines of different blocks share no column:
-    the construction above is unchanged, and the planes built are those
-    whose RREF rows fill the blocks as the draws say.  Without draws
-    every level draws from every candidate.
+    draws holds one (lo, hi, vertex) per level 1..j: level i's planes take
+    their first RREF row from the candidates that lead in columns [lo, hi),
+    a block of coordinates of that vertex (0 for none).  Blocks run last
+    block first, so lines of different blocks share no column.  A plane is
+    kept as the candidates whose generators are its RREF rows.  Level i
+    holds, once each, every i-plane whose image rank is at most s and whose
+    first RREF row leads at or after the level's floor.  Each level's new
+    row leads before the last level's, so level j's floor is the first
+    column it draws from, and level i's the larger of its own first
+    column and one past level i + 1's floor.  A plane leading before its
+    floor lies in no j-plane's RREF, so it is neither built nor tested.  An
+    (i+1)-plane W is built only from the span S of all its RREF rows but
+    the first, and a candidate that leads before S's pivots and is zero
+    on them, so [row; S] is W's RREF as it stands.  Complete, because S and
+    that line lie in W.  Built by leading column, then S's pivots, then
+    row-major, each level is in canonical order, so the first violating
+    j-plane found is the witness.
 
     Each i-plane carries its image span in reduced echelon form: min(s,
     i * m) rows and their pivot columns, padded with zero rows and pivot
-    d2 past its rank r.  Level 1's spans are the lines' reduced images.
-    W = [row; S] is tested on the new line's m images only, reduced
-    against S's span: W stays within s iff they have rank <= s - r, which
-    the kernel's forward pass gives.  Only the planes kept for the next
-    level are back-substituted and get their span rebuilt, so the last
-    level back-substitutes nothing.  A level's planes come in runs of one
-    pivot set each, as the order is canonical, and are tested in that
-    order, in numpy batches of _BATCH_ENTRIES // ((i + 1) * m * d2)
-    planes that run across block boundaries.  Every candidate is charged
-    at level 1, floor or not, and each plane tested once at its level; a
-    budget error names that level.
+    d2 past its rank r.  W = [row; S] is tested on the new line's reduced
+    rows alone, reduced against S's span: W stays within s iff they have
+    rank <= s - r, which the forward pass gives.  Only the planes kept for
+    the next level are back-substituted and get their span rebuilt.  A
+    level's planes are tested in canonical order, in numpy batches of
+    _BATCH_ENTRIES // ((i + 1) * m * d2) planes.  Every candidate is
+    charged at level 1, floor or not, and each plane tested once at its
+    level; a budget error names that level.
     """
-    vecs, imgs, line_rows, line_pivs = lines
-    n, (m, d2) = vecs.shape[1], imgs.shape[1:]
-    draws = draws or [(0, n, 0)] * j
+    vecs, line_rows, line_pivs = lines
+    n, (m, d2), j = vecs.shape[1], line_rows.shape[1:], len(draws)
     floors = [draws[-1][0]] * j  # floors[i - 1]: level i's first column
     for i in reversed(range(j - 1)):
         floors[i] = max(draws[i][0], floors[i + 1] + 1)
-    gens, gimgs = vecs[cand], imgs[cand]
+    cand = np.flatnonzero((line_pivs >= 0).sum(axis=1) <= s)
+    gens, gimgs = vecs[cand], line_rows[cand]
     leads = np.argmax(gens != 0, axis=1)  # ascending: lines are in canonical order
     zero = gens == 0
 
@@ -1033,10 +965,9 @@ def _frontier_scan(
             R = _back_substitute(E[keep], rpiv, p)
             rows, pivs = _grown_spans(span_rows[old], span_pivs[old], R, rpiv, p, width)
             grown.append((np.column_stack([new, level[old]]), rows, pivs))
-        if not grown:
+        if not grown:  # always so at level j, whose planes are not kept
             return None
         level, span_rows, span_pivs = (np.concatenate(part) for part in zip(*grown))
-    return None
 
 
 def is_expander_rep(
@@ -1057,7 +988,7 @@ def is_expander_rep(
     lines, the lines whose image rank stays within s: a violating j-plane
     has only candidate lines, so the frontier of their spans finds it.
     The line images are eliminated once, when first needed, and every
-    level reads its candidates off those ranks.  The lines are listed
+    level reads its candidates off their pivots.  The lines are listed
     once per call for the largest bound s below d2 that a level searches:
     if s < m < d1 and F_p^d1 has at least _PENCIL_MIN_LINES lines, only
     the lines the arrow pencil kills (_pencil_lines), which hold every
@@ -1073,16 +1004,16 @@ def is_expander_rep(
     tracker = _Budget(budget, "frontier")
     levels = list(_levels(params, d1, d2))
     top = max((s for _, s in levels if s < d2), default=0)  # the largest bound searched
-    lines: tuple[np.ndarray, ...] | None = None
+    lines = None
     for j, s in levels:
         if s >= d2:
             # every dim-j subspace violates; report the first one
             tracker.charge(1)
-            first = next(_iter_echelon_bases(p, d1, j)).copy()
+            first = np.eye(j, d1, dtype=np.int64)
             return ExpanderVerdict(False, Subspace._from_echelon(p, d1, first))
         if lines is None:
-            lines, ranks = _line_ranks(p, [[f.T for f in rep.matrices]], tracker, top)
-        witness = _frontier_scan(p, lines, np.flatnonzero(ranks <= s), s, j, tracker)
+            lines = _line_ranks(p, [[f.T for f in rep.matrices]], tracker, top)
+        witness = _frontier_scan(p, lines, s, tracker, [(0, d1, 0)] * j)
         if witness is not None:
             return ExpanderVerdict(False, witness)
     return ExpanderVerdict(True, None)
@@ -1215,12 +1146,11 @@ def _one_sink_subrep(rep: FiniteFieldRep, e: tuple[int, ...], tracker: _Budget) 
     listed = sum(gaussian_binomial(dim[s - 1], 1, p) for s in free)
     if listed > room >= gaussian_binomial(dim[t - 1], gap, p):
         return _backtrack(rep._opposite, dual_e, tracker)
-    lines, ranks = _line_ranks(p, blocks, tracker, bound, [f" at vertex {s}" for s in free])
+    lines = _line_ranks(p, blocks, tracker, bound, [f" at vertex {s}" for s in free])
     offsets = np.cumsum([0] + [dim[s - 1] for s in free]).tolist()
     spans = reversed(list(zip(offsets, offsets[1:], free, levels)))
     draws = [(lo, hi, s) for lo, hi, s, k in spans for _ in range(k)]
-    cand = np.flatnonzero(ranks <= bound)
-    return _frontier_scan(p, lines, cand, bound, len(draws), tracker, draws) is not None
+    return _frontier_scan(p, lines, bound, tracker, draws) is not None
 
 
 def _backtrack(rep: FiniteFieldRep, ev: tuple[int, ...], tracker: _Budget) -> bool:

@@ -328,6 +328,11 @@ def test_prime_bound():
         random_rep(make_kronecker(2), (2, 2), 1048583, 0)
     with pytest.raises(ValueError):
         Subspace(1048583, 2, [[1, 0]])
+    # below 2, and the composites whose least factor is past the small
+    # primes trial division tries first: 41**2 and 41 * 43
+    for p in (0, 1, 1681, 1763):
+        with pytest.raises(ValueError, match="prime"):
+            random_rep(make_kronecker(2), (2, 2), p, 0)
 
 
 def test_batch_rank_matches_scalar():
@@ -577,9 +582,9 @@ def test_frontier_eliminates_once_per_level(monkeypatch):
         events.append(("back", len(E)))
         return back(E, pivots, p)
 
-    def recorded(p, lines, cand, s, j, budget):
-        events.append(("scan", j))
-        return scan(p, lines, cand, s, j, budget)
+    def recorded(p, lines, s, budget, draws):
+        events.append(("scan", len(draws)))
+        return scan(p, lines, s, budget, draws)
 
     def unused(*args):
         raise AssertionError("batch_rank_le is not on the frontier's path")
@@ -674,9 +679,9 @@ def test_one_sink_quivers_take_the_frontier(monkeypatch):
         sunk.append((rep.quiver.arrows, e))
         return one_sink(rep, e, tracker)
 
-    def spy_scan(p, lines, cand, s, j, budget, draws=None):
+    def spy_scan(p, lines, s, budget, draws):
         scanned.append(draws)
-        return scan(p, lines, cand, s, j, budget, draws)
+        return scan(p, lines, s, budget, draws)
 
     monkeypatch.setattr(ff, "_backtrack", spy_backtrack)
     monkeypatch.setattr(ff, "_one_sink_subrep", spy_one_sink)
@@ -740,9 +745,9 @@ def test_kronecker_subrep_searches_the_side_with_fewer_levels(monkeypatch):
 
     scan = ff._frontier_scan
 
-    def spy(p, lines, cand, s, j, budget, draws=None):
-        scans.append((lines[0].shape[1], s, j))
-        return scan(p, lines, cand, s, j, budget, draws)
+    def spy(p, lines, s, budget, draws):
+        scans.append((lines[0].shape[1], s, len(draws)))
+        return scan(p, lines, s, budget, draws)
 
     monkeypatch.setattr(ff, "_Budget", Recorded)
     monkeypatch.setattr(ff, "_frontier_scan", spy)
@@ -783,8 +788,8 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
     # and charged in full, the one above it (K(2) (5, 5) over F_7, 2,801
     # lines) is charged the pencil's members and kernel lines, far fewer.
     # Either way every bound s < a gives the full listing's lines of rank
-    # at most s, in the same order and with the same image rows, reduced
-    # rows and pivots.  With the pencil taken for every block (the cut at
+    # at most s, in the same order and with the same reduced image rows
+    # and pivots.  With the pencil taken for every block (the cut at
     # 0) is_expander_rep gives the same verdicts and witnesses, and
     # has_subrep_of_dim the same answers for every e, as with the full
     # listing alone.  The draws cover d1 > d2, where every member is
@@ -816,17 +821,18 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
         rep = random_rep(make_kronecker(m), (d1, d2), p, seed)
         maps = [f.T for f in rep.matrices]
         count = gaussian_binomial(d1, 1, p)
-        full, ranks = ff._line_ranks(p, [maps], _Budget(10**7, ""), m)  # bound m: listed in full
+        full = ff._line_ranks(p, [maps], _Budget(10**7, ""), m)  # bound m: listed in full
+        ranks = (full[2] >= 0).sum(axis=1)
         assert full[0].tolist() == [u.basis[0].tolist() for u in enumerate_subspaces(p, d1, 1)]
         assert np.array_equal(ff._pencil_lines(p, maps, _Budget(10**7, "")), full[0][ranks < m])
         for s in range(m):
             tracker = _Budget(10**7, "")
-            lines, got = ff._line_ranks(p, [maps], tracker, s)
+            lines = ff._line_ranks(p, [maps], tracker, s)
             if count < cut:
                 assert tracker.spent == count, (m, p, d1, d2, s)
             else:
                 assert tracker.spent < count, (m, p, d1, d2, s)
-            assert np.array_equal(got, ranks[ranks <= s]), (m, p, d1, d2, s)
+            assert len(lines) == 3, (m, p, d1, d2, s)
             for mine, theirs in zip(lines, full):
                 assert np.array_equal(mine, theirs[ranks <= s]), (m, p, d1, d2, s)
         kernels = [
@@ -890,13 +896,14 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
     for m, d, seed, members, count in [(4, (5, 2), 0, 15, 31), (3, (4, 3), 3, 7, 15)]:
         maps = [f.T for f in random_rep(make_kronecker(m), d, 2, seed).matrices]
         assert ff._pencil_lines(2, maps, _Budget(10**7, "")) is None
-        full, ranks = ff._line_ranks(2, [maps], _Budget(10**7, ""), m)
+        full = ff._line_ranks(2, [maps], _Budget(10**7, ""), m)
+        ranks = (full[2] >= 0).sum(axis=1)
         assert len(full[0]) == count, (m, d)
         for cut, charge in [(0, members + count), (ff._PENCIL_MIN_LINES, count)]:
             with monkeypatch.context() as patch:
                 patch.setattr(ff, "_PENCIL_MIN_LINES", cut)
                 tracker = _Budget(10**7, "")
-                lines, _ = ff._line_ranks(2, [maps], tracker, 1)
+                lines = ff._line_ranks(2, [maps], tracker, 1)
             assert tracker.spent == charge, (m, d, cut)
             assert np.array_equal(lines[0], full[0][ranks <= 1]), (m, d, cut)
 
@@ -1431,9 +1438,9 @@ def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
     monkeypatch.setattr(ff, "_Budget", Recorded)
     scan = ff._frontier_scan
 
-    def spy(p, lines, cand, s, j, budget):
-        scans.append((s, j))
-        return scan(p, lines, cand, s, j, budget)
+    def spy(p, lines, s, budget, draws):
+        scans.append((s, len(draws)))
+        return scan(p, lines, s, budget, draws)
 
     monkeypatch.setattr(ff, "_frontier_scan", spy)
     eps = Fraction(1, 10)
@@ -1458,10 +1465,39 @@ def test_is_expander_rep_skips_a_repeated_bound(monkeypatch):
     assert passed >= 6, passed
 
 
+def _by_columns(M, p):
+    # the batched elimination column by column, in one phase: the row
+    # loop's oracle.  In each matrix the first row that is not yet a pivot
+    # row and is nonzero in the column becomes one, is scaled to a leading
+    # 1 and cleared from every other row; rows stay where they were
+    from quivex.finfield import _inverse_mod, _mod
+
+    count, rows, cols = M.shape
+    W = np.ascontiguousarray(M.transpose(2, 1, 0))  # (cols, rows, count)
+    pivots = np.full((rows, count), -1, dtype=np.intp)
+    free = np.ones((rows, count), dtype=bool)
+    for col in range(cols):
+        cand = (W[col] != 0) & free
+        if not cand.any():
+            continue
+        pick = cand & (np.cumsum(cand, axis=0) == 1)  # each matrix's first candidate
+        # the scaled pivot rows from col on (zero where a matrix has none);
+        # their columns before col are zero already
+        lead = (W[col:] * pick).sum(axis=1, dtype=W.dtype)
+        lead = _mod(lead * _inverse_mod(lead[0], p), p)
+        # subtracting (v - 1) * lead from the pivot row v * lead leaves lead
+        rest = W[col:]
+        rest -= lead[:, None, :] * (W[col] - pick)
+        _mod(rest, p)
+        pivots[pick] = col
+        free &= ~pick
+    return W.transpose(2, 1, 0), pivots.T
+
+
 def test_batch_kernel_matches_rank_mod_across_dtypes():
     # primes on both sides of each dtype threshold: int16 holds (p - 1)**2
     # up to p = 181, int32 up to p = 46337; larger entries go to int64
-    from quivex.finfield import _by_columns, _forward, _gauss_jordan, _int_dtype, _inverse_mod
+    from quivex.finfield import _forward, _gauss_jordan, _int_dtype, _inverse_mod
 
     widths = {2: 2, 3: 2, 181: 2, 191: 4, 46337: 4, 46349: 8, 1048573: 8}
     rng = np.random.Generator(np.random.PCG64(17))
@@ -1504,8 +1540,8 @@ def test_batch_kernel_matches_rank_mod_across_dtypes():
             _, forward_pivots = _forward(mats.astype(dtype), p)
             assert np.array_equal(forward_pivots, pivots), (p, mats.shape)
             assert (forward_pivots >= 0).sum(axis=1).tolist() == expected.tolist(), p
-            # the column loop is the row loop's oracle: bit for bit on wide
-            # and square stacks too, where _forward goes row by row
+            # the column loop is the row loop's oracle, bit for bit on
+            # tall, square and wide stacks
             oracle_R, oracle_pivots = _by_columns(mats.astype(dtype), p)
             assert np.array_equal(oracle_R, R), (p, mats.shape)
             assert np.array_equal(oracle_pivots, pivots), (p, mats.shape)
