@@ -15,15 +15,13 @@ the level, the lines or the pencil it tripped at.
 Linear algebra mod p runs in two kernels: _eliminate, fraction-free
 forward elimination on Python ints that grows a list of (pivot, row)
 pairs, takes no inverse, and stops once the rank passes a limit, and
-_gauss_jordan, a batched numpy elimination that swaps no rows.  Scalar
-ranks (rank_mod, and so image_sum_dim's one product with the
-representation's stacked map) and the backtracker's spans are
-_eliminate's lists.  A canonical basis (rref_mod, Subspace, a one-sink
+a batched numpy elimination that swaps no rows.  Scalar ranks
+(rank_mod, and so image_sum_dim's one product with the representation's
+stacked map) and the backtracker's spans are _eliminate's lists.  A canonical basis (rref_mod, Subspace, a one-sink
 search's forced span) is such a list sorted by pivot, scaled to a
-leading 1 and back-substituted once (_rref_rows).  _gauss_jordan
-runs in two phases: a forward pass (_forward), row by row, that already
-gives every rank, and a back-substitution (_back_substitute) to the
-reduced echelon form, which the frontier runs only on the pairs it keeps.
+leading 1 and back-substituted once (_rref_rows).  The batched one is
+a forward pass (_forward), row by row, that already gives every rank,
+and a back-substitution (_back_substitute), run only on what is kept.
 The forward pass takes inverses mod p by square-and-multiply on the
 values it scales by (_inverse_mod).  The batched kernels take the
 narrowest of int16, int32 and int64 that holds their largest
@@ -34,14 +32,14 @@ reads its candidate lines and their spans off that one elimination.  A
 block of n source coordinates and a arrows searched at a bound below a,
 with a < n and at least _PENCIL_MIN_LINES lines, lists only the lines
 that some member sum_k c_k f_k of its arrow pencil kills, as a line's
-images are dependent exactly then: the (p**a - 1)/(p - 1) members are
-charged and reduced in one batch, then their kernel lines are charged,
-once per member.  A block whose kernel lines are not fewer than its
-lines lists them all, as every other does; a smaller block lists them
-all at once, as the pencil's second batched elimination would cost it
-more than it saves.  Lines are built and eliminated in chunks of at
-most _BATCH_ENTRIES image entries, each keeping only the lines within
-the bound, so a listing's memory is one chunk's and the lines it keeps.
+images are dependent exactly then: its (p**a - 1)/(p - 1) members are
+listed as the lines of F_p^a, then their kernel lines are charged, once
+per member.  A block whose kernel lines are not fewer than its lines
+lists them all, as every other does; a smaller block lists them all at
+once, as eliminating the members would cost it more than it saves.
+Lines are built and eliminated in chunks of at most _BATCH_ENTRIES
+image entries, each keeping only the lines within the bound, so a
+listing's memory is one chunk's and the lines it keeps.
 The frontier keeps each plane's image span reduced, so each extension by a
 line is tested on that line's images alone, in batches that run across
 the level's blocks: about one forward pass per level, and one
@@ -108,8 +106,8 @@ def _check_prime(p: int) -> int:
 _BATCH_ENTRIES = 1 << 18
 
 # the fewest lines a block must have for _line_ranks to list it from its
-# arrow pencil: below it the pencil's fixed cost, a second batched
-# elimination, loses to listing every line
+# arrow pencil: below it the pencil's fixed cost, eliminating its
+# members, loses to listing every line
 _PENCIL_MIN_LINES = 1000
 
 
@@ -256,35 +254,15 @@ def batch_rank(mats, p: int) -> np.ndarray:
     return (pivots >= 0).sum(axis=1)
 
 
-def _gauss_jordan(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a stack of matrices over F_p, batched, swapping no rows.
-
-    M is (count, rows, cols) with entries in [0, p), in a dtype that holds
-    +-(p - 1)**2.  Returns the stack in reduced echelon form but with its
-    rows left where they were, and each row's pivot column, -1 for the
-    rows that ended zero; a matrix's rank is its pivot count; M may be
-    overwritten.
-
-    Two phases: _forward goes row by row, gives every pivot and so every
-    rank, and clears each pivot only from the rows below it; then
-    _back_substitute clears it from the rows above.  A caller that needs
-    only ranks, or the echelon form of a few of the matrices, skips the
-    second phase or runs it on those alone.
-    """
-    E, pivots = _forward(M, p)
-    return _back_substitute(E, pivots, p), pivots
-
-
 def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_gauss_jordan's first phase: every row's pivot column, and the stack
-    in row echelon form (rows left where they were) that _back_substitute
-    finishes.
+    """Row echelon form of a (count, rows, cols) stack M over F_p (entries
+    in [0, p), a dtype holding +-(p - 1)**2), rows left in place, and each
+    row's pivot column, -1 for a zero row.
 
     Row by row: each row, reduced already against the pivot rows above
     it, takes its first nonzero column as its pivot, is scaled to a
-    leading 1 and cleared from the rows below.  The work runs on M laid
-    out as (rows, cols, count), so every step is a long contiguous numpy
-    loop.
+    leading 1 and cleared from the rows below, on M laid out as (rows,
+    cols, count) for long contiguous numpy loops.
     """
     count, rows = M.shape[:2]
     W = np.ascontiguousarray(M.transpose(1, 2, 0))
@@ -307,9 +285,8 @@ def _forward(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _back_substitute(E: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
-    """_gauss_jordan's second phase, on _forward's output or some of its
-    matrices: each pivot, last row first, cleared from the rows above it.
-    """
+    """Reduced echelon form from _forward's output or some of its matrices:
+    each pivot, last row first, cleared from the rows above it."""
     count, rows = E.shape[:2]
     W = np.ascontiguousarray(E.transpose(1, 2, 0))  # (rows, cols, count)
     at = np.arange(count)
@@ -703,21 +680,15 @@ def _pencil_lines(
     vectors.  A line v whose a images are dependent, every line of image
     rank below a among them, has v (sum_k c_k f_k) = 0 for a point [c] of
     P^{a-1}(F_p): it lies in the left kernel of that member of the pencil.
-    The (p**a - 1)/(p - 1) members are charged before they are built, and
-    their transposes reduced in one _gauss_jordan; each member's kernel
-    basis is read off its free columns.  The kernel lines, counted once per
-    member, are charged before any is built, and then scaled to a leading 1
-    and deduplicated.  That second batched elimination is a fixed cost the
-    full listing does not pay, so _line_ranks asks for the pencil only of
-    a block of at least _PENCIL_MIN_LINES lines.
+    Member [c] is the line c of F_p^a, its image rows those of (sum_k c_k
+    f_k)^T, so _line_ranks lists the members at bound n - 1, keeping those
+    that kill a line; each one's kernel basis is read off its free columns.
+    The kernel lines, counted once per member, are charged before any is
+    built, and then scaled to a leading 1 and deduplicated.
     """
     n, a = maps[0].shape[0], len(maps)
-    where = f" listing the pencil of F_{p}^{a}{name}"
-    tracker.charge(gaussian_binomial(a, 1, p), where)
-    coef = _canonical_lines(p, a)
-    dtype = _int_dtype((p - 1) ** 2 * a)
-    members = np.tensordot(coef.astype(dtype), np.stack([f.T for f in maps]).astype(dtype), 1)
-    R, piv = _gauss_jordan(_mod(members, p).astype(_int_dtype((p - 1) ** 2)), p)
+    members = [np.stack([f[:, r] for f in maps]) for r in range(maps[0].shape[1])]
+    coef, R, piv = _line_ranks(p, [members], tracker, n - 1, [name], "pencil")
     free = np.ones((len(coef), n + 1), dtype=bool)  # column n takes the zero rows
     free[np.arange(len(coef))[:, None], np.where(piv >= 0, piv, n)] = False
     free = free[:, :n]
@@ -726,7 +697,7 @@ def _pencil_lines(
     total = sum(count * gaussian_binomial(k, 1, p) for k, count in enumerate(kinds))
     if total >= gaussian_binomial(n, 1, p):
         return None
-    tracker.charge(total, where)
+    tracker.charge(total, f" listing the pencil of F_{p}^{a}{name}")
     lines = [np.zeros((0, n), dtype=np.int64)]
     for k in (k for k, count in enumerate(kinds) if k and count):
         sel = np.flatnonzero(dims == k)
@@ -754,6 +725,7 @@ def _line_ranks(
     tracker: _Budget,
     bound: int,
     names: Sequence[str] | None = None,
+    listing: str = "lines",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lines of every block of source coordinates whose image rank is
     at most bound, eliminated once for every bound up to it.
@@ -764,16 +736,15 @@ def _line_ranks(
     are padded with zero rows up to the largest arrow count.  A block of n
     coordinates and a arrows with bound < a < n, and at least
     _PENCIL_MIN_LINES lines, lists the lines its arrow pencil kills
-    (_pencil_lines), which hold every line of image rank at most bound,
-    charged as _pencil_lines says; every other block, or one whose kernel
-    lines are not fewer than its lines, is listed in full, its line count
-    charged before anything of it is allocated.  Lines are built and
-    eliminated in chunks of at most _BATCH_ENTRIES image entries, and only
-    those within bound are back-substituted and kept.  names[b], if given,
-    ends block b's budget message.  Returns the line generators in
-    canonical order, their (arrows x d_t) image rows reduced by
-    _gauss_jordan in its dtype, and each row's pivot column, so a line's
-    image rank is its pivot count.  The lines are the same either way.
+    (_pencil_lines), charged as it says; every other block, or one whose
+    kernel lines are not fewer than its lines, is listed in full, its line
+    count charged first.  Lines are built and eliminated in chunks of at
+    most _BATCH_ENTRIES image entries, and only those within bound are
+    back-substituted and kept.  listing names them ("lines" or "pencil")
+    and names[b], if given, ends block b's budget message.  Returns the
+    line generators in canonical order, their reduced (arrows x d_t) image
+    rows and each row's pivot column, so a line's image rank is its pivot
+    count.  The lines are the same either way.
     """
     sizes = [maps[0].shape[0] for maps in blocks]
     listed = []
@@ -782,7 +753,7 @@ def _line_ranks(
         pencil = bound < len(maps) < n and count >= _PENCIL_MIN_LINES
         gens = _pencil_lines(p, maps, tracker, name) if pencil else None
         if gens is None:
-            tracker.charge(count, f" listing the lines of F_{p}^{n}{name}")
+            tracker.charge(count, f" listing the {listing} of F_{p}^{n}{name}")
         listed.append((count if gens is None else len(gens), gens))
     m, d2 = max(len(maps) for maps in blocks), blocks[0][0].shape[1]
     step = max(1, _BATCH_ENTRIES // max(1, m * d2))
@@ -797,8 +768,7 @@ def _line_ranks(
             chunk = _canonical_lines(p, n, lo, hi) if gens is None else gens[lo:hi]
             img = np.zeros((hi - lo, m, d2), dtype=_int_dtype((p - 1) ** 2))
             img[:, :a] = (chunk.astype(dtype) @ stacked % p).reshape(hi - lo, a, d2)
-            # both phases of _gauss_jordan, the second on the kept lines alone
-            E, rpiv = _forward(img, p)
+            E, rpiv = _forward(img, p)  # back-substituted on the kept lines alone
             keep = (rpiv >= 0).sum(axis=1) <= bound
             if not keep.all():
                 chunk, E, rpiv = chunk[keep], E[keep], rpiv[keep]
@@ -826,10 +796,9 @@ def _reduced(X: np.ndarray, rows: np.ndarray, pivots: np.ndarray, p: int) -> np.
 def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Spans (rows, pivots) joined with the rows R reduced against them.
 
-    R and its pivot columns rpiv are _gauss_jordan's output, or both of
-    its phases run on some of a stack's matrices.  The join is the
-    span's rows cleared on R's pivot columns, then both sets of rows in
-    pivot order, cut to width rows, which the rank must not pass.
+    R and its pivot columns rpiv are _forward's, back-substituted.  The
+    join is the span's rows cleared on R's pivot columns, then both sets
+    of rows in pivot order, cut to width rows, which the rank must not pass.
     """
     rpiv = np.where(rpiv >= 0, rpiv, rows.shape[2])
     keys = np.concatenate([pivots, rpiv], axis=1)

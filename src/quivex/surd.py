@@ -140,9 +140,7 @@ class QuadraticSurd:
             return 1
         if p < 0 and q < 0:
             return -1
-        lhs, rhs = p * p, q * q * n
-        if lhs == rhs:  # impossible once normalized (n square-free > 1)
-            return 0
+        lhs, rhs = p * p, q * q * n  # never equal: n is square-free and > 1
         if p > 0:  # q < 0: sign of p - |q|sqrt(n)
             return 1 if lhs > rhs else -1
         return 1 if rhs > lhs else -1
@@ -240,22 +238,12 @@ class QuadraticSurd:
     # -- order -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QuadraticSurd):
-            if self.n != other.n:
-                return False  # distinct square-free radicands are never equal
-            coerced = other
-        else:
-            coerced = self._coerce(other)
-            if coerced is None:
+        if not isinstance(other, QuadraticSurd):
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-            if self.n and coerced.n and self.n != coerced.n:
-                return False
-        return (self.p, self.q, self.n, self.r) == (
-            coerced.p,
-            coerced.q,
-            coerced.n,
-            coerced.r,
-        )
+        # normal forms are unique, so distinct radicands never compare equal
+        return (self.p, self.q, self.n, self.r) == (other.p, other.q, other.n, other.r)
 
     def __lt__(self, other) -> bool:
         coerced = self._coerce(other)

@@ -297,6 +297,17 @@ def test_input_errors_exit_2(capsys):
     assert run(["theta-scan", "--kronecker", "3", "--theta", "1,1", "--dmax", "2",
                 "--delta", "1"]) == 2
     assert capsys.readouterr().err == "error: delta must satisfy 0 < delta < 1\n"
+    scan = ["theta-scan", "--kronecker", "3", "--delta", "1/2"]
+    for argv, message in [
+        (["embed", "--kronecker", "0", "--e", "1,1", "--d", "2,2"],
+         "--kronecker takes a positive arrow count"),
+        (scan + ["--theta", "1,-1,2", "--dmax", "2"],
+         "theta weight count does not match the quiver"),
+        (scan + ["--theta", "1,-1", "--dmax", "0"], "--dmax must be positive"),
+        (["curve", "--m", "3", "--d", "5"], "--d must be a pair D1,D2"),
+    ]:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_output_reparses_as_json(capsys):

@@ -274,6 +274,11 @@ def test_theta_expander_rejects_nonzero_theta_d():
         theta_expander_exists(
             quiver, bipartite_theta, (3, 6, 5), ExpanderParams(HALF, Fraction(1))
         )
+    K3, theta = make_kronecker(3), StabilityFunction((1, -1))
+    with pytest.raises(ValueError, match="theta\\(d\\) = -1 != 0"):
+        theta_expander_exists(K3, theta, (2, 3), ExpanderParams(HALF, Fraction(1)))
+    with pytest.raises(ValueError, match="theta\\(d\\) = -1 != 0"):
+        theta_epsilon_supremum(K3, theta, (2, 3), HALF)
 
 
 def test_theta_epsilon_supremum_matches_decision():

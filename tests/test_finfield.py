@@ -186,6 +186,8 @@ def test_enumerate_subspaces_budget():
         enumerate_subspaces(101, 4, 2)  # ~1.05e8 subspaces
     with pytest.raises(ValueError):
         enumerate_subspaces(4, 3, 1)  # 4 is not prime
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        enumerate_subspaces(5, 2, 3)
 
 
 def test_rref_properties():
@@ -374,6 +376,8 @@ def test_batch_rank_le_matches_batch_rank():
 
 
 def test_subspace_canonicalization_and_contains():
+    with pytest.raises(ValueError, match="non-negative"):
+        Subspace(5, -1, [])
     a = Subspace(5, 3, [[2, 0, 0], [0, 3, 0]])
     b = Subspace(5, 3, [[1, 0, 0], [1, 1, 0]])
     assert a == b
@@ -461,6 +465,12 @@ def test_image_sum_dim_examples():
     assert image_sum_dim(ident_rep, whole) == 2
     assert image_sum_dim(rep, Subspace(2, 2, [[1, 0]])) == 2
     assert image_sum_dim(rep, Subspace(2, 2, np.zeros((0, 2), dtype=np.int64))) == 0
+    # only a K(m) source subspace has an image sum
+    two_sources = random_rep(Quiver(3, ((1, 2), (3, 2))), (1, 1, 1), 5, 0)
+    with pytest.raises(ValueError, match="not over a generalized Kronecker quiver"):
+        image_sum_dim(two_sources, Subspace(5, 1, [[1]]))
+    with pytest.raises(ValueError, match="source space"):
+        image_sum_dim(random_rep(make_kronecker(2), (2, 2), 5, 0), Subspace(5, 3, [[1, 0, 0]]))
 
 
 def test_is_expander_rep_companion_example():
@@ -566,13 +576,7 @@ def test_frontier_eliminates_once_per_level(monkeypatch):
     import quivex.finfield as ff
 
     events = []
-    kernel, forward, back, scan = (
-        ff._gauss_jordan, ff._forward, ff._back_substitute, ff._frontier_scan
-    )
-
-    def full(M, p):
-        events.append(("full", len(M)))
-        return kernel(M, p)
+    forward, back, scan = ff._forward, ff._back_substitute, ff._frontier_scan
 
     def forward_pass(M, p):
         events.append(("forward", len(M)))
@@ -590,7 +594,6 @@ def test_frontier_eliminates_once_per_level(monkeypatch):
         raise AssertionError("batch_rank_le is not on the frontier's path")
 
     monkeypatch.setattr(ff, "_BATCH_ENTRIES", 1 << 30)
-    monkeypatch.setattr(ff, "_gauss_jordan", full)
     monkeypatch.setattr(ff, "_forward", forward_pass)
     monkeypatch.setattr(ff, "_back_substitute", back_substitution)
     monkeypatch.setattr(ff, "_frontier_scan", recorded)
@@ -824,7 +827,16 @@ def test_pencil_lines_match_the_full_listing(monkeypatch):
         full = ff._line_ranks(p, [maps], _Budget(10**7, ""), m)  # bound m: listed in full
         ranks = (full[2] >= 0).sum(axis=1)
         assert full[0].tolist() == [u.basis[0].tolist() for u in enumerate_subspaces(p, d1, 1)]
-        assert np.array_equal(ff._pencil_lines(p, maps, _Budget(10**7, "")), full[0][ranks < m])
+        tracker = _Budget(10**7, "")
+        gens = ff._pencil_lines(p, maps, tracker)
+        assert np.array_equal(gens, full[0][ranks < m])
+        # the members are listed in chunks, and a chunk may end inside them
+        for entries in (1, 64):
+            with monkeypatch.context() as patch:
+                patch.setattr(ff, "_BATCH_ENTRIES", entries)
+                chunked = _Budget(10**7, "")
+                assert np.array_equal(ff._pencil_lines(p, maps, chunked), gens), (m, p, entries)
+            assert chunked.spent == tracker.spent, (m, p, d1, d2, entries)
         for s in range(m):
             tracker = _Budget(10**7, "")
             lines = ff._line_ranks(p, [maps], tracker, s)
@@ -925,16 +937,19 @@ def test_full_listing_memory_is_bounded_at_a_large_prime():
     # in chunks of at most _BATCH_ENTRIES image entries that keep only the
     # lines within the bound.  Both searches answer as when every line was
     # eliminated in one array, whose traced peak was 361 MiB; now it stays
-    # below 64 MiB
-    rep = random_rep(make_kronecker(3), (2, 2), 1048573, 0)
-    tracemalloc.start()
-    try:
-        assert is_expander_rep(rep, ExpanderParams(HALF, Fraction(19, 50))).ok
-        assert has_subrep_of_dim(rep, (1, 1)) is False
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20, peak
+    # below 64 MiB.  K(3) (5, 5) over F_1009 lists the 1,019,091 members of
+    # its arrow pencil the same way, keeping only those that kill a line:
+    # 529 MiB when they were reduced in one array, now below 32 MiB
+    for d, p, e, mib in [((2, 2), 1048573, (1, 1), 64), ((5, 5), 1009, (2, 2), 32)]:
+        rep = random_rep(make_kronecker(3), d, p, 0)
+        tracemalloc.start()
+        try:
+            assert is_expander_rep(rep, ExpanderParams(HALF, Fraction(19, 50))).ok
+            assert has_subrep_of_dim(rep, e) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, (p, peak)
 
 
 def _frontier_charge(rep, j, s):
@@ -1497,7 +1512,7 @@ def _by_columns(M, p):
 def test_batch_kernel_matches_rank_mod_across_dtypes():
     # primes on both sides of each dtype threshold: int16 holds (p - 1)**2
     # up to p = 181, int32 up to p = 46337; larger entries go to int64
-    from quivex.finfield import _forward, _gauss_jordan, _int_dtype, _inverse_mod
+    from quivex.finfield import _back_substitute, _forward, _int_dtype, _inverse_mod
 
     widths = {2: 2, 3: 2, 181: 2, 191: 4, 46337: 4, 46349: 8, 1048573: 8}
     rng = np.random.Generator(np.random.PCG64(17))
@@ -1534,12 +1549,11 @@ def test_batch_kernel_matches_rank_mod_across_dtypes():
             for s in range(-1, min(mats.shape[1:]) + 1):
                 assert np.array_equal(batch_rank_le(mats, s, p), expected <= s), (p, s)
             # the reduced rows, put in pivot order, are the RREF
-            R, pivots = _gauss_jordan(mats.astype(dtype), p)
-            assert R.shape == mats.shape and R.dtype == dtype, (p, mats.shape)
             # the forward pass alone already gives every pivot, so every rank
-            _, forward_pivots = _forward(mats.astype(dtype), p)
-            assert np.array_equal(forward_pivots, pivots), (p, mats.shape)
-            assert (forward_pivots >= 0).sum(axis=1).tolist() == expected.tolist(), p
+            E, pivots = _forward(mats.astype(dtype), p)
+            assert (pivots >= 0).sum(axis=1).tolist() == expected.tolist(), p
+            R = _back_substitute(E, pivots, p)
+            assert R.shape == mats.shape and R.dtype == dtype, (p, mats.shape)
             # the column loop is the row loop's oracle, bit for bit on
             # tall, square and wide stacks
             oracle_R, oracle_pivots = _by_columns(mats.astype(dtype), p)

@@ -124,6 +124,8 @@ def test_embeds_closed_form_examples():
     assert not embeds_closed_form(ctx, (1, 1))
     assert embeds_closed_form(ctx, (0, 0))
     assert not embeds_closed_form(ctx, (3, 1))  # outside the partial order
+    with pytest.raises(ValueError, match="length 2"):
+        embeds_closed_form(KroneckerContext(3, (5, 5)), (1, 2, 3))
 
 
 def test_embeds_closed_form_refuses_positive_form():

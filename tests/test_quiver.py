@@ -201,6 +201,9 @@ def test_parse_quiver_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(QuiverParseError):
         parse_quiver("# only comments\n")
+    with pytest.raises(QuiverParseError, match="vertex count must be positive") as err:
+        parse_quiver("vertices 0\n")
+    assert err.value.line == 1
 
 
 def test_parse_quiver_cycle_detected():
