@@ -145,7 +145,9 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     return (numerator - QuadraticSurd.sqrt_rational(radicand)) / (2 * alpha * delta)
 
 
-def _minimal_second_coordinates(m: int, d: DimVector, cache: SubdimCache) -> Callable[[int], int]:
+def _minimal_second_coordinates(
+    m: int, d: DimVector, cache: SubdimCache | None
+) -> Callable[[int], int]:
     """e1 |-> the least e2 with (e1, e2) embedding generically into d over K(m):
     c_d_ceil on the cone, else a binary search of embeds, which is total as
     embedding is upward closed in e2 (any vectors can join U_2) and (e1, d2) embeds."""
@@ -174,7 +176,7 @@ def expander_exists(
     dv = make_kronecker(m).check_dim(d)  # checks m >= 1, integers and the entry cap
     if 0 in dv:
         raise ValueError("d must be a pair of positive integers")
-    minimal = _minimal_second_coordinates(m, dv, cache if cache is not None else SubdimCache())
+    minimal = _minimal_second_coordinates(m, dv, cache)
     for e1, s in _levels(params, *dv):
         if (e2 := minimal(e1)) <= s:
             return ExpanderDecision(False, (e1, e2))
@@ -203,7 +205,7 @@ def _theta_constraints(
     if theta(dv) != 0:
         raise ValueError(f"theta(d) = {theta(dv)} != 0")
     bound = delta * sum(dv)
-    subs = generic_subdims(quiver, dv, cache if cache is not None else SubdimCache())
+    subs = generic_subdims(quiver, dv, cache)
     return [e for e in subs if 0 < sum(e) <= bound]
 
 
@@ -275,9 +277,9 @@ def _theta_suprema(
     for d in pending:
         if theta(d) != 0:
             raise ValueError(f"theta(d) = {theta(d)} != 0")
-    held = cache.table(quiver) if cache is not None else {}
+    held = {} if cache is None else cache
     m = quiver.kronecker_m
-    from_rows = {d for d in pending if d not in held and cone_context(m, d) is None}
+    from_rows = {d for d in pending if (quiver, d) not in held and cone_context(m, d) is None}
     sups: dict[DimVector, Fraction | None] = {}
     for d in pending:
         if d in sups:

@@ -321,11 +321,18 @@ class Subspace:
         ambient_dim = check_int(ambient_dim, "ambient_dim")
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be non-negative")
+        # an int64 cast would truncate 1.7 to 1 and take True for 1
+        arr = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        if arr.shape == (0,):  # no rows, as []
+            arr = arr.reshape((0, ambient_dim))
+        if arr.ndim != 2 or arr.shape[1] != ambient_dim:
+            raise ValueError(f"rows must be a 2-D array of width {ambient_dim}, got {arr.shape}")
+        if arr.size and not _integer_entries(arr):
+            raise ValueError("rows have an entry that is not an integer")
         if ambient_dim == 0:
             basis = np.zeros((0, 0), dtype=np.int64)
         else:
-            arr = np.asarray(rows, dtype=np.int64).reshape((-1, ambient_dim))
-            basis = np.array(_rref_rows(arr, p)[0], dtype=np.int64).reshape((-1, ambient_dim))
+            basis = np.array(_rref_rows(arr % p, p)[0], dtype=np.int64).reshape((-1, ambient_dim))
         basis.setflags(write=False)
         self.p = p
         self.ambient_dim = ambient_dim

@@ -8,8 +8,9 @@ values immutable, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -106,12 +107,9 @@ class Quiver:
             raise CycleError("cycle detected")
 
     @cached_property
-    def arrow_counts(self) -> dict[tuple[int, int], int]:
-        """Arrow multiplicities, {(source, target): count}."""
-        counts: dict[tuple[int, int], int] = {}
-        for a in self.arrows:
-            counts[a] = counts.get(a, 0) + 1
-        return counts
+    def arrow_counts(self) -> Counter[tuple[int, int]]:
+        """Arrow multiplicities, {(source, target): count}, in first-arrow order."""
+        return Counter(self.arrows)
 
     @cached_property
     def kronecker_m(self) -> int:
@@ -149,19 +147,15 @@ class Quiver:
         for _, t in self.arrows:
             indeg[t] += 1
         order: list[int] = []
-        ready = sorted(v for v in range(1, self.vertex_count + 1) if indeg[v] == 0)
+        ready = [v for v in range(1, self.vertex_count + 1) if indeg[v] == 0]  # a min-heap
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            changed = False
             for s, t in self.arrows:
                 if s == v:
                     indeg[t] -= 1
                     if indeg[t] == 0:
-                        ready.append(t)
-                        changed = True
-            if changed:
-                ready.sort()
+                        heapq.heappush(ready, t)
         return tuple(order)
 
     def check_dim(self, vec: Sequence[int]) -> DimVector:
@@ -215,21 +209,12 @@ def in_fundamental_domain(quiver: Quiver, d: Sequence[int]) -> bool:
     support = {i + 1 for i, x in enumerate(dv) if x > 0}
     if not support:
         raise QuiverError("dimension vector must be nonzero")
-
-    neighbours: dict[int, set[int]] = {v: set() for v in support}
-    for s, t in quiver.arrows:
-        if s in support and t in support:
-            neighbours[s].add(t)
-            neighbours[t].add(s)
-    start = min(support)
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in neighbours[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
+    reached, size = {min(support)}, 0
+    while size != len(reached):  # grow along supported arrows to a fixpoint
+        size = len(reached)
+        for s, t in quiver.arrows:
+            if {s, t} <= support and {s, t} & reached:
+                reached |= {s, t}
     if reached != support:
         return False
 

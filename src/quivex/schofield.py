@@ -25,25 +25,13 @@ from .kronecker import KroneckerContext, c_d_ceil, cone_context, embeds_closed_f
 from .quiver import DEFAULT_BUDGET, DimVector, Quiver, _Budget
 
 
-class SubdimCache:
-    """Complete generic-subdimension sets, keyed per quiver and vector.
+class SubdimCache(dict):
+    """Complete generic-subdimension sets, keyed by (quiver, vector).
 
     A vector it holds is answered without a walk; the sets are facts and are
     never invalidated.  Not synchronized: confine an instance to one thread
     of control, or guard it externally.  Warm and cold caches agree.
     """
-
-    def __init__(self):
-        self._tables: dict[Quiver, dict[DimVector, frozenset]] = {}
-
-    def table(self, quiver: Quiver) -> dict[DimVector, frozenset]:
-        table = self._tables.get(quiver)
-        if table is None:
-            table = self._tables[quiver] = {}
-        return table
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
 
 
 def _walk(quiver: Quiver, d: DimVector) -> tuple[np.ndarray, np.ndarray]:
@@ -79,12 +67,13 @@ def _cone_subdims(ctx: KroneckerContext) -> frozenset:
     return frozenset((x, y) for x in range(d1 + 1) for y in range(c_d_ceil(ctx, x), d2 + 1))
 
 
-def _cached_subdims(quiver: Quiver, d: DimVector, table: dict) -> frozenset:
-    subs = table.get(d)
+def _cached_subdims(quiver: Quiver, d: DimVector, cache: SubdimCache | None) -> frozenset:
+    cache = {} if cache is None else cache
+    subs = cache.get((quiver, d))
     if subs is None:
         ctx = cone_context(quiver.kronecker_m, d)
         subs = _subdims(quiver, d) if ctx is None else _cone_subdims(ctx)
-        table[d] = subs
+        cache[quiver, d] = subs
     return subs
 
 
@@ -109,9 +98,8 @@ def embeds(
     ctx = cone_context(quiver.kronecker_m, dv)
     if ctx is not None:
         return embeds_closed_form(ctx, ev)
-    cache = cache if cache is not None else SubdimCache()
     w = quiver.form_weights(tuple(a - b for a, b in zip(dv, ev)))
-    subs = _cached_subdims(quiver, ev, cache.table(quiver))
+    subs = _cached_subdims(quiver, ev, cache)
     return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
 
 
@@ -125,6 +113,4 @@ def generic_subdims(
     Always contains the zero vector and d itself.  No early exit: the full
     set is needed by callers.
     """
-    dv = quiver.check_dim(d)
-    cache = cache if cache is not None else SubdimCache()
-    return _cached_subdims(quiver, dv, cache.table(quiver))
+    return _cached_subdims(quiver, quiver.check_dim(d), cache)

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,24 @@ def test_theta_scan_cube_budget_exit_3(capsys):
         "error: subdims budget exceeded on the cube [0, 1000000]^2: "
         f"spent {1000001**2} > limit {DEFAULT_BUDGET}\n"
     )
+
+
+def test_main_exit_status():
+    # python -m quivex.cli passes run's code to the process exit status
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def main(*argv):
+        command = [sys.executable, "-m", "quivex.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    done = main("epsilon", "--k", "2")
+    assert done.returncode == 0
+    assert len(done.stdout.splitlines()) == 1 and json.loads(done.stdout)["command"] == "epsilon"
+    assert main("epsilon", "--k", "x").returncode == 2
+    cube = ("--kronecker", "3", "--theta", "1,-1", "--delta", "1/2", "--dmax", "1000000")
+    done = main("theta-scan", *cube)
+    assert done.returncode == 3 and "subdims budget exceeded" in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -385,6 +385,19 @@ def test_subspace_canonicalization_and_contains():
     line = Subspace(5, 3, [[4, 4, 0]])
     assert _contains(a, line)
     assert not _contains(line, a)
+    assert (a == "x") is False and repr(a) == "Subspace(p=5, ambient_dim=3, dim=2)"
+    # rows of another width, or entries that are not integers, are refused
+    # rather than reshaped or truncated
+    for n, rows in [(2, [[1, 2, 3, 4]]), (0, [[1]]), (3, [[1, 2]]), (2, [1, 2])]:
+        with pytest.raises(ValueError, match=f"width {n}"):
+            Subspace(5, n, rows)
+    for rows in ([[1.7, 2]], [[True, 2]], np.array([[1.5, 2.0]])):
+        with pytest.raises(ValueError, match="not an integer"):
+            Subspace(5, 2, rows)
+    for n, rows in [(2, []), (2, np.zeros((0, 2))), (0, []), (0, [[]])]:
+        assert Subspace(5, n, rows).dim == 0
+    assert Subspace(5, 2, np.array([[6, 2]], dtype=np.uint8)) == Subspace(5, 2, [[1, 2]])
+    assert Subspace(5, 2, [[2**70, 1]]) == Subspace(5, 2, [[4, 1]])  # past int64
 
 
 def test_rep_validation():

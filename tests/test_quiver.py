@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quivex import (
     CycleError,
@@ -228,6 +228,46 @@ vectors = st.tuples(*([st.integers(min_value=0, max_value=5)] * 4))
 def _dag_from(pairs):
     arrows = tuple((min(a, b), max(a, b)) for a, b in pairs if a != b)
     return Quiver(4, arrows)
+
+
+def _sorted_list_kahn(quiver):
+    # reference: re-sort the ready vertices after each one is taken
+    indeg = [0] * (quiver.vertex_count + 1)
+    for _, t in quiver.arrows:
+        indeg[t] += 1
+    ready = [v for v in range(1, quiver.vertex_count + 1) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for s, t in quiver.arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    ready.append(t)
+        ready.sort()
+    return tuple(order)
+
+
+@st.composite
+def _acyclic_quivers(draw):
+    # arrows run forward along a drawn relabelling, so a vertex's index says
+    # nothing about its place in the order
+    n = draw(st.integers(1, 7))
+    label = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    return Quiver(n, tuple((label[min(a, b)], label[max(a, b)]) for a, b in pairs if a != b))
+
+
+def test_topological_order_takes_the_smallest_ready_vertex():
+    # 2 is freed after 4 and 5 are ready, and still comes before them
+    assert Quiver(5, ((5, 1), (3, 2))).topological_order() == (3, 2, 4, 5, 1)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_acyclic_quivers())
+def test_topological_order_matches_sorted_list_kahn(quiver):
+    assert quiver.topological_order() == _sorted_list_kahn(quiver)
 
 
 @given(arrow_pairs, vectors, vectors, vectors)

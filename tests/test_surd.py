@@ -36,6 +36,7 @@ def test_normalization_collapses_perfect_squares():
     assert QuadraticSurd(1, 1, 9, 2) == 2
     assert QuadraticSurd(0, 2, 4, 4) == 1
     assert QuadraticSurd(3, 0, 7, 3) == 1  # q = 0 drops the radicand
+    assert not QuadraticSurd(3, -1, 9, 1) and QuadraticSurd.sqrt(2)  # 3 - sqrt(9) is zero
 
 
 def test_normalization_gcd_and_sign():
@@ -101,8 +102,22 @@ def test_division_rules():
     assert s / Fraction(1, 2) == QuadraticSurd(3, -1, 5, 1)
     with pytest.raises(ZeroDivisionError):
         s / 0
+    assert s / QuadraticSurd(2) == s / 2
     with pytest.raises(ValueError):
         s / QuadraticSurd.sqrt(5)
+    with pytest.raises(TypeError):
+        s / 1.5
+
+
+def test_bools_floats_and_strings_are_not_operands():
+    s = QuadraticSurd(3, -1, 5, 2)
+    for bad in (1.5, True):
+        with pytest.raises(TypeError):
+            QuadraticSurd(bad)
+    for op in (lambda: s + 1.5, lambda: 1.5 - s, lambda: s < True):
+        with pytest.raises(TypeError):
+            op()
+    assert (s == "x") is False and (s == True) is False  # noqa: E712
 
 
 def test_sqrt_rational():
@@ -137,6 +152,9 @@ def test_decimal_agrees_with_float():
 def test_hash_matches_rational_values():
     assert hash(QuadraticSurd(4, 0, 0, 2)) == hash(Fraction(2))
     assert QuadraticSurd(4, 0, 0, 2) == 2
+    assert QuadraticSurd(4, 0, 0, 2).as_fraction() == 2
+    with pytest.raises(ValueError, match="irrational"):
+        QuadraticSurd.sqrt(5).as_fraction()
     d = {QuadraticSurd(0, 1, 5, 1): "root5"}
     assert d[QuadraticSurd(0, 2, 5, 2)] == "root5"
 
@@ -147,6 +165,7 @@ def test_str_forms():
     assert str(QuadraticSurd(0, -2, 3, 1)) == "-2*sqrt(3)"
     assert str(QuadraticSurd(2, -1, 2, 1)) == "2-sqrt(2)"
     assert str(QuadraticSurd(3, 0, 0, 2)) == "3/2"
+    assert repr(QuadraticSurd(3, -1, 5, 2)) == "QuadraticSurd(p=3, q=-1, n=5, r=2)"
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
