@@ -638,9 +638,15 @@ def random_rep(quiver: Quiver, d: Sequence[int], p: int, seed: int) -> FiniteFie
     Entries are drawn i.i.d. uniform on [0, p) from numpy's PCG64 stream
     seeded with ``seed``, matrix by matrix in arrow order, row-major.
     Identical (quiver, d, p, seed) give bit-identical output everywhere.
+    More than DEFAULT_BUDGET entries in all are refused before any is drawn.
     """
     p = _check_prime(p)
     dim = quiver.check_dim(d)
+    entries = sum(c * dim[s - 1] * dim[t - 1] for (s, t), c in quiver.arrow_counts.items())
+    if entries > DEFAULT_BUDGET:
+        raise ValueError(
+            f"random_rep would draw {entries} matrix entries, more than {DEFAULT_BUDGET}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = tuple(
         rng.integers(0, p, size=(dim[t - 1], dim[s - 1]), dtype=np.int64)

@@ -18,10 +18,10 @@ from typing import Sequence
 
 DimVector = tuple[int, ...]
 
-# documented contract bound on dimension-vector entries; all integer
-# arithmetic is arbitrary precision, so this only guards against
-# accidentally feeding astronomically large coordinates into the
-# exponential enumerations downstream
+# documented contract bound on dimension-vector entries, vertex counts and
+# K(m) arrow counts; all integer arithmetic is arbitrary precision, so this
+# only guards against a few bytes of input asking for astronomically large
+# coordinates, vertex lists or arrow tuples before anything is built
 MAX_DIM_ENTRY = 10**6
 
 # finite-field representations take primes p < PRIME_BOUND: the oracle's
@@ -92,6 +92,8 @@ class Quiver:
         vertex_count = check_int(self.vertex_count, "vertex_count")
         if vertex_count < 1:
             raise QuiverError("vertex_count must be a positive integer")
+        if vertex_count > MAX_DIM_ENTRY:
+            raise QuiverError(f"vertex_count must not exceed {MAX_DIM_ENTRY}")
         arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in self.arrows)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
@@ -174,9 +176,12 @@ class Quiver:
 
 def make_kronecker(m: int) -> Quiver:
     """The generalized Kronecker quiver K(m): two vertices, m arrows 1 -> 2."""
-    if check_int(m, "m") < 1:
+    m = check_int(m, "m")
+    if m < 1:
         raise QuiverError("m must be a positive integer")
-    return Quiver(2, ((1, 2),) * int(m))
+    if m > MAX_DIM_ENTRY:
+        raise QuiverError(f"m must not exceed {MAX_DIM_ENTRY}")
+    return Quiver(2, ((1, 2),) * m)
 
 
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

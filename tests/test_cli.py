@@ -276,7 +276,7 @@ def test_curve_refuses_positive_form(capsys):
     capsys.readouterr()
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     assert run(["exists", "--m", "3", "--d", "2,2", "--delta", "0.5", "--epsilon", "1/2"]) == 2
     assert run(["embed", "--kronecker", "2", "--e", "1,x", "--d", "1,1"]) == 2
     assert run(["embed", "--e", "1,0", "--d", "1,1"]) == 2
@@ -312,6 +312,122 @@ def test_input_errors_exit_2(capsys):
     ]:
         assert run(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a few bytes of input asking for 10**9 vertices, 10**9 arrows or 3 * 10**12
+    # matrix entries are refused before anything of that size is built
+    huge = tmp_path / "huge.quiver"
+    huge.write_text("vertices 1000000000\n", encoding="utf-8")
+    for argv, message in [
+        (["subdims", "--quiver", str(huge), "--d", "1,1"], "vertex_count must not exceed 1000000"),
+        (["exists", "--m", "1000000000", "--d", "10,10", "--delta", "1/2", "--epsilon", "1/2"],
+         "m must not exceed 1000000"),
+        (["sample", "--kronecker", "3", "--d", "1000000,1000000", "--p", "2", "--seed", "0",
+          "--count", "1"],
+         "random_rep would draw 3000000000000 matrix entries, more than 10000000"),
+    ]:
+        start = time.monotonic()
+        assert run(argv) == 2, argv
+        assert time.monotonic() - start < 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# each subcommand's whole stdout, as recorded before the argument layer moved
+# into argparse; {quiver} and {rep} stand for files written under tmp_path
+GOLDEN = [
+    (
+        ["embed", "--quiver", "{quiver}", "--e", "1,2", "--d", "2,2"],
+        '{"command": "embed", "inputs": {"quiver": "{quiver}", "e": [1, 2], "d": [2, 2]}, '
+        '"result": {"embeds": true}, "exact": null, "approx": null}\n',
+    ),
+    (
+        ["subdims", "--kronecker", "3", "--d", "2,2"],
+        '{"command": "subdims", "inputs": {"kronecker": 3, "d": [2, 2]}, '
+        '"result": {"subdims": [[0, 0], [0, 1], [0, 2], [1, 2], [2, 2]]}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["epsilon", "--k", "2"],
+        '{"command": "epsilon", "inputs": {"k": 2}, "result": {"epsilon": "(3-sqrt(5))/2"}, '
+        '"exact": {"p": 3, "q": -1, "n": 5, "r": 2}, "approx": "0.381966011250"}\n',
+    ),
+    (
+        ["epsilon", "--m", "4", "--alpha", "2", "--delta", "1/2"],
+        '{"command": "epsilon", "inputs": {"m": 4, "alpha": "2", "delta": "1/2"}, '
+        '"result": {"epsilon": "1/2"}, "exact": {"p": 1, "q": 0, "n": 0, "r": 2}, '
+        '"approx": "0.5"}\n',
+    ),
+    (
+        ["exists", "--m", "3", "--d", "2,2", "--delta", "1/2", "--epsilon", "38/100"],
+        '{"command": "exists", "inputs": {"m": 3, "d": [2, 2], "delta": "1/2", '
+        '"epsilon": "19/50"}, "result": {"exists": true, "violating_e": null}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["exists-uniform", "--m", "3", "--alpha", "1", "--delta", "1/2", "--epsilon", "2/5"],
+        '{"command": "exists-uniform", "inputs": {"m": 3, "alpha": "1", "delta": "1/2", '
+        '"epsilon": "2/5"}, "result": {"exists": false}, '
+        '"exact": {"p": 3, "q": -1, "n": 5, "r": 2}, "approx": "0.381966011250"}\n',
+    ),
+    (
+        ["counterexample"],
+        '{"command": "counterexample", "inputs": {"d": [3, 6, 5], "e": [3, 5, 1]}, '
+        '"result": {"euler": 1, "embeds": false, "fundamental_domain": true}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["verify", "--rep", "{rep}", "--delta", "1/2", "--epsilon", "1/10"],
+        '{"command": "verify", "inputs": {"rep": "{rep}", "delta": "1/2", "epsilon": "1/10"}, '
+        '"result": {"ok": false, "witness": {"dim": 1, "basis": [[1, 0]]}}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["sample", "--kronecker", "2", "--d", "2,2", "--p", "5", "--seed", "0", "--count", "3",
+         "--delta", "1/2", "--epsilon", "1/10"],
+        '{"command": "sample", "inputs": {"kronecker": 2, "d": [2, 2], "p": 5, "seed": 0, '
+        '"count": 3, "delta": "1/2", "epsilon": "1/10"}, "result": {"samples": ['
+        '{"seed": 0, "ok": false, "witness": {"dim": 1, "basis": [[1, 3]]}}, '
+        '{"seed": 1, "ok": false, "witness": {"dim": 1, "basis": [[1, 4]]}}, '
+        '{"seed": 2, "ok": true, "witness": null}]}, "exact": null, "approx": null}\n',
+    ),
+    (
+        ["sample", "--kronecker", "2", "--d", "2,2", "--p", "5", "--seed", "3", "--count", "2"],
+        '{"command": "sample", "inputs": {"kronecker": 2, "d": [2, 2], "p": 5, "seed": 3, '
+        '"count": 2}, "result": {"samples": [{"seed": 3}, {"seed": 4}]}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["theta-scan", "--kronecker", "3", "--theta", "1/2,-1/3", "--delta", "1/2", "--dmax", "4"],
+        '{"command": "theta-scan", "inputs": {"kronecker": 3, "theta": ["1/2", "-1/3"], '
+        '"delta": "1/2", "dmax": 4}, "result": {"rows": [{"d": [2, 3], "epsilon_sup": "1/3"}]}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["curve", "--m", "3", "--d", "2,2"],
+        '{"command": "curve", "inputs": {"m": 3, "d": [2, 2], "format": "json"}, '
+        '"result": {"rows": [{"x": 0, "c_exact": "0", "c_approx": "0", "c_ceil": 0}, '
+        '{"x": 1, "c_exact": "(5-sqrt(5))/2", "c_approx": "1.38196601125", "c_ceil": 2}, '
+        '{"x": 2, "c_exact": "2", "c_approx": "2", "c_ceil": 2}]}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["curve", "--m", "3", "--d", "2,2", "--format", "csv"],
+        "x,c_exact,c_approx,c_ceil\n0,0,0,0\n1,(5-sqrt(5))/2,1.38196601125,2\n2,2,2,2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_stdout(capsys, tmp_path, argv, expected):
+    files = {"{quiver}": tmp_path / "k3.quiver", "{rep}": tmp_path / "rep.json"}
+    files["{quiver}"].write_text(K3_TEXT, encoding="utf-8")
+    rep = FiniteFieldRep(2, make_kronecker(2), (2, 2), (np.eye(2, dtype=np.int64),) * 2)
+    rep.save(files["{rep}"])
+    for key, path in files.items():
+        argv = [str(path) if a == key else a for a in argv]
+        expected = expected.replace(key, json.dumps(str(path))[1:-1])
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
 
 
 def test_output_reparses_as_json(capsys):

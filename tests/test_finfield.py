@@ -1310,6 +1310,12 @@ def test_random_rep_consecutive_seeds_differ():
         assert not all(np.array_equal(x, y) for x, y in zip(prev.matrices, cur.matrices))
 
 
+def test_random_rep_refuses_more_entries_than_the_budget():
+    # 1 * 1000 * 10001 entries, one past DEFAULT_BUDGET, refused before any is drawn
+    with pytest.raises(ValueError, match="would draw 10001000 matrix entries"):
+        random_rep(make_kronecker(1), (1000, 10001), 5, 0)
+
+
 def test_random_rep_zero_dimension_entries():
     rep = random_rep(make_kronecker(2), (0, 2), 5, 1)
     assert rep.matrices[0].shape == (2, 0)

@@ -44,6 +44,9 @@ def test_make_kronecker():
     assert make_kronecker(2) == Quiver(2, ((1, 2), (1, 2)))
     with pytest.raises(QuiverError):
         make_kronecker(0)
+    # refused before the arrow tuple is built
+    with pytest.raises(QuiverError, match="m must not exceed 1000000"):
+        make_kronecker(10**6 + 1)
 
 
 def test_kronecker_m_recognizes_exactly_k_m(bipartite):
@@ -91,6 +94,9 @@ def test_constructor_rejects_bad_indices():
         Quiver(2, ((0, 1),))
     with pytest.raises(QuiverError):
         Quiver(0, ())
+    # refused before topological_order lists the vertices
+    with pytest.raises(QuiverError, match="vertex_count must not exceed 1000000"):
+        Quiver(10**6 + 1, ())
 
 
 def test_one_integer_rule_refuses_bools_and_floats():
