@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import product
 
 from .expander import (
     ExpanderParams,
@@ -27,13 +26,14 @@ from .expander import (
     StabilityFunction,
     _check_delta,
     _theta_suprema,
+    _theta_zeros,
     _uniform_decision,
     epsilon_k,
     epsilon_m_alpha_delta,
     expander_exists,
 )
 from .finfield import FiniteFieldRep, is_expander_rep, random_rep
-from .kronecker import KroneckerContext, c_d_ceil, c_d_exact
+from .kronecker import KroneckerContext, _curve_rows, _require_negative_form
 from .quiver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -193,7 +193,7 @@ def _cmd_theta_scan(args) -> int:
     scale = math.lcm(*(w.denominator for w in args.theta))
     theta = StabilityFunction(tuple(int(w * scale) for w in args.theta))
     # one call for the whole scan, so one walk answers every vector of its box
-    zeros = [d for d in product(range(args.dmax + 1), repeat=n) if any(d) and theta(d) == 0]
+    zeros = _theta_zeros(theta, args.dmax)
     sups = _theta_suprema(quiver, theta, zeros, delta)
     rows = [
         {"d": list(d), "epsilon_sup": str(sups[d] / scale) if sups[d] is not None else None}
@@ -206,16 +206,13 @@ def _cmd_curve(args) -> int:
     if len(args.d) != 2:
         raise ValueError("--d must be a pair D1,D2")
     ctx = KroneckerContext(args.m, args.d)
-    values = [c_d_exact(ctx, x) for x in range(args.d[0] + 1)]
-    rows = [
-        {"x": x, "c_exact": str(v), "c_approx": v.decimal(12), "c_ceil": c_d_ceil(ctx, x)}
-        for x, v in enumerate(values)
-    ]
+    _require_negative_form(ctx)  # refused before the first row is printed
+    rows = ((x, str(v), v.decimal(12), c) for x, v, c in _curve_rows(ctx))
     if args.format == "json":
+        rows = [{"x": x, "c_exact": e, "c_approx": a, "c_ceil": c} for x, e, a, c in rows]
         return _emit(args, {"rows": rows})
     sys.stdout.write("x,c_exact,c_approx,c_ceil\n")
-    for row in rows:
-        sys.stdout.write(f"{row['x']},{row['c_exact']},{row['c_approx']},{row['c_ceil']}\n")
+    sys.stdout.writelines("%d,%s,%s,%d\n" % row for row in rows)
     return 0
 
 
@@ -227,7 +224,8 @@ def _cmd_curve(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivex",
-        description="Exact decisions for quiver subrepresentations and dimension expanders.",
+        description="Exact decisions for quiver subrepresentations and dimension expanders. "
+        "A value may start with '-' (--theta -1,1 or --theta=-1,1).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -297,7 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_quiver_source(p)
     p.add_argument(
-        "--theta", type=_rationals, required=True, help="weights, comma separated (P/Q allowed)"
+        "--theta",
+        type=_rationals,
+        required=True,
+        help="weights, comma separated (P/Q allowed), as in --theta -1,1 or --theta=-1,1",
     )
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--dmax", type=int, required=True)
@@ -312,10 +313,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each option followed by a word such as -1,1 or -1/2 joined
+    into one word, --theta=-1,1: argparse takes a word that starts with '-'
+    for an option unless it reads as a plain negative number."""
+    words: list[str] = []
+    for word in argv:
+        if word[:1] == "-" and word[1:2].isdigit() and words and (
+            words[-1].startswith("--") and "=" not in words[-1]
+        ):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,13 +17,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kronecker import c_d_ceil, cone_context
-from .quiver import DimVector, Quiver, check_int, make_kronecker
+from .kronecker import _ROW_CHUNK, KroneckerContext, _boundary_rows, cone_context
+from .quiver import (
+    DEFAULT_BUDGET,
+    MAX_DIM_ENTRY,
+    DimVector,
+    Quiver,
+    _Budget,
+    check_int,
+    make_kronecker,
+)
 from .schofield import SubdimCache, _walk, embeds, generic_subdims
 from .surd import QuadraticSurd
 
@@ -56,6 +63,13 @@ class ExpanderParams:
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
 
+def _level_rate(params: ExpanderParams, d1: int, d2: int) -> tuple[int, int]:
+    """(rate, scale) with s_j = (rate * j - 1) // scale, the largest integer
+    below (1 + eps) * (d2 / d1) * j."""
+    eps = params.epsilon
+    return (eps.numerator + eps.denominator) * d2, eps.denominator * d1
+
+
 def _levels(params: ExpanderParams, d1: int, d2: int) -> Iterator[tuple[int, int]]:
     """The levels (j, s_j) of a (delta, eps)-expander of dimension vector
     (d1, d2), which must have no subrepresentation of dimension (j, s_j)
@@ -64,8 +78,7 @@ def _levels(params: ExpanderParams, d1: int, d2: int) -> Iterator[tuple[int, int
     fails first and is left out: a j-plane whose image spans at most s
     holds a (j-1)-plane that does too, and generically (j, e2) in Sub(d)
     gives (j-1, e2) in Sub(d)."""
-    eps = params.epsilon
-    rate, scale = (eps.numerator + eps.denominator) * d2, eps.denominator * d1
+    rate, scale = _level_rate(params, d1, d2)
     last = -1  # s_0
     for j in range(1, params.delta.numerator * d1 // params.delta.denominator + 1):
         s = (rate * j - 1) // scale
@@ -79,6 +92,8 @@ def _check_positive_m(m) -> int:
     m = check_int(m, "m")
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if m > MAX_DIM_ENTRY:
+        raise ValueError(f"m must not exceed {MAX_DIM_ENTRY}")
     return m
 
 
@@ -110,6 +125,30 @@ class StabilityFunction:
         return sum(w * x for w, x in zip(self.weights, vec))
 
 
+def _theta_zeros(theta: StabilityFunction, dmax: int) -> list[DimVector]:
+    """The nonzero d in the cube [0, dmax]^n with theta(d) = 0, in
+    lexicographic order: theta of every prefix of n - 1 coordinates in one
+    array, in C order, then the last coordinate solved for, or every value
+    of it where its weight is 0."""
+    *head, last = theta.weights
+    dtype = np.int64 if sum(map(abs, theta.weights)) * dmax < 2**62 else object
+    axis = np.arange(dmax + 1, dtype=dtype)
+    prefix = np.zeros((), dtype=dtype)
+    for weight in head:
+        prefix = np.add.outer(prefix, weight * axis)
+    if last == 0:
+        hits = np.flatnonzero(prefix == 0)
+        tails = np.tile(axis, hits.size)
+        hits = np.repeat(hits, dmax + 1)
+    else:
+        tails = -prefix.ravel() // last
+        hits = np.flatnonzero((-prefix.ravel() % last == 0) & (0 <= tails) & (tails <= dmax))
+        tails = tails[hits]
+    heads = np.unravel_index(hits, prefix.shape) if head else ()
+    rows = np.column_stack([*heads, tails]).tolist()
+    return [tuple(d) for d in rows if any(d)]
+
+
 @dataclass(frozen=True)
 class ExpanderDecision:
     exists: bool
@@ -122,6 +161,8 @@ def epsilon_k(k: int) -> QuadraticSurd:
     k = check_int(k, "k")
     if k < 2:
         raise ValueError("k must be an integer >= 2")
+    if k > MAX_DIM_ENTRY:
+        raise ValueError(f"k must not exceed {MAX_DIM_ENTRY}")
     return QuadraticSurd(k + 1, -1, k * k - 2 * k + 5, 2)
 
 
@@ -149,15 +190,33 @@ def _minimal_second_coordinates(
     m: int, d: DimVector, cache: SubdimCache | None
 ) -> Callable[[int], int]:
     """e1 |-> the least e2 with (e1, e2) embedding generically into d over K(m):
-    c_d_ceil on the cone, else a binary search of embeds, which is total as
-    embedding is upward closed in e2 (any vectors can join U_2) and (e1, d2) embeds."""
-    ctx = cone_context(m, d)
-    if ctx is not None:
-        return partial(c_d_ceil, ctx)
+    a binary search of embeds (expander_exists' rule off the cone), which is
+    total as embedding is upward closed in e2 (any vectors can join U_2) and
+    (e1, d2) embeds."""
     quiver = make_kronecker(m)
     return lambda e1: bisect_left(
         range(d[1]), True, key=lambda e2: embeds(quiver, (e1, e2), d, cache)
     )
+
+
+def _cone_violation(ctx: KroneckerContext, params: ExpanderParams) -> DimVector | None:
+    """expander_exists' first failing pair (j, c_d_ceil(j)) on the cone, or
+    None: the levels of _levels, s_j > s_{j-1}, picked out of every j in
+    1..floor(delta * d1) and tested in chunks of _ROW_CHUNK."""
+    d1, d2 = ctx.d
+    rate, scale = _level_rate(params, d1, d2)
+    top = params.delta.numerator * d1 // params.delta.denominator
+    dtype = np.int64 if rate * top < 2**62 else object
+    for start in range(1, top + 1, _ROW_CHUNK):
+        j = np.arange(start - 1, min(start + _ROW_CHUNK, top + 1))
+        s = (rate * j.astype(dtype) - 1) // scale  # s_0 = -1, as in _levels
+        level = np.flatnonzero(s[1:] > s[:-1]) + 1
+        if level.size:
+            ceil = _boundary_rows(ctx, j[level])[3]
+            fails = np.flatnonzero(ceil <= s[level])
+            if fails.size:
+                return int(j[level[fails[0]]]), int(ceil[fails[0]])
+    return None
 
 
 def expander_exists(
@@ -171,11 +230,17 @@ def expander_exists(
 
     At each level (e1, s) of _levels the minimal embeddable e2 must
     exceed s, that is, clear (1 + eps) * (d2 / d1) * e1; the first
-    (lexicographically smallest) failing pair is reported.
+    (lexicographically smallest) failing pair is reported.  The minimal e2
+    is c_d_ceil on the cone (_cone_violation), else
+    _minimal_second_coordinates.
     """
     dv = make_kronecker(m).check_dim(d)  # checks m >= 1, integers and the entry cap
     if 0 in dv:
         raise ValueError("d must be a pair of positive integers")
+    ctx = cone_context(m, dv)
+    if ctx is not None:
+        violating = _cone_violation(ctx, params)
+        return ExpanderDecision(violating is None, violating)
     minimal = _minimal_second_coordinates(m, dv, cache)
     for e1, s in _levels(params, *dv):
         if (e2 := minimal(e1)) <= s:
@@ -257,6 +322,31 @@ def _row_suprema(
     return sups
 
 
+def _cone_supremum(
+    ctx: KroneckerContext, theta: StabilityFunction, delta: Fraction
+) -> Fraction | None:
+    """The supremum of a K(m) cone vector d, charged as _cone_subdims charges
+    the listing of Sub(d) it needs no more.  Column x of Sub(d) is
+    c_d_ceil(x) <= y <= d2, and a constraining member also has
+    0 < x + y <= bound = floor(delta * |d|).  Along a column
+    -theta(x, y) / (x + y) = -t2 - (t1 - t2) x / (x + y) is monotone in y,
+    so its least value sits at the low end if t1 > t2, else the high end;
+    the least of those is found by cross-multiplying."""
+    d1, d2 = ctx.d
+    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+    bound = delta.numerator * (d1 + d2) // delta.denominator
+    t1, t2 = theta.weights
+    best = None  # (numerator, total) of the least ratio so far
+    for x, low in enumerate(_boundary_rows(ctx, np.arange(min(d1, bound) + 1))[3].tolist()):
+        low, high = max(low, int(x == 0)), min(d2, bound - x)  # (0, 0) is not constraining
+        if low <= high:
+            y = low if t1 > t2 else high
+            ratio = (-t1 * x - t2 * y, x + y)
+            if best is None or ratio[0] * best[1] < best[0] * ratio[1]:
+                best = ratio
+    return None if best is None else Fraction(*best)
+
+
 def _theta_suprema(
     quiver: Quiver,
     theta: StabilityFunction,
@@ -267,11 +357,12 @@ def _theta_suprema(
     """theta_epsilon_supremum of every vector of vectors, each with
     theta(d) = 0, one vector at a time in descending lexicographic order.
 
-    A K(m) cone vector, or one the cache holds, is answered from
-    generic_subdims.  Any other d still unanswered gets one walk of its box,
-    charged as generic_subdims charges it, and every unanswered off-cone
-    vector v <= d is answered from row v; the table is then dropped.  So only
-    the maximal off-cone vectors are walked, one table at a time."""
+    A vector the cache holds is answered from generic_subdims, a K(m) cone
+    vector from its columns' ends (_cone_supremum).  Any other d still
+    unanswered gets one walk of its box, charged as generic_subdims charges
+    it, and every unanswered off-cone vector v <= d is answered from row v;
+    the table is then dropped.  So only the maximal off-cone vectors are
+    walked, one table at a time."""
     delta = _check_delta(delta)
     pending = sorted({quiver.check_dim(d) for d in vectors}, reverse=True)
     for d in pending:
@@ -279,17 +370,20 @@ def _theta_suprema(
             raise ValueError(f"theta(d) = {theta(d)} != 0")
     held = {} if cache is None else cache
     m = quiver.kronecker_m
-    from_rows = {d for d in pending if (quiver, d) not in held and cone_context(m, d) is None}
+    cones = {d: cone_context(m, d) for d in pending if (quiver, d) not in held}
+    from_rows = {d for d, ctx in cones.items() if ctx is None}
     sups: dict[DimVector, Fraction | None] = {}
     for d in pending:
         if d in sups:
             continue
-        if d not in from_rows:
+        if cones.get(d) is not None:
+            sups[d] = _cone_supremum(cones[d], theta, delta)
+        elif d not in from_rows:
             constraints = _theta_constraints(quiver, theta, d, delta, cache)
             sups[d] = min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)
-            continue
-        below = [v for v in from_rows if v not in sups and all(a <= b for a, b in zip(v, d))]
-        sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d)))
+        else:
+            below = [v for v in from_rows if v not in sups and all(a <= b for a, b in zip(v, d))]
+            sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d)))
     return sups
 
 

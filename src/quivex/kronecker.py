@@ -12,10 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .quiver import MAX_DIM_ENTRY, check_int
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, _isqrt_array, _square_free_split
+
+
+# x values per chunk of _boundary_rows where a range is scanned (curve, the
+# cone levels of expander_exists): about eight int64 arrays of this length
+# are alive at once, 256 KB, so a scan of 10**6 levels reads the same max
+# RSS as one of 10**2 (2**18 per chunk read 15 MB more)
+_ROW_CHUNK = 1 << 12
 
 
 class ClosedFormInapplicableError(ValueError):
@@ -33,6 +42,8 @@ class KroneckerContext:
         m = check_int(self.m, "m")
         if m < 2:
             raise ValueError("m must be an integer >= 2")
+        if m > MAX_DIM_ENTRY:
+            raise ValueError(f"m must not exceed {MAX_DIM_ENTRY}")
         d = tuple(check_int(x, "d entry") for x in self.d)
         if len(d) != 2 or any(x < 0 for x in d):
             raise ValueError("d must be a pair of non-negative integers")
@@ -99,6 +110,41 @@ def c_d_ceil(ctx: KroneckerContext, x: int) -> int:
     apex_doubled, radicand = _boundary(ctx, x)
     _require_negative_form(ctx)
     return min(ctx.d[1], max(0, (apex_doubled - isqrt(radicand) + 1) // 2))
+
+
+def _boundary_rows(ctx: KroneckerContext, x: np.ndarray):
+    """B, D, isqrt(D) and c_d_ceil at every x of a nonempty ascending int64
+    array, as arrays: _boundary and c_d_ceil in one pass, for <d, d> <= 0.
+    D = (m*m - 4) x**2 + (4 d1 - 2 m d2) x + d2**2 is convex in x, so its
+    values at the first and last x bound it: below 2**62 the arrays are
+    int64, otherwise they hold Python ints.  c_d_ceil needs no clamp here:
+    B**2 - D = 4x (m d2 - d1 + x) >= 0 on the cone, so 0 <= c_d(x) <= d2
+    (see _boundary), and B - isqrt(D) + 1 > 0 halves by a shift."""
+    _require_negative_form(ctx)
+    (d1, d2), m = ctx.d, ctx.m
+    if max(_boundary(ctx, int(x[0]))[1], _boundary(ctx, int(x[-1]))[1]) >= 2**62:
+        x = x.astype(object)
+    apex_doubled = m * x + d2
+    radicand = ((m * m - 4) * x + (4 * d1 - 2 * m * d2)) * x + d2 * d2
+    root = _isqrt_array(radicand)
+    return apex_doubled, radicand, root, (apex_doubled - root + 1) >> 1
+
+
+def _curve_rows(ctx: KroneckerContext) -> Iterator[tuple[int, QuadraticSurd, int]]:
+    """(x, c_d_exact(x), c_d_ceil(x)) for x = 0..d1, for <d, d> <= 0:
+    _boundary_rows in chunks of _ROW_CHUNK, each chunk's radicands
+    split in one pass (surd._square_free_split), so no surd is factored
+    again on construction."""
+    d1 = ctx.d[0]
+    for start in range(0, d1 + 1, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, d1 + 1)
+        apex_doubled, radicand, _, ceil = _boundary_rows(ctx, np.arange(start, stop))
+        square, free = _square_free_split(radicand)
+        for x, b, s, k, c in zip(
+            range(start, stop), apex_doubled.tolist(), square.tolist(), free.tolist(),
+            ceil.tolist(),
+        ):
+            yield x, QuadraticSurd._normal(b, -s, k, 2), c
 
 
 def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:

@@ -2,8 +2,10 @@
 
 Every ordering decision is made with integer arithmetic only (isolate the
 radical, square with explicit sign analysis); floating point is never
-consulted for a comparison.  Values are normalized on construction, so two
-equal numbers always have identical components.
+consulted for a comparison, and a decimal rendering takes a float only
+where it provably prints the same digits as the exact one.  Values are
+normalized on construction, so two equal numbers always have identical
+components.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
+
+import numpy as np
+
+# decimal's float path keeps 4 guard digits past the printed ones and
+# refuses a value whose guard digits lie within _GUARD units of the
+# rounding midpoint 5000; its float and Decimal's own evaluation stay
+# within 14 units of the true value together (QuadraticSurd._float_decimal)
+_GUARD = 100
 
 
 def _square_free(n: int) -> tuple[int, int]:
@@ -39,6 +49,69 @@ def _square_free(n: int) -> tuple[int, int]:
     if root * root == c:
         return s * root, k
     return s, k * c
+
+
+def _isqrt_array(values: np.ndarray) -> np.ndarray:
+    """math.isqrt of every entry: of an int64 array below 2**62 by the float
+    root with one integer correction each way (the float root is off by far
+    less than 1), of an object array of Python ints one entry at a time."""
+    if values.dtype == object:
+        return np.array([math.isqrt(v) for v in values.tolist()], dtype=object)
+    root = np.sqrt(values.astype(np.float64)).astype(np.int64)
+    root -= root * root > values
+    root += np.square(root + 1) <= values
+    return root
+
+
+def _icbrt(n: int) -> int:
+    """The largest integer f with f**3 <= n, for n >= 0."""
+    f = round(n ** (1 / 3))
+    while f**3 > n:
+        f -= 1
+    while (f + 1) ** 3 <= n:
+        f += 1
+    return f
+
+
+def _primes(limit: int) -> list[int]:
+    """The primes up to limit, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def _square_free_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_square_free of every entry of an int64 or object array of
+    non-negative ints: arrays s and k with values = s*s*k, k square-free.
+
+    Every prime f with f**3 <= max(values) is divided out of every
+    cofactor c; each c is then 1, a prime, a product of two primes or a
+    prime's square, so one perfect-square test per c finishes it.  That
+    split is unique, so it is _square_free's, which stops earlier.
+    """
+    c = values.copy()
+    c[values == 0] = 1  # 0 = 0*0*1, as _square_free has it
+    s, k = np.ones_like(c), np.ones_like(c)
+    for f in _primes(_icbrt(int(c.max()))):
+        hit = (c % f == 0).nonzero()[0]
+        while hit.size:  # f divides c[hit]: take f out twice or once
+            c[hit] //= f
+            twice = c[hit] % f == 0
+            k[hit[~twice]] *= f
+            hit = hit[twice]
+            if hit.size:
+                c[hit] //= f
+                s[hit] *= f
+                hit = hit[c[hit] % f == 0]
+    root = _isqrt_array(c)
+    square = root * root == c
+    s[square] *= root[square]
+    k[~square] *= c[~square]
+    s[values == 0] = 0
+    return s, k
 
 
 def _reduce(p: int, q: int, n: int, r: int) -> tuple[int, int, int, int]:
@@ -152,13 +225,70 @@ class QuadraticSurd:
         return (self.p + self.q * math.sqrt(self.n)) / self.r
 
     def decimal(self, digits: int = 12) -> str:
-        """Decimal string rounded to the given number of significant digits."""
+        """Decimal string rounded to the given number of significant digits:
+        Decimal's, evaluated at digits + 25 places, or the same string from a
+        float where _float_decimal proves it equal."""
+        text = self._float_decimal(digits) if self.q else None
+        if text is not None:
+            return text
         with localcontext() as ctx:
             ctx.prec = digits + 25
             value = (Decimal(self.p) + Decimal(self.q) * Decimal(self.n).sqrt()) / Decimal(self.r)
             ctx.prec = digits
             value = +value
         return str(value)
+
+    def _float_decimal(self, digits: int) -> str | None:
+        """decimal's string for an irrational value, from a float, or None.
+
+        The float is evaluated without cancellation (in the conjugate form
+        (p*p - q*q*n) / (r (p - q sqrt(n))) when p and q differ in sign) and
+        scaled by an exact power of 10 to digits + 4 figures, so it is within
+        12 units of the last of them.  Decimal's evaluation cancels at most
+        20 of its digits + 25 places when |p| <= 10**20 |p + q sqrt(n)|, so
+        it is within 2 units there.  So where the 4 guard figures lie
+        _GUARD units from the midpoint 5000, both round the same way.
+        Decimal's sum is inexact, so it has all digits + 25 figures; divided
+        by r < 10**24 it keeps more than digits of them, so Decimal prints
+        exactly digits figures, trailing zeros included, as built here in
+        plain notation for 10**-6 <= rounded value < 10**digits.  Anything
+        else, or digits outside 1..12 (a float holds 16 figures), gives None.
+        """
+        p, q, n, r = self.p, self.q, self.n, self.r
+        if not 1 <= digits <= 12:
+            return None
+        try:
+            if (p < 0) == (q < 0) or p == 0:
+                value = (p + q * math.sqrt(n)) / r
+            else:
+                value = (p * p - q * q * n) / (r * (p - q * math.sqrt(n)))
+        except OverflowError:
+            return None
+        size = abs(value)
+        if not 1e-7 < size < 10.0**digits or abs(p) > 1e20 * r * size or r >= 10**24:
+            return None
+        exponent = math.floor(math.log10(size))
+        while True:  # log10 may be one off next to a power of 10
+            head, guard = divmod(round(size * 10.0 ** (digits + 3 - exponent)), 10**4)
+            if head >= 10**digits:
+                exponent += 1
+            elif head < 10 ** (digits - 1):
+                exponent -= 1
+            else:
+                break
+        if abs(guard - 5000) < _GUARD:
+            return None
+        head += guard > 5000
+        if head == 10**digits:
+            head, exponent = head // 10, exponent + 1
+        if not -6 <= exponent < digits:
+            return None
+        text = str(head)
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + text
+        elif exponent < digits - 1:
+            text = text[: exponent + 1] + "." + text[exponent + 1 :]
+        return "-" + text if value < 0 else text
 
     def exact_parts(self) -> dict:
         return {"p": self.p, "q": self.q, "n": self.n, "r": self.r}

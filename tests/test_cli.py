@@ -412,6 +412,44 @@ GOLDEN = [
         ["curve", "--m", "3", "--d", "2,2", "--format", "csv"],
         "x,c_exact,c_approx,c_ceil\n0,0,0,0\n1,(5-sqrt(5))/2,1.38196601125,2\n2,2,2,2\n",
     ),
+    # recorded before curve, exists and theta-scan became array passes; a
+    # --theta value starting with '-' was then accepted only as --theta=-1,2
+    (
+        ["theta-scan", "--kronecker", "3", "--theta", "-1,2", "--delta", "1/2", "--dmax", "4"],
+        '{"command": "theta-scan", "inputs": {"kronecker": 3, "theta": ["-1", "2"], '
+        '"delta": "1/2", "dmax": 4}, "result": {"rows": [{"d": [2, 1], "epsilon_sup": "-2"}, '
+        '{"d": [4, 2], "epsilon_sup": "-2"}]}, "exact": null, "approx": null}\n',
+    ),
+    (
+        ["theta-scan", "--kronecker", "2", "--theta", "-2/3,1/2", "--delta", "2/3", "--dmax", "8"],
+        '{"command": "theta-scan", "inputs": {"kronecker": 2, "theta": ["-2/3", "1/2"], '
+        '"delta": "2/3", "dmax": 8}, "result": {"rows": [{"d": [3, 4], "epsilon_sup": "-1/2"}, '
+        '{"d": [6, 8], "epsilon_sup": "-1/2"}]}, "exact": null, "approx": null}\n',
+    ),
+    (
+        ["exists", "--m", "3", "--d", "10,10", "--delta", "1/2", "--epsilon", "1/2"],
+        '{"command": "exists", "inputs": {"m": 3, "d": [10, 10], "delta": "1/2", '
+        '"epsilon": "1/2"}, "result": {"exists": false, "violating_e": [5, 7]}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["exists", "--m", "4", "--d", "300,200", "--delta", "2/3", "--epsilon", "1/5"],
+        '{"command": "exists", "inputs": {"m": 4, "d": [300, 200], "delta": "2/3", '
+        '"epsilon": "1/5"}, "result": {"exists": true, "violating_e": null}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["epsilon", "--m", "3", "--alpha", "1", "--delta", "1/3"],
+        '{"command": "epsilon", "inputs": {"m": 3, "alpha": "1", "delta": "1/3"}, '
+        '"result": {"epsilon": "2-sqrt(2)"}, "exact": {"p": 2, "q": -1, "n": 2, "r": 1}, '
+        '"approx": "0.585786437627"}\n',
+    ),
+    (
+        ["curve", "--m", "4", "--d", "6,3", "--format", "csv"],
+        "x,c_exact,c_approx,c_ceil\n0,0,0,0\n1,(7-sqrt(21))/2,1.20871215252,2\n"
+        "2,(11-sqrt(57))/2,1.72508278236,2\n3,(15-3*sqrt(13))/2,2.09167308680,3\n"
+        "4,(19-sqrt(201))/2,2.41127656062,3\n5,(23-sqrt(309))/2,2.71080208438,3\n6,3,3,3\n",
+    ),
 ]
 
 
@@ -428,6 +466,54 @@ def test_golden_stdout(capsys, tmp_path, argv, expected):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+def test_values_starting_with_minus_may_be_separate_words(capsys):
+    # --theta -1,1 reads as --theta=-1,1, and so does every option's value
+    scan = ["theta-scan", "--kronecker", "3", "--delta", "1/2", "--dmax", "3"]
+    outputs = []
+    for theta in (["--theta", "-1,1"], ["--theta=-1,1"]):
+        assert run(scan + theta) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["inputs"]["theta"] == ["-1", "1"]
+    assert run(["epsilon", "--m", "3", "--alpha", "-1/2", "--delta", "1/2"]) == 2
+    assert capsys.readouterr().err == "error: alpha must satisfy alpha^2 - m*alpha + 1 < 0\n"
+    # an option name after an option is still an error, as before
+    assert run(["epsilon", "--k", "--m", "3"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["epsilon", "--k", str(10**20)], "k must not exceed 1000000"),
+        (["epsilon", "--m", str(10**20), "--alpha", "1", "--delta", "1/2"],
+         "m must not exceed 1000000"),
+        (["exists-uniform", "--m", str(10**20), "--alpha", "1", "--delta", "1/2",
+          "--epsilon", "1/2"], "m must not exceed 1000000"),
+        (["curve", "--m", str(10**20), "--d", "2,1"], "m must not exceed 1000000"),
+    ],
+)
+def test_coefficient_arguments_are_capped(capsys, argv, message):
+    # epsilon --k 10**20 and curve --m 10**20 hung in the surd layer before
+    # their caps
+    start = time.monotonic()
+    assert run(argv) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_curve_off_the_cone_prints_nothing(capsys):
+    for fmt in ("csv", "json"):
+        assert run(["curve", "--m", "3", "--d", "5,1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: closed form inapplicable: <d, d> > 0; use the recursive engine\n"
+        )
 
 
 def test_output_reparses_as_json(capsys):

@@ -6,8 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivex import (
+    BudgetExceededError,
     ExpanderDecision,
     ExpanderParams,
     KroneckerContext,
@@ -19,6 +21,7 @@ from quivex import (
     SubdimCache,
     embeds,
     epsilon_k,
+    generic_subdims,
     epsilon_m_alpha_delta,
     expander_exists,
     expander_exists_uniform,
@@ -329,3 +332,97 @@ def test_integer_arguments_refuse_bool_and_float():
     assert epsilon_m_alpha_delta(np.int16(4), 2, HALF) == epsilon_m_alpha_delta(4, 2, HALF)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         SlopeParams(np.int64(0), 1)
+
+
+def _first_violation_by_levels(m, d, params):
+    # expander_exists on the cone as one c_d_ceil per level of _levels: the oracle
+    from quivex.expander import _levels
+    from quivex.kronecker import c_d_ceil, cone_context
+
+    ctx = cone_context(m, d)
+    for e1, s in _levels(params, *d):
+        if (e2 := c_d_ceil(ctx, e1)) <= s:
+            return ExpanderDecision(False, (e1, e2))
+    return ExpanderDecision(True, None)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=400),
+    st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda f: 0 < f < 1),
+    st.fractions(min_value=0, max_value=3, max_denominator=50).filter(lambda f: f > 0),
+)
+def test_cone_levels_match_one_c_d_ceil_per_level(m, d1, d2, delta, eps):
+    if d1 * d1 + d2 * d2 - m * d1 * d2 > 0:
+        return
+    params = ExpanderParams(delta, eps)
+    decision = expander_exists(m, (d1, d2), params)
+    assert decision == _first_violation_by_levels(m, (d1, d2), params)
+    assert all(type(x) is int for x in decision.violating_e or ())
+
+
+def test_cone_levels_match_at_large_sizes():
+    # chunks of levels, Python-int boundaries at m = 10**6 and Python-int
+    # thresholds from an epsilon with 30-digit parts
+    eps30 = Fraction(123456789012345678901234567891, 987654321098765432109876543211)
+    cases = [
+        (3, (10**6, 10**6), HALF, HALF),
+        (10**6, (20_000, 20_000), HALF, Fraction(1, 10)),
+        (10**6, (10**6, 3), Fraction(99, 100), eps30),
+        (4, (70_001, 30_000), Fraction(2, 3), Fraction(1, 5)),
+        (3, (50_000, 49_999), Fraction(99, 100), eps30),
+    ]
+    for m, d, delta, eps in cases:
+        params = ExpanderParams(delta, eps)
+        assert expander_exists(m, d, params) == _first_violation_by_levels(m, d, params), (m, d)
+
+
+def test_cone_supremum_matches_the_listing():
+    # the columns' ends against the minimum over the listed Sub(d), with the
+    # same charge: one budget per cone vector, the box size at d
+    from quivex.expander import _cone_supremum
+    from quivex.kronecker import cone_context
+    from quivex.schofield import _cone_subdims
+
+    for m, d1, d2 in product((2, 3, 4, 5), range(0, 16), range(0, 16)):
+        ctx = cone_context(m, (d1, d2))
+        if ctx is None:
+            continue
+        members = _cone_subdims(ctx)
+        for t1, t2 in [(1, -1), (2, -1), (1, -2), (-3, 1), (0, 1), (5, 5), (3, -2)]:
+            for delta in (Fraction(1, 3), HALF, Fraction(2, 3), Fraction(99, 100)):
+                bound = delta * (d1 + d2)
+                ratios = [Fraction(-t1 * x - t2 * y, x + y) for x, y in members
+                          if 0 < x + y <= bound]
+                sup = _cone_supremum(ctx, StabilityFunction((t1, t2)), delta)
+                assert sup == min(ratios, default=None), (m, ctx.d, (t1, t2), delta)
+    ctx = cone_context(3, (4000, 4000))
+    with pytest.raises(BudgetExceededError) as listing:
+        _cone_subdims(ctx)
+    with pytest.raises(BudgetExceededError) as ends:
+        _cone_supremum(ctx, StabilityFunction((1, -1)), HALF)
+    assert str(ends.value) == str(listing.value)
+
+
+def test_cone_suprema_skip_the_listing_unless_cached():
+    # a cone vector the cache holds is read from it; any other is not listed
+    K3, theta = make_kronecker(3), StabilityFunction((1, -1))
+    cache = SubdimCache()
+    expected = theta_epsilon_supremum(K3, theta, (40, 40), HALF)
+    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF, cache) == expected
+    assert (K3, (40, 40)) not in cache
+    generic_subdims(K3, (40, 40), cache)
+    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF, cache) == expected
+
+
+def test_epsilon_and_arrow_counts_are_capped():
+    # k, and m of the slope coefficients, at most 10**6, refused at once
+    with pytest.raises(ValueError, match="k must not exceed 1000000"):
+        epsilon_k(10**20)
+    assert epsilon_k(10**6) == QuadraticSurd(10**6 + 1, -1, 10**12 - 2 * 10**6 + 5, 2)
+    with pytest.raises(ValueError, match="m must not exceed 1000000"):
+        epsilon_m_alpha_delta(10**20, 1, HALF)
+    with pytest.raises(ValueError, match="m must not exceed 1000000"):
+        SlopeParams(10**6 + 1, 1)

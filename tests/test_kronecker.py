@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quivex import (
@@ -173,3 +174,38 @@ def test_closed_form_matches_recursion_small_grid():
             assert embeds_closed_form(ctx, (e1, e2)) == embeds(
                 make_kronecker(ctx.m), (e1, e2), d
             ), (ctx, (e1, e2))
+
+
+def _parts(surd):
+    return (surd.p, surd.q, surd.n, surd.r)
+
+
+def test_boundary_rows_match_the_scalar_helpers():
+    # int64 rows, and Python-int rows where D passes 2**62 (m = 10**6)
+    from quivex.kronecker import _boundary, _boundary_rows
+
+    contexts = list(_contexts((2, 3, 4, 5, 6), 12))
+    contexts += [KroneckerContext(3, (10**6, 10**6)), KroneckerContext(10**6, (10**6, 10**6)),
+                 KroneckerContext(10**6, (3000, 2)), KroneckerContext(2, (10**6, 10**6))]
+    for ctx in contexts:
+        d1 = ctx.d[0]
+        for start, stop in {(0, d1 + 1), (d1 // 2, d1 + 1), (max(0, d1 - 2100), d1 + 1)}:
+            if stop - start > 5000:
+                continue
+            rows = [a.tolist() for a in _boundary_rows(ctx, np.arange(start, stop))]
+            for x, b, dd, r, c in zip(range(start, stop), *rows):
+                assert (b, dd) == _boundary(ctx, x), (ctx, x)
+                assert (r, c) == (math.isqrt(dd), c_d_ceil(ctx, x)), (ctx, x)
+
+
+def test_curve_rows_match_c_d_exact_and_c_d_ceil():
+    from quivex.kronecker import _ROW_CHUNK, _curve_rows
+
+    contexts = list(_contexts((2, 3, 4, 5), 16))
+    # rows across chunk boundaries, with radicands up to 3.6 * 10**11
+    contexts += [KroneckerContext(3, (2 * _ROW_CHUNK + 5, 3 * _ROW_CHUNK)),
+                 KroneckerContext(4, (300, 200)), KroneckerContext(1000, (150, 1))]
+    for ctx in contexts:
+        rows = [(x, _parts(v), c) for x, v, c in _curve_rows(ctx)]
+        expected = [(x, _parts(c_d_exact(ctx, x)), c_d_ceil(ctx, x)) for x in range(ctx.d[0] + 1)]
+        assert rows == expected, ctx

@@ -5,14 +5,17 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from decimal import Decimal, localcontext
+from hypothesis import given, settings, strategies as st
 
 from quivex import QuadraticSurd
 from quivex.cli import run
 from quivex.kronecker import KroneckerContext, c_d_exact
-from quivex.surd import _square_free
+from quivex.surd import _icbrt, _square_free, _square_free_split
 
 
 def _square_free_reference(n):
@@ -25,6 +28,16 @@ def _square_free_reference(n):
             s *= f
         f += 1
     return s, k
+
+
+def _decimal_reference(surd, digits=12):
+    """QuadraticSurd.decimal as it was before its float path: the oracle."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 25
+        value = (Decimal(surd.p) + Decimal(surd.q) * Decimal(surd.n).sqrt()) / Decimal(surd.r)
+        ctx.prec = digits
+        value = +value
+    return str(value)
 
 
 def test_normalization_extracts_square_factors():
@@ -327,3 +340,93 @@ def test_c_d_exact_large_dimension_vector():
     }
     for x, parts in expected.items():
         assert _parts(c_d_exact(ctx, x)) == parts
+
+
+def _split_pairs(values, dtype):
+    s, k = _square_free_split(np.array(values, dtype=dtype))
+    return list(zip(s.tolist(), k.tolist()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40))
+def test_square_free_split_matches_scalar(values):
+    assert _split_pairs(values, np.int64) == [_square_free(n) for n in values]
+
+
+def test_square_free_split_crafted():
+    rng = random.Random(62)
+    seeded = [rng.getrandbits(rng.randint(1, 48)) for _ in range(1000)]
+    seeded += [rng.getrandbits(61) for _ in range(20)]
+    crafted = [0, 1, 2, 4, 8, 9, 12, 2**61, 3**38, 10**18]
+    for q1 in LARGE_PRIMES:
+        for s in (1, 6, 999983):
+            crafted += [s * s * q1, s * s * q1 * q1]
+    for s in (2, 97, 10**6 + 3, 2**30 - 35):
+        crafted += [s * s, s * s * 7, s * s * 10007]
+    values = seeded + [n for n in crafted if n < 2**62]
+    assert _split_pairs(values, np.int64) == [_square_free(n) for n in values]
+    # primes just below and above the cube-root cut of the array's maximum
+    top = 10**12
+    assert _icbrt(top) == 10**4 and _icbrt(top - 1) == 10**4 - 1
+    values = [top, 9973**2 * 7, 9973**3, 9973 * 10007, 10007**2, 10007**2 * 3,
+              10007 * 10009, 10009**2 * 9973, 99991 * 10007, 999983 * 10007]
+    assert max(values) == top
+    assert _split_pairs(values, np.int64) == [_square_free(n) for n in values]
+
+
+def test_square_free_split_at_and_above_2_62():
+    # Python ints in an object array: the same passes, past int64
+    values = [2**62, 2**62 + 1, 2**62 + 27, 3 * (2**30 + 3) ** 2, (10**6 + 3) ** 3,
+              (2**31 - 1) * (2**31 + 11), 7 * (2**30 + 3) ** 2, 0, 1, 2**62 - 1]
+    assert max(values) < 2**63
+    assert _split_pairs(values, object) == [_square_free(n) for n in values]
+
+
+surd_parts = st.tuples(
+    st.integers(min_value=-10**15, max_value=10**15),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    st.integers(min_value=2, max_value=10**12),
+    st.integers(min_value=1, max_value=10**9),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(surd_parts, st.sampled_from([1, 6, 12, 13]))
+def test_decimal_matches_decimal_oracle(parts, digits):
+    surd = QuadraticSurd(*parts)
+    assert surd.decimal(digits) == _decimal_reference(surd, digits)
+
+
+def test_decimal_float_path_edge_values():
+    cases = [
+        QuadraticSurd(3, -1, 5, 2),  # 0.381966011250: a kept trailing zero
+        QuadraticSurd(-3, 1, 5, 2),  # negative
+        QuadraticSurd(0, -7, 2, 3),
+        QuadraticSurd(7, 0, 0, 8),  # rational: always Decimal's
+        QuadraticSurd(10**15, 0, 0, 3),
+        QuadraticSurd(1, 1, 2, 10**7),  # tiny: 2.41421356237E-7
+        QuadraticSurd(1, 1, 2, 10**6),  # 0.00000241421356237
+        QuadraticSurd(10**14, 1, 2, 1),  # huge: 1.00000000000E+14
+        QuadraticSurd(10**11, 1, 2, 1),  # 100000000001
+        QuadraticSurd(10**12, -1, 2, 1),  # 999999999999: rounds to 10**12
+        QuadraticSurd(10**12, 1, 2, 1),
+    ]
+    for k, sign, den in product(range(-8, 14), (1, -1), (10**15, 10**30)):
+        # 10**k +- sqrt(2) / den: by the float below 10**24, else by Decimal
+        cases.append(QuadraticSurd._normal(10**k * den if k >= 0 else den // 10**-k,
+                                           sign, 2, den))
+    # guard digits next to the midpoint: 1.234567890125 + sqrt(2) / 10**20
+    cases.append(QuadraticSurd._normal(1234567890125 * 10**8, 1, 2, 10**20))
+    cases.append(QuadraticSurd._normal(1234567890125 * 10**8, -1, 2, 10**20))
+    # p and q sqrt(n) cancel in more than 20 digits
+    cases.append(QuadraticSurd._normal(10**21 + 7, -1, 10**42 + 3, 1))
+    for surd in cases:
+        for digits in (12, 5, 1):
+            assert surd.decimal(digits) == _decimal_reference(surd, digits), (surd, digits)
+    assert QuadraticSurd(1, 1, 2, 10**7).decimal(12) == "2.41421356237E-7"
+    assert QuadraticSurd(10**12, -1, 2, 1).decimal(12) == "999999999999"
+    # the float path answers a plain value and refuses the midpoint and cancellation
+    assert QuadraticSurd(5, -1, 5, 2)._float_decimal(12) == "1.38196601125"
+    assert QuadraticSurd._normal(10**15, -1, 2, 10**15)._float_decimal(12) == "1.00000000000"
+    assert QuadraticSurd._normal(1234567890125 * 10**8, 1, 2, 10**20)._float_decimal(12) is None
+    assert QuadraticSurd._normal(10**21 + 7, -1, 10**42 + 3, 1)._float_decimal(12) is None
