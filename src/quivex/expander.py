@@ -22,16 +22,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .kronecker import _ROW_CHUNK, KroneckerContext, _boundary_rows, cone_context
-from .quiver import (
-    DEFAULT_BUDGET,
-    MAX_DIM_ENTRY,
-    DimVector,
-    Quiver,
-    _Budget,
-    check_int,
-    make_kronecker,
-)
-from .schofield import SubdimCache, _walk, embeds, generic_subdims
+from .quiver import MAX_DIM_ENTRY, DimVector, Quiver, check_int, make_kronecker
+from .schofield import SubdimCache, _charge_cone, _walk, embeds, generic_subdims
 from .surd import QuadraticSurd
 
 
@@ -202,11 +194,13 @@ def _minimal_second_coordinates(
 def _cone_violation(ctx: KroneckerContext, params: ExpanderParams) -> DimVector | None:
     """expander_exists' first failing pair (j, c_d_ceil(j)) on the cone, or
     None: the levels of _levels, s_j > s_{j-1}, picked out of every j in
-    1..floor(delta * d1) and tested in chunks of _ROW_CHUNK."""
+    1..floor(delta * d1) and tested in chunks of _ROW_CHUNK.  The
+    thresholds are int64 while rate * j and scale stay below 2**62,
+    otherwise Python ints."""
     d1, d2 = ctx.d
     rate, scale = _level_rate(params, d1, d2)
     top = params.delta.numerator * d1 // params.delta.denominator
-    dtype = np.int64 if rate * top < 2**62 else object
+    dtype = np.int64 if max(rate * top, scale) < 2**62 else object
     for start in range(1, top + 1, _ROW_CHUNK):
         j = np.arange(start - 1, min(start + _ROW_CHUNK, top + 1))
         s = (rate * j.astype(dtype) - 1) // scale  # s_0 = -1, as in _levels
@@ -333,7 +327,7 @@ def _cone_supremum(
     so its least value sits at the low end if t1 > t2, else the high end;
     the least of those is found by cross-multiplying."""
     d1, d2 = ctx.d
-    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+    _charge_cone(ctx)
     bound = delta.numerator * (d1 + d2) // delta.denominator
     t1, t2 = theta.weights
     best = None  # (numerator, total) of the least ratio so far

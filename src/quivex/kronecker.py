@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .quiver import MAX_DIM_ENTRY, check_int
-from .surd import QuadraticSurd, _isqrt_array, _square_free_split
+from .surd import QuadraticSurd, _icbrt, _isqrt_array, _primes, _square_free_split
 
 
 # x values per chunk of _boundary_rows where a range is scanned (curve, the
@@ -134,12 +134,14 @@ def _curve_rows(ctx: KroneckerContext) -> Iterator[tuple[int, QuadraticSurd, int
     """(x, c_d_exact(x), c_d_ceil(x)) for x = 0..d1, for <d, d> <= 0:
     _boundary_rows in chunks of _ROW_CHUNK, each chunk's radicands
     split in one pass (surd._square_free_split), so no surd is factored
-    again on construction."""
+    again on construction.  The primes are sieved once, up to the cube
+    root of the larger end value of the convex D (see _boundary_rows)."""
     d1 = ctx.d[0]
+    primes = _primes(_icbrt(max(_boundary(ctx, 0)[1], _boundary(ctx, d1)[1])))
     for start in range(0, d1 + 1, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, d1 + 1)
         apex_doubled, radicand, _, ceil = _boundary_rows(ctx, np.arange(start, stop))
-        square, free = _square_free_split(radicand)
+        square, free = _square_free_split(radicand, primes)
         for x, b, s, k, c in zip(
             range(start, stop), apex_doubled.tolist(), square.tolist(), free.tolist(),
             ceil.tolist(),

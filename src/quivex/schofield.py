@@ -60,10 +60,17 @@ def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
     return frozenset(map(tuple, box[member[-1]].tolist()))
 
 
+def _charge_cone(ctx: KroneckerContext) -> None:
+    """Charge the listing of Sub(d) on the cone: the (d1 + 1) * (d2 + 1)
+    cells of box(d), also where a caller reads Sub(d) without listing it."""
+    d1, d2 = ctx.d
+    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+
+
 def _cone_subdims(ctx: KroneckerContext) -> frozenset:
     """Sub(d) on the cone: the columns {(x, y) : c_d(x) <= y <= d2}."""
     d1, d2 = ctx.d
-    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+    _charge_cone(ctx)
     low = _boundary_rows(ctx, np.arange(d1 + 1))[3].tolist()
     return frozenset((x, y) for x, c in enumerate(low) for y in range(c, d2 + 1))
 

@@ -73,29 +73,34 @@ def _icbrt(n: int) -> int:
     return f
 
 
-def _primes(limit: int) -> list[int]:
-    """The primes up to limit, by the sieve of Eratosthenes."""
+def _primes(limit: int) -> np.ndarray:
+    """The primes up to limit, ascending, by the sieve of Eratosthenes."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for f in range(2, math.isqrt(limit) + 1):
         if sieve[f]:
             sieve[f * f :: f] = False
-    return np.flatnonzero(sieve).tolist()
+    return np.flatnonzero(sieve)
 
 
-def _square_free_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _square_free_split(values: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_square_free of every entry of an int64 or object array of
     non-negative ints: arrays s and k with values = s*s*k, k square-free.
+    primes is ascending and holds every prime f with f**3 <= max(values)
+    (_primes of _icbrt of a bound on them, shared by the calls it covers).
 
-    Every prime f with f**3 <= max(values) is divided out of every
-    cofactor c; each c is then 1, a prime, a product of two primes or a
-    prime's square, so one perfect-square test per c finishes it.  That
-    split is unique, so it is _square_free's, which stops earlier.
+    Every such prime is divided out of every cofactor c; each c is then 1,
+    a prime, a product of two primes or a prime's square, so one
+    perfect-square test per c finishes it.  That split is unique, so it is
+    _square_free's, which stops earlier.
     """
     c = values.copy()
     c[values == 0] = 1  # 0 = 0*0*1, as _square_free has it
     s, k = np.ones_like(c), np.ones_like(c)
-    for f in _primes(_icbrt(int(c.max()))):
+    top = int(c.max())
+    for f in map(int, primes):
+        if f * f * f > top:
+            break
         hit = (c % f == 0).nonzero()[0]
         while hit.size:  # f divides c[hit]: take f out twice or once
             c[hit] //= f

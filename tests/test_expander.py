@@ -364,8 +364,9 @@ def test_cone_levels_match_one_c_d_ceil_per_level(m, d1, d2, delta, eps):
 
 
 def test_cone_levels_match_at_large_sizes():
-    # chunks of levels, Python-int boundaries at m = 10**6 and Python-int
-    # thresholds from an epsilon with 30-digit parts
+    # chunks of levels, Python-int boundaries at m = 10**6, Python-int
+    # thresholds from an epsilon with 30-digit parts, and from a tiny
+    # epsilon where rate * j stays below 2**62 but scale does not
     eps30 = Fraction(123456789012345678901234567891, 987654321098765432109876543211)
     cases = [
         (3, (10**6, 10**6), HALF, HALF),
@@ -373,6 +374,7 @@ def test_cone_levels_match_at_large_sizes():
         (10**6, (10**6, 3), Fraction(99, 100), eps30),
         (4, (70_001, 30_000), Fraction(2, 3), Fraction(1, 5)),
         (3, (50_000, 49_999), Fraction(99, 100), eps30),
+        (10, (9, 1), Fraction(1, 9), Fraction(1, 2**60)),
     ]
     for m, d, delta, eps in cases:
         params = ExpanderParams(delta, eps)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quivex import QuadraticSurd
 from quivex.cli import run
 from quivex.kronecker import KroneckerContext, c_d_exact
-from quivex.surd import _icbrt, _square_free, _square_free_split
+from quivex.surd import _icbrt, _primes, _square_free, _square_free_split
 
 
 def _square_free_reference(n):
@@ -342,8 +342,10 @@ def test_c_d_exact_large_dimension_vector():
         assert _parts(c_d_exact(ctx, x)) == parts
 
 
-def _split_pairs(values, dtype):
-    s, k = _square_free_split(np.array(values, dtype=dtype))
+def _split_pairs(values, dtype, limit=None):
+    # primes up to the cube root of the values' maximum, or up to limit
+    primes = _primes(_icbrt(max(values)) if limit is None else limit)
+    s, k = _square_free_split(np.array(values, dtype=dtype), primes)
     return list(zip(s.tolist(), k.tolist()))
 
 
@@ -372,6 +374,9 @@ def test_square_free_split_crafted():
               10007 * 10009, 10009**2 * 9973, 99991 * 10007, 999983 * 10007]
     assert max(values) == top
     assert _split_pairs(values, np.int64) == [_square_free(n) for n in values]
+    # primes sieved for a larger bound, as a curve shares them among its chunks
+    assert _split_pairs(values, np.int64, 10**6) == [_square_free(n) for n in values]
+    assert _split_pairs([0, 1], np.int64, 0) == [(0, 1), (1, 1)]
 
 
 def test_square_free_split_at_and_above_2_62():
