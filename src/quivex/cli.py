@@ -6,9 +6,9 @@ malformed one, or a missing or doubled quiver source, gets a usage line
 and exit 2.  Every command prints one JSON envelope {command, inputs,
 result, exact, approx}, whose inputs echo the parsed arguments; ``curve``
 can emit CSV instead.  Exit codes: 0 for a computed decision (true or
-false alike), 2 for input errors, 3 for an exceeded work budget.  Vertex
-counts, K(m) arrow counts and dimension entries are capped at 10**6, and
-a sampled representation at 10**7 matrix entries, before anything is built.
+false alike), 2 for input errors, 3 for an exceeded work budget.  Vertex,
+arrow and sample counts and dimension entries are capped at 10**6, and a
+sampled representation at 10**7 matrix entries, before anything is built.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .quiver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     _Budget,
+    check_count,
     euler_form,
     in_fundamental_domain,
     load_quiver,
@@ -154,8 +155,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     if (args.delta is None) != (args.epsilon is None):
         raise ValueError("--delta and --epsilon must be given together")
-    if args.count < 0:
-        raise ValueError(f"--count must be non-negative, got {args.count}")
+    check_count(args.count, "--count", low=0)
     quiver = make_kronecker(args.kronecker)
     params = None if args.delta is None else ExpanderParams(args.delta, args.epsilon)
     samples = []

@@ -3,8 +3,8 @@
 A representation f_1, ..., f_m : V -> W of K(m) is a (delta, eps)-expander
 if every nonzero subspace U of V with dim U / dim V <= delta satisfies
 dim(f_1(U) + ... + f_m(U)) >= (1 + eps) * (dim W / dim V) * dim U: iff it has
-no subrepresentation of dimension (j, s_j) at any level of _levels, the one
-rule of expander_exists (for a general representation) and of
+no subrepresentation of dimension (j, s_j) at any level of _level_arrays,
+the one rule of expander_exists (for a general representation) and of
 finfield.is_expander_rep.  Uniform existence along a fixed slope reduces to
 one exact comparison against a closed-form coefficient.
 
@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .kronecker import _ROW_CHUNK, KroneckerContext, _boundary_rows, cone_context
-from .quiver import MAX_DIM_ENTRY, DimVector, Quiver, check_int, make_kronecker
+from .quiver import DimVector, Quiver, check_count, check_int, make_kronecker
 from .schofield import SubdimCache, _charge_cone, _walk, embeds, generic_subdims
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, _exact_dtype
 
 
 def _check_delta(delta) -> Fraction:
@@ -55,38 +55,34 @@ class ExpanderParams:
         object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
 
-def _level_rate(params: ExpanderParams, d1: int, d2: int) -> tuple[int, int]:
-    """(rate, scale) with s_j = (rate * j - 1) // scale, the largest integer
-    below (1 + eps) * (d2 / d1) * j."""
+def _level_arrays(
+    params: ExpanderParams, d1: int, d2: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The levels (j, s_j) of a (delta, eps)-expander of dimension vector
+    (d1, d2), as arrays of j and of s_j, from _ROW_CHUNK values of j at a
+    time: it must have no subrepresentation of dimension (j, s_j) for
+    1 <= j <= delta * d1, where s_j = (rate * j - 1) // scale is the largest
+    integer below (1 + eps) * (d2 / d1) * j.  A level with s_j < 0 or
+    s_j = s_{j-1} never fails first and is left out: a j-plane whose image
+    spans at most s holds a (j-1)-plane that does too, and generically
+    (j, e2) in Sub(d) gives (j-1, e2) in Sub(d).  j is int64, and s_j is
+    int64 or Python ints as rate * j and scale allow (_exact_dtype)."""
     eps = params.epsilon
-    return (eps.numerator + eps.denominator) * d2, eps.denominator * d1
+    rate, scale = (eps.numerator + eps.denominator) * d2, eps.denominator * d1
+    top = params.delta.numerator * d1 // params.delta.denominator
+    dtype = _exact_dtype(max(rate * top, scale))
+    for start in range(1, top + 1, _ROW_CHUNK):
+        j = np.arange(start - 1, min(start + _ROW_CHUNK, top + 1))
+        s = (rate * j.astype(dtype, copy=False) - 1) // scale  # s_0 = -1
+        level = np.flatnonzero(s[1:] > s[:-1]) + 1
+        if level.size:
+            yield j[level], s[level]
 
 
 def _levels(params: ExpanderParams, d1: int, d2: int) -> Iterator[tuple[int, int]]:
-    """The levels (j, s_j) of a (delta, eps)-expander of dimension vector
-    (d1, d2), which must have no subrepresentation of dimension (j, s_j)
-    for 1 <= j <= delta * d1, s_j the largest integer below
-    (1 + eps) * (d2 / d1) * j.  A level with s_j < 0 or s_j = s_{j-1} never
-    fails first and is left out: a j-plane whose image spans at most s
-    holds a (j-1)-plane that does too, and generically (j, e2) in Sub(d)
-    gives (j-1, e2) in Sub(d)."""
-    rate, scale = _level_rate(params, d1, d2)
-    last = -1  # s_0
-    for j in range(1, params.delta.numerator * d1 // params.delta.denominator + 1):
-        s = (rate * j - 1) // scale
-        if s > last:
-            yield j, s
-            last = s
-
-
-def _check_positive_m(m) -> int:
-    """The arrow count m as a Python int, refused unless an integer >= 1."""
-    m = check_int(m, "m")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if m > MAX_DIM_ENTRY:
-        raise ValueError(f"m must not exceed {MAX_DIM_ENTRY}")
-    return m
+    """The levels of _level_arrays, one pair (j, s_j) of Python ints at a time."""
+    for j, s in _level_arrays(params, d1, d2):
+        yield from zip(j.tolist(), s.tolist())
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class SlopeParams:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _check_positive_m(self.m))
+        object.__setattr__(self, "m", check_count(self.m, "m"))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
 
 
@@ -123,7 +119,7 @@ def _theta_zeros(theta: StabilityFunction, dmax: int) -> list[DimVector]:
     array, in C order, then the last coordinate solved for, or every value
     of it where its weight is 0."""
     *head, last = theta.weights
-    dtype = np.int64 if sum(map(abs, theta.weights)) * dmax < 2**62 else object
+    dtype = _exact_dtype(sum(map(abs, theta.weights)) * dmax)
     axis = np.arange(dmax + 1, dtype=dtype)
     prefix = np.zeros((), dtype=dtype)
     for weight in head:
@@ -150,11 +146,7 @@ class ExpanderDecision:
 def epsilon_k(k: int) -> QuadraticSurd:
     """Sharp expansion coefficient for k operators in equal dimensions:
     (k + 1 - sqrt(k*k - 2k + 5)) / 2, which lies strictly in (0, 1)."""
-    k = check_int(k, "k")
-    if k < 2:
-        raise ValueError("k must be an integer >= 2")
-    if k > MAX_DIM_ENTRY:
-        raise ValueError(f"k must not exceed {MAX_DIM_ENTRY}")
+    k = check_count(k, "k", low=2)
     return QuadraticSurd(k + 1, -1, k * k - 2 * k + 5, 2)
 
 
@@ -166,7 +158,7 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     alpha^2 - m*alpha + 1 < 0;  m*delta + alpha - 2*alpha*delta > 0;
     0 < delta < 1.
     """
-    m = _check_positive_m(m)
+    m = check_count(m, "m")
     alpha = Fraction(alpha)
     delta = _check_delta(delta)
     numerator = m * delta + alpha - 2 * alpha * delta
@@ -191,28 +183,6 @@ def _minimal_second_coordinates(
     )
 
 
-def _cone_violation(ctx: KroneckerContext, params: ExpanderParams) -> DimVector | None:
-    """expander_exists' first failing pair (j, c_d_ceil(j)) on the cone, or
-    None: the levels of _levels, s_j > s_{j-1}, picked out of every j in
-    1..floor(delta * d1) and tested in chunks of _ROW_CHUNK.  The
-    thresholds are int64 while rate * j and scale stay below 2**62,
-    otherwise Python ints."""
-    d1, d2 = ctx.d
-    rate, scale = _level_rate(params, d1, d2)
-    top = params.delta.numerator * d1 // params.delta.denominator
-    dtype = np.int64 if max(rate * top, scale) < 2**62 else object
-    for start in range(1, top + 1, _ROW_CHUNK):
-        j = np.arange(start - 1, min(start + _ROW_CHUNK, top + 1))
-        s = (rate * j.astype(dtype) - 1) // scale  # s_0 = -1, as in _levels
-        level = np.flatnonzero(s[1:] > s[:-1]) + 1
-        if level.size:
-            ceil = _boundary_rows(ctx, j[level])[3]
-            fails = np.flatnonzero(ceil <= s[level])
-            if fails.size:
-                return int(j[level[fails[0]]]), int(ceil[fails[0]])
-    return None
-
-
 def expander_exists(
     m: int,
     d: Sequence[int],
@@ -222,19 +192,24 @@ def expander_exists(
     """Generic existence of a (delta, eps)-expander representation of K(m)
     with dimension vector d = (d1, d2), each entry at most MAX_DIM_ENTRY.
 
-    At each level (e1, s) of _levels the minimal embeddable e2 must
+    At each level (e1, s) of _level_arrays the minimal embeddable e2 must
     exceed s, that is, clear (1 + eps) * (d2 / d1) * e1; the first
     (lexicographically smallest) failing pair is reported.  The minimal e2
-    is c_d_ceil on the cone (_cone_violation), else
-    _minimal_second_coordinates.
+    is c_d_ceil on the cone, one _boundary_rows pass per chunk of levels,
+    else _minimal_second_coordinates, the one place K(m) is built.
     """
-    dv = make_kronecker(m).check_dim(d)  # checks m >= 1, integers and the entry cap
+    check_count(m, "m")
+    dv = Quiver(2, ()).check_dim(d)  # as K(m) would check it, with no arrow built
     if 0 in dv:
         raise ValueError("d must be a pair of positive integers")
     ctx = cone_context(m, dv)
     if ctx is not None:
-        violating = _cone_violation(ctx, params)
-        return ExpanderDecision(violating is None, violating)
+        for j, s in _level_arrays(params, *dv):
+            ceil = _boundary_rows(ctx, j)[3]
+            fails = np.flatnonzero(ceil <= s)
+            if fails.size:
+                return ExpanderDecision(False, (int(j[fails[0]]), int(ceil[fails[0]])))
+        return ExpanderDecision(True, None)
     minimal = _minimal_second_coordinates(m, dv, cache)
     for e1, s in _levels(params, *dv):
         if (e2 := minimal(e1)) <= s:
@@ -296,8 +271,8 @@ def _row_suprema(
     0..|v| occurs in Sub(v): a subrepresentation U of dimension e != 0 stays
     one when U loses a vector at a vertex of e's support that no arrow from
     the support enters, and an acyclic quiver has such a vertex."""
-    exact = sum(abs(w) * x for w, x in zip(theta.weights, d)) < 2**62
-    values = box @ np.array(theta.weights, dtype=np.int64 if exact else object)
+    bound = sum(abs(w) * x for w, x in zip(theta.weights, d))
+    values = box @ np.array(theta.weights, dtype=_exact_dtype(bound))
     sizes = box.sum(axis=1)
     order = np.argsort(sizes, kind="stable")
     starts = np.searchsorted(sizes[order], np.arange(sum(d) + 2))  # of each total 0..|d|+1

@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .quiver import MAX_DIM_ENTRY, check_int
-from .surd import QuadraticSurd, _icbrt, _isqrt_array, _primes, _square_free_split
+from .quiver import MAX_DIM_ENTRY, check_count, check_int
+from .surd import QuadraticSurd, _exact_dtype, _icbrt, _isqrt_array, _primes, _square_free_split
 
 
 # x values per chunk of _boundary_rows where a range is scanned (curve, the
@@ -39,11 +39,7 @@ class KroneckerContext:
     d: tuple[int, int]
 
     def __post_init__(self):
-        m = check_int(self.m, "m")
-        if m < 2:
-            raise ValueError("m must be an integer >= 2")
-        if m > MAX_DIM_ENTRY:
-            raise ValueError(f"m must not exceed {MAX_DIM_ENTRY}")
+        m = check_count(self.m, "m", low=2)
         d = tuple(check_int(x, "d entry") for x in self.d)
         if len(d) != 2 or any(x < 0 for x in d):
             raise ValueError("d must be a pair of non-negative integers")
@@ -71,9 +67,7 @@ def cone_context(m: int, d: Sequence[int]) -> KroneckerContext | None:
 
 def beta(m: int) -> QuadraticSurd:
     """(m + sqrt(m*m - 4)) / 2, the larger root of t^2 - m t + 1."""
-    m = check_int(m, "m")
-    if m < 2:
-        raise ValueError("m must be an integer >= 2")
+    m = check_count(m, "m", low=2)
     return QuadraticSurd(m, 1, m * m - 4, 2)
 
 
@@ -104,26 +98,27 @@ def c_d_ceil(ctx: KroneckerContext, x: int) -> int:
 
     The ceiling of the smaller zero (B - sqrt(D)) / 2 in integer arithmetic:
     with r = isqrt(D), it is (B - r + 1) // 2 whether or not D is a square,
-    so nothing is rounded.  The tests compare it with a scan for the first
-    y at which the integer sign predicate holds.
+    so nothing is rounded, and 0 <= c_d(x) <= d2 on the cone (see
+    _boundary_rows).  The tests compare it with a scan for the first y at
+    which the integer sign predicate holds.
     """
     apex_doubled, radicand = _boundary(ctx, x)
     _require_negative_form(ctx)
-    return min(ctx.d[1], max(0, (apex_doubled - isqrt(radicand) + 1) // 2))
+    return (apex_doubled - isqrt(radicand) + 1) // 2
 
 
 def _boundary_rows(ctx: KroneckerContext, x: np.ndarray):
     """B, D, isqrt(D) and c_d_ceil at every x of a nonempty ascending int64
     array, as arrays: _boundary and c_d_ceil in one pass, for <d, d> <= 0.
     D = (m*m - 4) x**2 + (4 d1 - 2 m d2) x + d2**2 is convex in x, so its
-    values at the first and last x bound it: below 2**62 the arrays are
-    int64, otherwise they hold Python ints.  c_d_ceil needs no clamp here:
+    values at the first and last x bound it, and pick the arrays' dtype
+    (_exact_dtype).  c_d_ceil needs no clamp:
     B**2 - D = 4x (m d2 - d1 + x) >= 0 on the cone, so 0 <= c_d(x) <= d2
     (see _boundary), and B - isqrt(D) + 1 > 0 halves by a shift."""
     _require_negative_form(ctx)
     (d1, d2), m = ctx.d, ctx.m
-    if max(_boundary(ctx, int(x[0]))[1], _boundary(ctx, int(x[-1]))[1]) >= 2**62:
-        x = x.astype(object)
+    bound = max(_boundary(ctx, int(x[0]))[1], _boundary(ctx, int(x[-1]))[1])
+    x = x.astype(_exact_dtype(bound), copy=False)
     apex_doubled = m * x + d2
     radicand = ((m * m - 4) * x + (4 * d1 - 2 * m * d2)) * x + d2 * d2
     root = _isqrt_array(radicand)

@@ -73,6 +73,18 @@ def check_int(x, what: str) -> int:
     raise QuiverError(f"{what} must be an integer, got {x!r}")
 
 
+def check_count(x, what: str, low: int = 1) -> int:
+    """x as a Python int (check_int), refused unless low <= x <= MAX_DIM_ENTRY:
+    the one check of every vertex, arrow, operator and sample count."""
+    x = check_int(x, what)
+    if x < low:
+        floor = {0: f"non-negative, got {x}", 1: "a positive integer"}.get(low)
+        raise QuiverError(f"{what} must be {floor or f'an integer >= {low}'}")
+    if x > MAX_DIM_ENTRY:
+        raise QuiverError(f"{what} must not exceed {MAX_DIM_ENTRY}")
+    return x
+
+
 class QuiverParseError(QuiverError):
     """Malformed quiver file; carries the offending 1-based line number."""
 
@@ -89,11 +101,7 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        vertex_count = check_int(self.vertex_count, "vertex_count")
-        if vertex_count < 1:
-            raise QuiverError("vertex_count must be a positive integer")
-        if vertex_count > MAX_DIM_ENTRY:
-            raise QuiverError(f"vertex_count must not exceed {MAX_DIM_ENTRY}")
+        vertex_count = check_count(self.vertex_count, "vertex_count")
         arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in self.arrows)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
@@ -176,12 +184,7 @@ class Quiver:
 
 def make_kronecker(m: int) -> Quiver:
     """The generalized Kronecker quiver K(m): two vertices, m arrows 1 -> 2."""
-    m = check_int(m, "m")
-    if m < 1:
-        raise QuiverError("m must be a positive integer")
-    if m > MAX_DIM_ENTRY:
-        raise QuiverError(f"m must not exceed {MAX_DIM_ENTRY}")
-    return Quiver(2, ((1, 2),) * m)
+    return Quiver(2, ((1, 2),) * check_count(m, "m"))
 
 
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kronecker import KroneckerContext, _boundary_rows, cone_context, embeds_closed_form
+from .kronecker import KroneckerContext, c_d_ceil, cone_context, embeds_closed_form
 from .quiver import DEFAULT_BUDGET, DimVector, Quiver, _Budget
 
 
@@ -68,11 +68,13 @@ def _charge_cone(ctx: KroneckerContext) -> None:
 
 
 def _cone_subdims(ctx: KroneckerContext) -> frozenset:
-    """Sub(d) on the cone: the columns {(x, y) : c_d(x) <= y <= d2}."""
+    """Sub(d) on the cone: the columns {(x, y) : c_d(x) <= y <= d2}.  Each
+    floor is one scalar c_d_ceil, which costs less than listing its column."""
     d1, d2 = ctx.d
     _charge_cone(ctx)
-    low = _boundary_rows(ctx, np.arange(d1 + 1))[3].tolist()
-    return frozenset((x, y) for x, c in enumerate(low) for y in range(c, d2 + 1))
+    return frozenset(
+        (x, y) for x in range(d1 + 1) for y in range(c_d_ceil(ctx, x), d2 + 1)
+    )
 
 
 def _cached_subdims(quiver: Quiver, d: DimVector, cache: SubdimCache | None) -> frozenset:

@@ -51,10 +51,19 @@ def _square_free(n: int) -> tuple[int, int]:
     return s, k * c
 
 
+def _exact_dtype(bound: int):
+    """The dtype of an integer array whose entries, and every sum and
+    product a caller takes of them, are at most bound in absolute value:
+    np.int64 below 2**62, where that arithmetic and _isqrt_array are exact,
+    else object, for Python ints."""
+    return np.int64 if bound < 2**62 else object
+
+
 def _isqrt_array(values: np.ndarray) -> np.ndarray:
-    """math.isqrt of every entry: of an int64 array below 2**62 by the float
-    root with one integer correction each way (the float root is off by far
-    less than 1), of an object array of Python ints one entry at a time."""
+    """math.isqrt of every entry: of an int64 array (see _exact_dtype) by the
+    float root with one integer correction each way (the float root is off
+    by far less than 1), of an object array of Python ints one entry at a
+    time."""
     if values.dtype == object:
         return np.array([math.isqrt(v) for v in values.tolist()], dtype=object)
     root = np.sqrt(values.astype(np.float64)).astype(np.int64)

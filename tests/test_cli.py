@@ -1,18 +1,34 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quivex import DEFAULT_BUDGET, FiniteFieldRep, make_kronecker
+from quivex import (
+    DEFAULT_BUDGET,
+    ExpanderParams,
+    FiniteFieldRep,
+    KroneckerContext,
+    Quiver,
+    SlopeParams,
+    beta,
+    epsilon_k,
+    epsilon_m_alpha_delta,
+    expander_exists,
+    make_kronecker,
+)
 from quivex.cli import run
 
 K3_TEXT = "vertices 2\n1 -> 2\n1 -> 2\n1 -> 2\n"
@@ -504,6 +520,74 @@ def test_coefficient_arguments_are_capped(capsys, argv, message):
     assert run(argv) == 2
     assert time.monotonic() - start < 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _sample(count):
+    """sample --count as a call that raises its error line as a ValueError.
+    A sampled d of 3 * 10**12 matrix entries refuses the first draw, so a
+    count that the count rule passes stops there at once."""
+    argv = ["sample", "--kronecker", "3", "--d", "1000000,1000000", "--p", "2", "--seed", "0",
+            "--count", str(count)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code:
+        raise ValueError(err.getvalue().splitlines()[-1].split("error: ", 1)[1])
+
+
+_DRAW = "random_rep would draw 3000000000000 matrix entries, more than 10000000"
+_ALPHA = "alpha must satisfy alpha^2 - m*alpha + 1 < 0"
+
+# entry point: (call, the count's name, its least value, the message that a
+# value the count rule passes still gets, if any)
+COUNT_ENTRY_POINTS = {
+    "Quiver": (lambda x: Quiver(x, ()), "vertex_count", 1, None),
+    "make_kronecker": (make_kronecker, "m", 1, None),
+    "KroneckerContext": (lambda x: KroneckerContext(x, (1, 1)), "m", 2, None),
+    "beta": (beta, "m", 2, None),
+    "epsilon_k": (epsilon_k, "k", 2, None),
+    "epsilon_m_alpha_delta": (
+        lambda x: epsilon_m_alpha_delta(x, 1, Fraction(1, 2)), "m", 1,
+        lambda x: _ALPHA if x < 3 else None,
+    ),
+    "SlopeParams": (lambda x: SlopeParams(x, 1), "m", 1, None),
+    "expander_exists": (
+        lambda x: expander_exists(x, (1, 1), ExpanderParams(Fraction(1, 2), Fraction(1, 2))),
+        "m", 1, None,
+    ),
+    "sample --count": (_sample, "--count", 0, lambda x: _DRAW if x else None),
+}
+
+
+def _count_refusal(x, what, low):
+    """The message a count x is refused with, None if it passes."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        if what.startswith("--"):  # argparse refuses the word
+            return f"argument {what}: invalid int value: '{x}'"
+        return f"{what} must be an integer, got {x!r}"
+    if x < low:
+        floors = {0: f"non-negative, got {x}", 1: "a positive integer"}
+        return f"{what} must be {floors.get(low, f'an integer >= {low}')}"
+    return f"{what} must not exceed 1000000" if x > 10**6 else None
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, 10**6, 10**6 + 1, 10**20, True, 1.5, np.int64(3)],
+                         ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_is_checked_by_the_one_count_rule(entry, value):
+    # beta(10**20) and sample --count 10**9 ran without end before the cap;
+    # a refusal is immediate, while an accepted count at the cap may list
+    # 10**6 vertices or arrows (Quiver, make_kronecker: 0.5-0.7 s on 2 vCPUs)
+    call, what, low, after = COUNT_ENTRY_POINTS[entry]
+    message = _count_refusal(value, what, low) or (after and after(value))
+    start = time.monotonic()
+    if message is None:
+        call(value)
+    else:
+        with pytest.raises(ValueError) as refusal:
+            call(value)
+        assert str(refusal.value) == message
+    assert time.monotonic() - start < (1 if message else 5)
 
 
 def test_curve_off_the_cone_prints_nothing(capsys):

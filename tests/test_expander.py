@@ -381,6 +381,26 @@ def test_cone_levels_match_at_large_sizes():
         assert expander_exists(m, d, params) == _first_violation_by_levels(m, d, params), (m, d)
 
 
+def test_expander_exists_builds_k_m_only_off_the_cone(monkeypatch):
+    # the pair is checked without K(m): the cone never builds it, and the
+    # bisect off the cone builds it once
+    import quivex.expander as expander
+    from quivex.kronecker import cone_context
+
+    built = []
+    monkeypatch.setattr(expander, "make_kronecker", lambda m: built.append(m) or make_kronecker(m))
+    params = ExpanderParams(HALF, Fraction(1, 10))
+    for m, d in [(3, (10, 10)), (2, (1, 1)), (10**6, (20_000, 3)), (4, (70, 30))]:
+        assert cone_context(m, d) is not None
+        expander_exists(m, d, params)
+    assert built == []
+    for m, d in [(1, (5, 5)), (3, (12, 1)), (4, (9, 2)), (3, (2, 9)), (1, (1, 1))]:
+        assert cone_context(m, d) is None
+        built.clear()
+        expander_exists(m, d, params)
+        assert len(built) <= 1, (m, d)
+
+
 def test_cone_supremum_matches_the_listing():
     # the columns' ends against the minimum over the listed Sub(d), with the
     # same charge: one budget per cone vector, the box size at d
