@@ -79,9 +79,7 @@ def _rationals(text: str) -> tuple[Fraction, ...]:
 def _resolve_quiver(args):
     if args.kronecker is None:
         return load_quiver(args.quiver)
-    if args.kronecker < 1:
-        raise ValueError("--kronecker takes a positive arrow count")
-    return make_kronecker(args.kronecker)
+    return make_kronecker(check_count(args.kronecker, "--kronecker"))
 
 
 def _plain(value):
@@ -182,8 +180,7 @@ def _cmd_theta_scan(args) -> int:
     if len(args.theta) != quiver.vertex_count:
         raise ValueError("theta weight count does not match the quiver")
     delta = _check_delta(args.delta)
-    if args.dmax < 1:
-        raise ValueError("--dmax must be positive")
+    check_count(args.dmax, "--dmax")
     # every d of the cube is visited, so the cube is charged before the scan
     n = quiver.vertex_count
     cube = (args.dmax + 1) ** n

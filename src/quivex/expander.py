@@ -5,7 +5,9 @@ if every nonzero subspace U of V with dim U / dim V <= delta satisfies
 dim(f_1(U) + ... + f_m(U)) >= (1 + eps) * (dim W / dim V) * dim U: iff it has
 no subrepresentation of dimension (j, s_j) at any level of _level_arrays,
 the one rule of expander_exists (for a general representation) and of
-finfield.is_expander_rep.  Uniform existence along a fixed slope reduces to
+finfield.is_expander_rep.  Over K(m) the least embeddable e2 of a level,
+on the cone or off it, is read off kronecker._column_floors, so no K(m)
+question walks a box.  Uniform existence along a fixed slope reduces to
 one exact comparison against a closed-form coefficient.
 
 All thresholds are compared inclusively and exactly (Fraction against
@@ -14,16 +16,15 @@ QuadraticSurd); no floating point enters any decision.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kronecker import _ROW_CHUNK, KroneckerContext, _boundary_rows, cone_context
-from .quiver import DimVector, Quiver, check_count, check_int, make_kronecker
-from .schofield import SubdimCache, _charge_cone, _walk, embeds, generic_subdims
+from .kronecker import _ROW_CHUNK, _column_floors
+from .quiver import DimVector, Quiver, check_count, check_int
+from .schofield import SubdimCache, _charge_box, _walk, generic_subdims
 from .surd import QuadraticSurd, _exact_dtype
 
 
@@ -170,50 +171,28 @@ def epsilon_m_alpha_delta(m: int, alpha, delta) -> QuadraticSurd:
     return (numerator - QuadraticSurd.sqrt_rational(radicand)) / (2 * alpha * delta)
 
 
-def _minimal_second_coordinates(
-    m: int, d: DimVector, cache: SubdimCache | None
-) -> Callable[[int], int]:
-    """e1 |-> the least e2 with (e1, e2) embedding generically into d over K(m):
-    a binary search of embeds (expander_exists' rule off the cone), which is
-    total as embedding is upward closed in e2 (any vectors can join U_2) and
-    (e1, d2) embeds."""
-    quiver = make_kronecker(m)
-    return lambda e1: bisect_left(
-        range(d[1]), True, key=lambda e2: embeds(quiver, (e1, e2), d, cache)
-    )
-
-
-def expander_exists(
-    m: int,
-    d: Sequence[int],
-    params: ExpanderParams,
-    cache: SubdimCache | None = None,
-) -> ExpanderDecision:
+def expander_exists(m: int, d: Sequence[int], params: ExpanderParams) -> ExpanderDecision:
     """Generic existence of a (delta, eps)-expander representation of K(m)
     with dimension vector d = (d1, d2), each entry at most MAX_DIM_ENTRY.
 
     At each level (e1, s) of _level_arrays the minimal embeddable e2 must
     exceed s, that is, clear (1 + eps) * (d2 / d1) * e1; the first
     (lexicographically smallest) failing pair is reported.  The minimal e2
-    is c_d_ceil on the cone, one _boundary_rows pass per chunk of levels,
-    else _minimal_second_coordinates, the one place K(m) is built.
+    of each batch of levels is one kronecker._column_floors call, on the
+    cone or off it, its sweep carried from the last batch's floor; K(m)
+    itself is never built.
     """
     check_count(m, "m")
     dv = Quiver(2, ()).check_dim(d)  # as K(m) would check it, with no arrow built
     if 0 in dv:
         raise ValueError("d must be a pair of positive integers")
-    ctx = cone_context(m, dv)
-    if ctx is not None:
-        for j, s in _level_arrays(params, *dv):
-            ceil = _boundary_rows(ctx, j)[3]
-            fails = np.flatnonzero(ceil <= s)
-            if fails.size:
-                return ExpanderDecision(False, (int(j[fails[0]]), int(ceil[fails[0]])))
-        return ExpanderDecision(True, None)
-    minimal = _minimal_second_coordinates(m, dv, cache)
-    for e1, s in _levels(params, *dv):
-        if (e2 := minimal(e1)) <= s:
-            return ExpanderDecision(False, (e1, e2))
+    low = 0
+    for j, s in _level_arrays(params, *dv):
+        floors = _column_floors(m, dv, j, low)
+        fails = np.flatnonzero(floors <= s)
+        if fails.size:
+            return ExpanderDecision(False, (int(j[fails[0]]), int(floors[fails[0]])))
+        low = int(floors[-1])
     return ExpanderDecision(True, None)
 
 
@@ -291,22 +270,22 @@ def _row_suprema(
     return sups
 
 
-def _cone_supremum(
-    ctx: KroneckerContext, theta: StabilityFunction, delta: Fraction
+def _kronecker_supremum(
+    m: int, d: DimVector, theta: StabilityFunction, delta: Fraction
 ) -> Fraction | None:
-    """The supremum of a K(m) cone vector d, charged as _cone_subdims charges
+    """The supremum of a K(m) vector d, charged as _kronecker_subdims charges
     the listing of Sub(d) it needs no more.  Column x of Sub(d) is
-    c_d_ceil(x) <= y <= d2, and a constraining member also has
-    0 < x + y <= bound = floor(delta * |d|).  Along a column
+    floor(x) <= y <= d2 (kronecker._column_floors), and a constraining member
+    also has 0 < x + y <= bound = floor(delta * |d|).  Along a column
     -theta(x, y) / (x + y) = -t2 - (t1 - t2) x / (x + y) is monotone in y,
     so its least value sits at the low end if t1 > t2, else the high end;
     the least of those is found by cross-multiplying."""
-    d1, d2 = ctx.d
-    _charge_cone(ctx)
+    d1, d2 = d
+    _charge_box(d)
     bound = delta.numerator * (d1 + d2) // delta.denominator
     t1, t2 = theta.weights
     best = None  # (numerator, total) of the least ratio so far
-    for x, low in enumerate(_boundary_rows(ctx, np.arange(min(d1, bound) + 1))[3].tolist()):
+    for x, low in enumerate(_column_floors(m, d, np.arange(min(d1, bound) + 1)).tolist()):
         low, high = max(low, int(x == 0)), min(d2, bound - x)  # (0, 0) is not constraining
         if low <= high:
             y = low if t1 > t2 else high
@@ -326,12 +305,12 @@ def _theta_suprema(
     """theta_epsilon_supremum of every vector of vectors, each with
     theta(d) = 0, one vector at a time in descending lexicographic order.
 
-    A vector the cache holds is answered from generic_subdims, a K(m) cone
-    vector from its columns' ends (_cone_supremum).  Any other d still
-    unanswered gets one walk of its box, charged as generic_subdims charges
-    it, and every unanswered off-cone vector v <= d is answered from row v;
-    the table is then dropped.  So only the maximal off-cone vectors are
-    walked, one table at a time."""
+    A K(m) vector is answered from its columns' ends (_kronecker_supremum),
+    any other vector the cache holds from generic_subdims.  Any other d
+    still unanswered gets one walk of its box, charged as generic_subdims
+    charges it, and every unanswered vector v <= d that no cache holds is
+    answered from row v; the table is then dropped.  So only the maximal
+    vectors that no cache holds are walked, one table at a time."""
     delta = _check_delta(delta)
     pending = sorted({quiver.check_dim(d) for d in vectors}, reverse=True)
     for d in pending:
@@ -339,14 +318,13 @@ def _theta_suprema(
             raise ValueError(f"theta(d) = {theta(d)} != 0")
     held = {} if cache is None else cache
     m = quiver.kronecker_m
-    cones = {d: cone_context(m, d) for d in pending if (quiver, d) not in held}
-    from_rows = {d for d, ctx in cones.items() if ctx is None}
+    from_rows = set() if m else {d for d in pending if (quiver, d) not in held}
     sups: dict[DimVector, Fraction | None] = {}
     for d in pending:
         if d in sups:
             continue
-        if cones.get(d) is not None:
-            sups[d] = _cone_supremum(cones[d], theta, delta)
+        if m:
+            sups[d] = _kronecker_supremum(m, d, theta, delta)
         elif d not in from_rows:
             constraints = _theta_constraints(quiver, theta, d, delta, cache)
             sups[d] = min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)

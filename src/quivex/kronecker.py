@@ -1,10 +1,10 @@
-"""Closed-form subdimension theory for the generalized Kronecker quiver K(m).
+"""Subdimension theory for the generalized Kronecker quiver K(m), m >= 1.
 
-For m >= 2 and a nonzero dimension vector d = (d1, d2) with <d, d> <= 0,
-generic embedding of e into d is equivalent to the single inequality
-<e, d - e> >= 0, i.e. to e2 >= c_d(e1) where c_d(x) is the smaller zero of
-y |-> <(x, y), d - (x, y)>.  Outside that regime the closed form refuses
-and callers must fall back to the Schofield engine.
+For m >= 2 and a nonzero d = (d1, d2) with <d, d> <= 0 (the cone), e embeds
+generically into d iff <e, d - e> >= 0, i.e. e2 >= c_d(e1), where c_d(x) is
+the smaller zero of y |-> <(x, y), d - (x, y)>.  One rule decides every K(m)
+pair, on the cone or off it (_ext_vanishes), and _column_floors reads the
+least e2 of each column of Sub(d) off it; the cone test lives here alone.
 """
 
 from __future__ import annotations
@@ -142,6 +142,61 @@ def _curve_rows(ctx: KroneckerContext) -> Iterator[tuple[int, QuadraticSurd, int
             ceil.tolist(),
         ):
             yield x, QuadraticSurd._normal(b, -s, k, 2), c
+
+
+def _ext_vanishes(m: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True iff the generic ext(a, b) over K(m) is 0, that is, a embeds
+    generically in a + b (Schofield), on exact ints in a loop.  Each pass
+    splits off the simple summands: S_1 is injective and S_2 projective,
+    so S_1 in b and S_2 in a drop out, and ext(S_1, b) = m b2 - b1,
+    ext(a, S_2) = m a1 - a2 for b, a free of them.  A pair whose sum lies
+    on the cone is decided by <a, b> >= 0; any other is reflected (Bernstein,
+    Gelfand & Ponomarev), which keeps ext, at the vertex that shrinks a + b:
+    x -> (x2, m x2 - x1) at the source, (m x1 - x2, x1) at the sink.  On K(2)
+    such a run moves each x by its gap along (1, 1) and keeps the gap of
+    a + b, so the run jumps at once to the first step that splits a simple."""
+    (a1, a2), (b1, b2) = a, b
+    while True:
+        b1, a2 = min(b1, m * b2), min(a2, m * a1)
+        if a1 > m * a2:
+            if m * b2 > b1:
+                return False
+            a1 = m * a2
+        if b2 > m * b1:
+            if m * a1 > a2:
+                return False
+            b2 = m * b1
+        if not (a1 or a2) or not (b1 or b2):
+            return True
+        s1, s2 = a1 + b1, a2 + b2
+        if s1 * s1 + s2 * s2 <= m * s1 * s2:
+            return a1 * b1 + a2 * b2 - m * a1 * b2 >= 0
+        if m == 2:  # x -> x - k g (1, 1): x splits once k = min(x) // g, if g > 0
+            ga, gb = (a1 - a2, b1 - b2) if s1 > s2 else (a2 - a1, b2 - b1)
+            k = min(min(x) // g for x, g in (((a1, a2), ga), ((b1, b2), gb)) if g > 0)
+            a1, a2, b1, b2 = a1 - k * ga, a2 - k * ga, b1 - k * gb, b2 - k * gb
+        elif m * s2 < 2 * s1:
+            a1, a2, b1, b2 = a2, m * a2 - a1, b2, m * b2 - b1
+        else:
+            a1, a2, b1, b2 = m * a1 - a2, a1, m * b1 - b2, b1
+
+
+def _column_floors(m: int, d: tuple[int, int], x: np.ndarray, low: int = 0) -> np.ndarray:
+    """The least y with (x, y) in Sub(d) over K(m), at every x of a nonempty
+    ascending int64 array of values <= d1, as an array.  On the cone it is
+    c_d_ceil (_boundary_rows).  Off it, y is swept upward from low, a floor
+    at or below the first x's: Sub(d) is closed under lowering e1, so the
+    floors never fall along x, and under raising e2 up to d2, so the sweep
+    stops by d2 and makes at most len(x) + d2 + 1 calls of _ext_vanishes."""
+    ctx = cone_context(m, d)
+    if ctx is not None:
+        return _boundary_rows(ctx, x)[3]
+    (d1, d2), floors = d, []
+    for e1 in x.tolist():
+        while not _ext_vanishes(m, (e1, low), (d1 - e1, d2 - low)):
+            low += 1
+        floors.append(low)
+    return np.array(floors, dtype=np.int64)
 
 
 def embeds_closed_form(ctx: KroneckerContext, e: Sequence[int]) -> bool:

@@ -154,18 +154,19 @@ class Quiver:
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a topological order, smallest index first among ties."""
         indeg = [0] * (self.vertex_count + 1)
-        for _, t in self.arrows:
+        targets: list[list[int]] = [[] for _ in indeg]  # per source, in arrow order
+        for s, t in self.arrows:
             indeg[t] += 1
+            targets[s].append(t)
         order: list[int] = []
         ready = [v for v in range(1, self.vertex_count + 1) if indeg[v] == 0]  # a min-heap
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        heapq.heappush(ready, t)
+            for t in targets[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    heapq.heappush(ready, t)
         return tuple(order)
 
     def check_dim(self, vec: Sequence[int]) -> DimVector:

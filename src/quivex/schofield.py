@@ -9,9 +9,10 @@ product (Sub(e) F)(V - e)^T, with <a, b> = a F b and V the up-box
 boolean table of (box size)^2 cells is charged to the work budget (phase
 "subdims") before it is allocated, so it stays under 10 MB; a form value
 stays under (box size)^2 times the largest arrow multiplicity, so int64 is
-exact.  For K(m), m >= 2, d nonzero and <d, d> <= 0, the closed form
-e2 >= c_d(e1) decides and no box is walked: Sub(d) is listed column by
-column, charged the box size first.
+exact.  K(m) walks no box: one rule, kronecker._ext_vanishes, decides
+every pair, reflecting it onto the cone where the closed form decides,
+and Sub(d) is listed column by column from its floors
+(kronecker._column_floors), charged the box size first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kronecker import KroneckerContext, c_d_ceil, cone_context, embeds_closed_form
+from .kronecker import _column_floors, _ext_vanishes
 from .quiver import DEFAULT_BUDGET, DimVector, Quiver, _Budget
 
 
@@ -60,29 +61,27 @@ def _subdims(quiver: Quiver, d: DimVector) -> frozenset:
     return frozenset(map(tuple, box[member[-1]].tolist()))
 
 
-def _charge_cone(ctx: KroneckerContext) -> None:
-    """Charge the listing of Sub(d) on the cone: the (d1 + 1) * (d2 + 1)
+def _charge_box(d: DimVector) -> None:
+    """Charge the listing of Sub(d) over K(m): the (d1 + 1) * (d2 + 1)
     cells of box(d), also where a caller reads Sub(d) without listing it."""
-    d1, d2 = ctx.d
-    _Budget(DEFAULT_BUDGET, "subdims").charge((d1 + 1) * (d2 + 1), f" at {ctx.d}")
+    _Budget(DEFAULT_BUDGET, "subdims").charge(math.prod(x + 1 for x in d), f" at {d}")
 
 
-def _cone_subdims(ctx: KroneckerContext) -> frozenset:
-    """Sub(d) on the cone: the columns {(x, y) : c_d(x) <= y <= d2}.  Each
-    floor is one scalar c_d_ceil, which costs less than listing its column."""
-    d1, d2 = ctx.d
-    _charge_cone(ctx)
-    return frozenset(
-        (x, y) for x in range(d1 + 1) for y in range(c_d_ceil(ctx, x), d2 + 1)
-    )
+def _kronecker_subdims(m: int, d: DimVector) -> frozenset:
+    """Sub(d) over K(m): the columns {(x, y) : floor(x) <= y <= d2}, their
+    floors from one _column_floors pass."""
+    d1, d2 = d
+    _charge_box(d)
+    floors = _column_floors(m, d, np.arange(d1 + 1)).tolist()
+    return frozenset((x, y) for x, low in enumerate(floors) for y in range(low, d2 + 1))
 
 
 def _cached_subdims(quiver: Quiver, d: DimVector, cache: SubdimCache | None) -> frozenset:
     cache = {} if cache is None else cache
     subs = cache.get((quiver, d))
     if subs is None:
-        ctx = cone_context(quiver.kronecker_m, d)
-        subs = _subdims(quiver, d) if ctx is None else _cone_subdims(ctx)
+        m = quiver.kronecker_m
+        subs = _kronecker_subdims(m, d) if m else _subdims(quiver, d)
         cache[quiver, d] = subs
     return subs
 
@@ -105,9 +104,8 @@ def embeds(
         return False
     if ev == dv or not any(ev):
         return True
-    ctx = cone_context(quiver.kronecker_m, dv)
-    if ctx is not None:
-        return embeds_closed_form(ctx, ev)
+    if m := quiver.kronecker_m:
+        return _ext_vanishes(m, ev, (dv[0] - ev[0], dv[1] - ev[1]))
     w = quiver.form_weights(tuple(a - b for a, b in zip(dv, ev)))
     subs = _cached_subdims(quiver, ev, cache)
     return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)

@@ -115,15 +115,14 @@ def test_criterion_4_theorem_level_threshold():
     # inclusive integer ceiling closes that gap until an integer lands in
     # [c_d(x), 7x/5); the first such x is 13, so the grid runs to n = 30
     # (at n = 10 the minimal pair (5, 7) meets 7 >= 7 exactly)
-    cache = SubdimCache()
     grid = range(1, 31)
     below = [
         n
         for n in grid
-        if not expander_exists(3, (n, n), ExpanderParams(HALF, Fraction(38, 100)), cache).exists
+        if not expander_exists(3, (n, n), ExpanderParams(HALF, Fraction(38, 100))).exists
     ]
     decisions = {
-        n: expander_exists(3, (n, n), ExpanderParams(HALF, Fraction(2, 5)), cache) for n in grid
+        n: expander_exists(3, (n, n), ExpanderParams(HALF, Fraction(2, 5))) for n in grid
     }
     witnesses = {n: d.violating_e for n, d in decisions.items() if not d.exists}
     slope = SlopeParams(3, 1)

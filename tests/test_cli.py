@@ -320,10 +320,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     scan = ["theta-scan", "--kronecker", "3", "--delta", "1/2"]
     for argv, message in [
         (["embed", "--kronecker", "0", "--e", "1,1", "--d", "2,2"],
-         "--kronecker takes a positive arrow count"),
+         "--kronecker must be a positive integer"),
         (scan + ["--theta", "1,-1,2", "--dmax", "2"],
          "theta weight count does not match the quiver"),
-        (scan + ["--theta", "1,-1", "--dmax", "0"], "--dmax must be positive"),
+        (scan + ["--theta", "1,-1", "--dmax", "0"], "--dmax must be a positive integer"),
+        (scan + ["--theta", "1,-1", "--dmax", "1000001"], "--dmax must not exceed 1000000"),
         (["curve", "--m", "3", "--d", "5"], "--d must be a pair D1,D2"),
     ]:
         assert run(argv) == 2, argv
@@ -465,6 +466,31 @@ GOLDEN = [
         "x,c_exact,c_approx,c_ceil\n0,0,0,0\n1,(7-sqrt(21))/2,1.20871215252,2\n"
         "2,(11-sqrt(57))/2,1.72508278236,2\n3,(15-3*sqrt(13))/2,2.09167308680,3\n"
         "4,(19-sqrt(201))/2,2.41127656062,3\n5,(23-sqrt(309))/2,2.71080208438,3\n6,3,3,3\n",
+    ),
+    # K(m) off the cone, each an exit 3 while it walked a box of box**2 cells;
+    # all but the second were recorded from that walk under a raised budget
+    (
+        ["embed", "--kronecker", "2", "--e", "40,80", "--d", "100,200"],
+        '{"command": "embed", "inputs": {"kronecker": 2, "e": [40, 80], "d": [100, 200]}, '
+        '"result": {"embeds": true}, "exact": null, "approx": null}\n',
+    ),
+    (
+        # e carries S_1^120, and ext(S_1, d - e) = 3 * 240 - 700 = 20 > 0
+        ["embed", "--kronecker", "3", "--e", "300,60", "--d", "1000,300"],
+        '{"command": "embed", "inputs": {"kronecker": 3, "e": [300, 60], "d": [1000, 300]}, '
+        '"result": {"embeds": false}, "exact": null, "approx": null}\n',
+    ),
+    (
+        ["exists", "--m", "2", "--d", "60,59", "--delta", "99/100", "--epsilon", "1/1000000"],
+        '{"command": "exists", "inputs": {"m": 2, "d": [60, 59], "delta": "99/100", '
+        '"epsilon": "1/1000000"}, "result": {"exists": true, "violating_e": null}, '
+        '"exact": null, "approx": null}\n',
+    ),
+    (
+        ["theta-scan", "--kronecker", "2", "--theta", "19,-45", "--delta", "1/2", "--dmax", "95"],
+        '{"command": "theta-scan", "inputs": {"kronecker": 2, "theta": ["19", "-45"], '
+        '"delta": "1/2", "dmax": 95}, "result": {"rows": [{"d": [45, 19], "epsilon_sup": "-19"}, '
+        '{"d": [90, 38], "epsilon_sup": "-19"}]}, "exact": null, "approx": null}\n',
     ),
 ]
 
@@ -629,20 +655,18 @@ def test_cached_parser_matches_fresh_parser(capsys):
 @pytest.mark.parametrize(
     "argv, vector, box",
     [
-        (["subdims", "--kronecker", "2", "--d", "200,300"], "(200, 300)", 201 * 301),
-        (
-            ["embed", "--kronecker", "2", "--e", "100,150", "--d", "200,300"],
-            "(100, 150)",
-            101 * 151,
-        ),
+        (["subdims", "--d", "20,30,20"], "(20, 30, 20)", 21 * 31 * 21),
+        (["embed", "--e", "14,20,14", "--d", "20,30,20"], "(14, 20, 14)", 15 * 21 * 15),
     ],
 )
-def test_schofield_budget_exit_3(capsys, argv, vector, box):
-    # off the cone of K(2): the member table would hold box**2 cells, which
-    # is charged, and refused, before anything is allocated
+def test_schofield_budget_exit_3(capsys, tmp_path, argv, vector, box):
+    # the bipartite quiver 1 => 2 <= 3 is walked: the member table would hold
+    # box**2 cells, which is charged, and refused, before anything is allocated
+    path = tmp_path / "bipartite.quiver"
+    path.write_text("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n", encoding="utf-8")
     tracemalloc.start()
     start = time.monotonic()
-    code = run(argv)
+    code = run([argv[0], "--quiver", str(path), *argv[1:]])
     elapsed = time.monotonic() - start
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -654,6 +678,28 @@ def test_schofield_budget_exit_3(capsys, argv, vector, box):
         f"error: subdims budget exceeded at {vector}: "
         f"spent {box * box} > limit {DEFAULT_BUDGET}\n"
     )
+
+
+OFF_THE_CONE = [
+    (["subdims", "--kronecker", "2", "--d", "200,300"], None),
+    (["embed", "--kronecker", "2", "--e", "100,150", "--d", "200,300"], None),
+    (["subdims", "--kronecker", "3", "--d", "120,40"], 2_501),
+    (["embed", "--kronecker", "3", "--e", "300,60", "--d", "1000,300"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, members", OFF_THE_CONE, ids=[" ".join(argv) for argv, _ in OFF_THE_CONE]
+)
+def test_k_m_off_the_cone_walks_no_box(capsys, argv, members):
+    # these exited 3 when K(m) off the cone walked box(d)**2 cells; the
+    # reflection rule answers them, a listing charged only the box size
+    start = time.monotonic()
+    assert run(argv) == 0
+    assert time.monotonic() - start < 5
+    result = json.loads(capsys.readouterr().out)["result"]
+    if members is not None:
+        assert len(result["subdims"]) == members
 
 
 def test_theta_scan_cube_budget_exit_3(capsys):

@@ -14,12 +14,12 @@ from quivex import (
     ExpanderParams,
     KroneckerContext,
     QuadraticSurd,
+    Quiver,
     QuiverError,
     beta,
     SlopeParams,
     StabilityFunction,
     SubdimCache,
-    embeds,
     epsilon_k,
     generic_subdims,
     epsilon_m_alpha_delta,
@@ -113,25 +113,23 @@ def test_expander_exists_boundary_is_inclusive():
 
 
 def test_expander_exists_recursive_fallback_consistency():
-    # <d, d> > 0 forces the Schofield engine; the binary search's minima must
-    # agree with a linear scan of the embedding relation
-    from quivex.expander import _minimal_second_coordinates
+    # off the cone (<d, d> > 0) and on it, the column floors expander_exists
+    # reads must agree with a linear scan of Sub(d) from the walk
+    from quivex.kronecker import _column_floors
+    from quivex.schofield import _walk
 
-    cache = SubdimCache()
     m, d = 3, (12, 1)
-    quiver = make_kronecker(m)
-    decision = expander_exists(m, d, ExpanderParams(HALF, Fraction(1, 100)), cache)
-    for e1 in range(1, 7):
-        expected = min(e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache))
-        assert _minimal_second_coordinates(m, d, cache)(e1) == expected
+    decision = expander_exists(m, d, ExpanderParams(HALF, Fraction(1, 100)))
     assert decision.exists in (True, False)
-    for m in (3, 4):
+    for m in (1, 2, 3, 4):
         quiver = make_kronecker(m)
-        for d in [(12, 1), (9, 2), (2, 9)]:
-            assert d[0] ** 2 + d[1] ** 2 - m * d[0] * d[1] > 0  # off the cone
+        for d in [(12, 1), (9, 2), (2, 9), (5, 5), (10, 7), (7, 10)]:
+            box, member = _walk(quiver, d)
+            subs = set(map(tuple, box[member[-1]].tolist()))
+            floors = _column_floors(m, d, np.arange(d[0] + 1)).tolist()
             for e1 in range(d[0] + 1):
-                scan = [e2 for e2 in range(d[1] + 1) if embeds(quiver, (e1, e2), d, cache)]
-                assert _minimal_second_coordinates(m, d, cache)(e1) == scan[0], (m, d, e1)
+                scan = [e2 for e2 in range(d[1] + 1) if (e1, e2) in subs]
+                assert floors[e1] == scan[0], (m, d, e1)
 
 
 def test_dimension_cap_in_context_and_expander_exists():
@@ -149,14 +147,13 @@ def test_dimension_cap_in_context_and_expander_exists():
 
 
 def test_expander_exists_monotone_in_epsilon_and_delta():
-    cache = SubdimCache()
     for n in (4, 6, 10):
         for eps_big, eps_small in [(HALF, Fraction(38, 100)), (Fraction(2, 5), Fraction(1, 5))]:
-            if expander_exists(3, (n, n), ExpanderParams(HALF, eps_big), cache).exists:
-                assert expander_exists(3, (n, n), ExpanderParams(HALF, eps_small), cache).exists
+            if expander_exists(3, (n, n), ExpanderParams(HALF, eps_big)).exists:
+                assert expander_exists(3, (n, n), ExpanderParams(HALF, eps_small)).exists
         for delta_big, delta_small in [(HALF, Fraction(1, 4))]:
-            if expander_exists(3, (n, n), ExpanderParams(delta_big, Fraction(2, 5)), cache).exists:
-                assert expander_exists(3, (n, n), ExpanderParams(delta_small, Fraction(2, 5)), cache).exists
+            if expander_exists(3, (n, n), ExpanderParams(delta_big, Fraction(2, 5))).exists:
+                assert expander_exists(3, (n, n), ExpanderParams(delta_small, Fraction(2, 5))).exists
 
 
 def test_expander_exists_input_validation():
@@ -181,9 +178,9 @@ def test_levels_leave_out_only_levels_that_cannot_fail_first():
     # s_j is the largest integer below (1 + eps) * (d2 / d1) * j; a level is
     # listed iff s_j > s_{j-1}, with s_0 = -1, and expander_exists over the
     # listed levels agrees with a scan of every e1 <= delta * d1
-    from quivex.expander import _levels, _minimal_second_coordinates
+    from quivex.expander import _levels
+    from quivex.kronecker import _column_floors
 
-    cache = SubdimCache()
     grid = product((Fraction(1, 3), HALF, Fraction(9, 10)), (Fraction(1, 10), Fraction(2)))
     for (delta, eps), d1, d2 in product(grid, range(1, 9), range(0, 9)):
         params = ExpanderParams(delta, eps)
@@ -193,12 +190,12 @@ def test_levels_leave_out_only_levels_that_cannot_fail_first():
         assert list(_levels(params, d1, d2)) == expected, (d1, d2, delta, eps)
         if d2 == 0:
             continue
+        floors = _column_floors(3, (d1, d2), np.arange(d1 + 1)).tolist()
         first = next(
-            ((e1, e2) for e1 in range(1, len(rhs))
-             if (e2 := _minimal_second_coordinates(3, (d1, d2), cache)(e1)) < rhs[e1]),
+            ((e1, e2) for e1 in range(1, len(rhs)) if (e2 := floors[e1]) < rhs[e1]),
             None,
         )
-        decision = expander_exists(3, (d1, d2), params, cache)
+        decision = expander_exists(3, (d1, d2), params)
         assert decision == ExpanderDecision(first is None, first), (d1, d2, delta, eps)
 
 
@@ -212,21 +209,19 @@ def test_expander_exists_uniform_examples():
 
 
 def test_uniform_true_implies_pointwise_true():
-    cache = SubdimCache()
     eps = Fraction(38, 100)
     assert expander_exists_uniform(SlopeParams(3, Fraction(1)), HALF, eps)
     for n in range(1, 13):
-        assert expander_exists(3, (n, n), ExpanderParams(HALF, eps), cache).exists
+        assert expander_exists(3, (n, n), ExpanderParams(HALF, eps)).exists
 
 
 def test_pointwise_failure_above_threshold():
     # strictly above the uniform threshold a desk-scale witness exists
-    cache = SubdimCache()
     assert not expander_exists_uniform(SlopeParams(3, Fraction(1)), HALF, HALF)
     failures = [
         n
         for n in range(1, 13)
-        if not expander_exists(3, (n, n), ExpanderParams(HALF, HALF), cache).exists
+        if not expander_exists(3, (n, n), ExpanderParams(HALF, HALF)).exists
     ]
     assert failures == [10]
 
@@ -235,19 +230,18 @@ def test_kronecker_reduction_tracks_coefficient_threshold():
     # operator-count reduction: K(k+1) on balanced vectors at delta = 1/2
     # stays positive for eps below the sharp coefficient, all the way up to
     # the integer frontier of the desk grid, and fails just above it
-    cache = SubdimCache()
     for k, frontier in [(2, Fraction(2, 5)), (3, Fraction(3, 5))]:
         m = k + 1
         threshold = epsilon_k(k)
         assert threshold < frontier
         for n in range(1, 13):
             for eps in (Fraction(38, 100), frontier):
-                assert expander_exists(m, (n, n), ExpanderParams(HALF, eps), cache).exists
+                assert expander_exists(m, (n, n), ExpanderParams(HALF, eps)).exists
         bumped = frontier + Fraction(1, 100)
         failing = [
             n
             for n in range(1, 13)
-            if not expander_exists(m, (n, n), ExpanderParams(HALF, bumped), cache).exists
+            if not expander_exists(m, (n, n), ExpanderParams(HALF, bumped)).exists
         ]
         assert failing == [10], (k, failing)
 
@@ -382,54 +376,49 @@ def test_cone_levels_match_at_large_sizes():
 
 
 def test_expander_exists_builds_k_m_only_off_the_cone(monkeypatch):
-    # the pair is checked without K(m): the cone never builds it, and the
-    # bisect off the cone builds it once
-    import quivex.expander as expander
+    # no quiver with an arrow is built, on the cone or off it: the pair is
+    # checked on an arrowless quiver, and the floors need no K(m)
     from quivex.kronecker import cone_context
 
     built = []
-    monkeypatch.setattr(expander, "make_kronecker", lambda m: built.append(m) or make_kronecker(m))
+    real_init = Quiver.__post_init__
+    monkeypatch.setattr(Quiver, "__post_init__", lambda q: built.append(q.arrows) or real_init(q))
     params = ExpanderParams(HALF, Fraction(1, 10))
-    for m, d in [(3, (10, 10)), (2, (1, 1)), (10**6, (20_000, 3)), (4, (70, 30))]:
-        assert cone_context(m, d) is not None
+    cone = [(3, (10, 10)), (2, (1, 1)), (10**6, (20_000, 3)), (4, (70, 30))]
+    off = [(1, (5, 5)), (3, (12, 1)), (4, (9, 2)), (3, (2, 9)), (1, (1, 1)), (10**6, (10**6, 1))]
+    for m, d in cone + off:
+        assert (cone_context(m, d) is not None) == ((m, d) in cone)
         expander_exists(m, d, params)
-    assert built == []
-    for m, d in [(1, (5, 5)), (3, (12, 1)), (4, (9, 2)), (3, (2, 9)), (1, (1, 1))]:
-        assert cone_context(m, d) is None
-        built.clear()
-        expander_exists(m, d, params)
-        assert len(built) <= 1, (m, d)
+    assert built and not any(built)
 
 
 def test_cone_supremum_matches_the_listing():
-    # the columns' ends against the minimum over the listed Sub(d), with the
-    # same charge: one budget per cone vector, the box size at d
-    from quivex.expander import _cone_supremum
-    from quivex.kronecker import cone_context
-    from quivex.schofield import _cone_subdims
+    # the columns' ends against the minimum over the listed Sub(d), on the
+    # cone and off it, with the same charge: one budget per vector, the box
+    # size at d
+    from quivex.expander import _kronecker_supremum
+    from quivex.schofield import _kronecker_subdims
 
-    for m, d1, d2 in product((2, 3, 4, 5), range(0, 16), range(0, 16)):
-        ctx = cone_context(m, (d1, d2))
-        if ctx is None:
-            continue
-        members = _cone_subdims(ctx)
+    for m, d1, d2 in product((1, 2, 3, 4, 5), range(0, 16), range(0, 16)):
+        members = _kronecker_subdims(m, (d1, d2))
         for t1, t2 in [(1, -1), (2, -1), (1, -2), (-3, 1), (0, 1), (5, 5), (3, -2)]:
             for delta in (Fraction(1, 3), HALF, Fraction(2, 3), Fraction(99, 100)):
                 bound = delta * (d1 + d2)
                 ratios = [Fraction(-t1 * x - t2 * y, x + y) for x, y in members
                           if 0 < x + y <= bound]
-                sup = _cone_supremum(ctx, StabilityFunction((t1, t2)), delta)
-                assert sup == min(ratios, default=None), (m, ctx.d, (t1, t2), delta)
-    ctx = cone_context(3, (4000, 4000))
-    with pytest.raises(BudgetExceededError) as listing:
-        _cone_subdims(ctx)
-    with pytest.raises(BudgetExceededError) as ends:
-        _cone_supremum(ctx, StabilityFunction((1, -1)), HALF)
-    assert str(ends.value) == str(listing.value)
+                sup = _kronecker_supremum(m, (d1, d2), StabilityFunction((t1, t2)), delta)
+                assert sup == min(ratios, default=None), (m, (d1, d2), (t1, t2), delta)
+    for m, d in [(3, (4000, 4000)), (3, (10**6, 10))]:
+        with pytest.raises(BudgetExceededError) as listing:
+            _kronecker_subdims(m, d)
+        with pytest.raises(BudgetExceededError) as ends:
+            _kronecker_supremum(m, d, StabilityFunction((1, -1)), HALF)
+        assert str(ends.value) == str(listing.value)
 
 
 def test_cone_suprema_skip_the_listing_unless_cached():
-    # a cone vector the cache holds is read from it; any other is not listed
+    # a K(m) vector is answered from its columns' ends, held in the cache or not,
+    # and is never listed into the cache
     K3, theta = make_kronecker(3), StabilityFunction((1, -1))
     cache = SubdimCache()
     expected = theta_epsilon_supremum(K3, theta, (40, 40), HALF)

@@ -1,11 +1,13 @@
 """Unit tests for the K(m) closed-form boundary theory."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivex import (
     ClosedFormInapplicableError,
@@ -209,3 +211,105 @@ def test_curve_rows_match_c_d_exact_and_c_d_ceil():
         rows = [(x, _parts(v), c) for x, v, c in _curve_rows(ctx)]
         expected = [(x, _parts(c_d_exact(ctx, x)), c_d_ceil(ctx, x)) for x in range(ctx.d[0] + 1)]
         assert rows == expected, ctx
+
+
+# -- the one K(m) rule: _ext_vanishes and the column floors it gives ---------
+
+
+def _walk_rows(m, dmax):
+    # one walk of box(dmax) holds Sub(v) for every v <= dmax, row by row
+    from quivex.schofield import _walk
+
+    box, member = _walk(make_kronecker(m), dmax)
+    vectors = [tuple(v) for v in box.tolist()]
+    return vectors, {v: member[k] for k, v in enumerate(vectors)}
+
+
+def test_ext_rule_matches_the_walk_on_every_small_pair():
+    # embeds on K(m) is the rule alone; the walk is its oracle on all 41,405
+    # pairs e <= d <= (12, 12) of K(1)..K(5)
+    pairs = 0
+    for m in range(1, 6):
+        K = make_kronecker(m)
+        vectors, rows = _walk_rows(m, (12, 12))
+        for d in vectors:
+            for k, e in enumerate(vectors):
+                if e[0] <= d[0] and e[1] <= d[1]:
+                    pairs += 1
+                    assert embeds(K, e, d) == rows[d][k], (m, e, d)
+    assert pairs == 41405
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 40))
+def test_ext_rule_matches_the_walk_up_to_40(m, d1, d2):
+    from quivex.kronecker import _column_floors
+    from quivex.schofield import _walk
+
+    K = make_kronecker(m)
+    box, member = _walk(K, (d1, d2))
+    for e, hit in zip(box.tolist(), member[-1].tolist()):
+        assert embeds(K, e, (d1, d2)) == hit, (m, e, (d1, d2))
+    floors = _column_floors(m, (d1, d2), np.arange(d1 + 1)).tolist()
+    subs = {tuple(e) for e in box[member[-1]].tolist()}
+    assert floors == [min(y for y in range(d2 + 1) if (x, y) in subs) for x in range(d1 + 1)]
+
+
+def _ext_vanishes_stepwise(m, a, b):
+    # the rule with one reflection per pass, as stated: no run is jumped
+    (a1, a2), (b1, b2) = a, b
+    while True:
+        b1, a2 = min(b1, m * b2), min(a2, m * a1)
+        if a1 > m * a2:
+            if m * b2 > b1:
+                return False
+            a1 = m * a2
+        if b2 > m * b1:
+            if m * a1 > a2:
+                return False
+            b2 = m * b1
+        if not (a1 or a2) or not (b1 or b2):
+            return True
+        s1, s2 = a1 + b1, a2 + b2
+        if s1 * s1 + s2 * s2 <= m * s1 * s2:
+            return a1 * b1 + a2 * b2 - m * a1 * b2 >= 0
+        if m * s2 < 2 * s1:
+            a1, a2, b1, b2 = a2, m * a2 - a1, b2, m * b2 - b1
+        else:
+            a1, a2, b1, b2 = m * a1 - a2, a1, m * b1 - b2, b1
+
+
+def test_k2_jump_matches_single_reflections():
+    # K(2) jumps each run of reflections to its first split; stepping one
+    # reflection at a time must give the same answer, near the diagonal too
+    from quivex.kronecker import _ext_vanishes
+
+    rng = random.Random(0)
+    for _ in range(3000):
+        if rng.random() < 0.5:  # near the diagonal, where runs are longest
+            a, b = [(x, max(0, x + rng.randint(-3, 3))) for x in rng.sample(range(401), 2)]
+        else:
+            a, b = [(rng.randint(0, 400), rng.randint(0, 400)) for _ in range(2)]
+        assert _ext_vanishes(2, a, b) == _ext_vanishes_stepwise(2, a, b), (a, b)
+    for m in (1, 3, 4):
+        for _ in range(300):
+            a, b = [(rng.randint(0, 400), rng.randint(0, 400)) for _ in range(2)]
+            assert _ext_vanishes(m, a, b) == _ext_vanishes_stepwise(m, a, b), (m, a, b)
+
+
+def test_column_floors_never_fall_and_carry_across_chunks():
+    # Sub(d) is closed under lowering e1, so the least e2 per column never
+    # falls as e1 grows (checked on the walk for every d <= (24, 24)); the
+    # floor sweep may thus start each chunk at the last chunk's floor
+    from quivex.kronecker import _column_floors
+
+    for m in range(1, 6):
+        vectors, rows = _walk_rows(m, (24, 24))
+        for d in vectors:
+            subs = {e for e, hit in zip(vectors, rows[d].tolist()) if hit}
+            floors = [min(y for y in range(d[1] + 1) if (x, y) in subs) for x in range(d[0] + 1)]
+            assert floors == sorted(floors), (m, d)
+            x = np.arange(d[0] + 1)
+            head = _column_floors(m, d, x[:5])
+            tail = _column_floors(m, d, x[5:], int(head[-1])) if d[0] >= 5 else head[:0]
+            assert head.tolist() + tail.tolist() == floors, (m, d)

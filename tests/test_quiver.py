@@ -1,5 +1,6 @@
 """Unit tests for quivers, the Euler form, and the quiver file format."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +275,17 @@ def test_topological_order_takes_the_smallest_ready_vertex():
 @given(_acyclic_quivers())
 def test_topological_order_matches_sorted_list_kahn(quiver):
     assert quiver.topological_order() == _sorted_list_kahn(quiver)
+
+
+def test_a_long_path_builds_in_linear_time():
+    # each pop reads its own out-arrows only: a 10**5-vertex path builds in
+    # about 0.2 s, where scanning every arrow per pop took 0.3-0.5 s already
+    # at 4,000 vertices and grew quadratically
+    n = 10**5
+    start = time.monotonic()
+    path = Quiver(n, tuple((v, v + 1) for v in range(1, n)))
+    assert time.monotonic() - start < 2
+    assert path.topological_order() == tuple(range(1, n + 1))
 
 
 @given(arrow_pairs, vectors, vectors, vectors)

@@ -15,14 +15,18 @@ import pytest
 from quivex import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    ExpanderParams,
     KroneckerContext,
+    StabilityFunction,
     SubdimCache,
     beta,
     embeds,
     embeds_closed_form,
+    expander_exists,
     generic_subdims,
     make_kronecker,
     parse_quiver,
+    theta_epsilon_supremum,
 )
 from quivex.cli import run
 from quivex.schofield import _subdims, _walk
@@ -330,7 +334,7 @@ def _spy_walks(monkeypatch) -> list:
     return walked
 
 
-def _scan_against_reference(monkeypatch, capsys, quiver, source, thetas, dmax, on_cone):
+def _scan_against_reference(monkeypatch, capsys, quiver, source, thetas, dmax, walks):
     walked = _spy_walks(monkeypatch)
     table: dict = {}
     for theta, delta in product(thetas, (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))):
@@ -345,17 +349,19 @@ def _scan_against_reference(monkeypatch, capsys, quiver, source, thetas, dmax, o
         for row, d in zip(rows, zeros):
             sup = _supremum_reference(quiver, theta, d, delta, table)
             assert row["epsilon_sup"] == (None if sup is None else str(sup)), (argv, d)
-        # only the maximal off-cone vectors are walked, each once, largest first
-        expected = sorted(_maximal([d for d in zeros if not on_cone(d)]), reverse=True)
+        # only the maximal vectors that walk are walked, each once, largest first
+        expected = sorted(_maximal([d for d in zeros if walks]), reverse=True)
         assert walked == expected, argv
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_theta_scan_matches_per_vector_reference_kronecker(monkeypatch, capsys, m):
-    # (2, -1) on K(2), (3, -1) and (1, -3) on K(3) are rays off the cone
+    # (2, -1) on K(2), (3, -1) and (1, -3) on K(3) are rays off the cone, and
+    # K(m) walks no vector, on the cone or off it
     thetas = [(1, -1), (2, -1), (1, -2), (3, -1), (1, -3), (2, -3)]
+    assert any(not _on_cone(m, (a, b)) for b, a in thetas[1:])
     _scan_against_reference(monkeypatch, capsys, make_kronecker(m), ["--kronecker", str(m)],
-                            thetas, 12, lambda d: _on_cone(m, d))
+                            thetas, 12, walks=False)
 
 
 def test_theta_scan_matches_per_vector_reference_bipartite(monkeypatch, capsys, tmp_path):
@@ -365,7 +371,35 @@ def test_theta_scan_matches_per_vector_reference_bipartite(monkeypatch, capsys, 
     thetas = [(1, -1, 0), (1, -1, 1), (2, -1, 1), (1, -2, 1), (0, -1, 2)]
     thetas.append((2**62, -(2**62), 2**62))
     _scan_against_reference(monkeypatch, capsys, BIPARTITE, ["--quiver", str(path)],
-                            thetas, 6, lambda d: False)
+                            thetas, 6, walks=True)
+
+
+def test_no_k_m_question_reaches_the_walk(monkeypatch, capsys):
+    # every K(m) entry point, on the cone and off it: embeds, generic_subdims,
+    # theta-scan, theta_epsilon_supremum and expander_exists never walk
+    import quivex.schofield
+
+    walked = _spy_walks(monkeypatch)
+    real_walk = quivex.schofield._walk
+    monkeypatch.setattr(
+        quivex.schofield, "_walk", lambda q, d: walked.append(d) or real_walk(q, d)
+    )
+    for m in (1, 2, 3, 5):
+        K = make_kronecker(m)
+        for d in product(range(7), repeat=2):
+            generic_subdims(K, d)
+            for e in _box(d):
+                embeds(K, e, d, SubdimCache())
+            if all(d):
+                expander_exists(m, d, ExpanderParams(Fraction(1, 2), Fraction(1, 10)))
+                theta = StabilityFunction((d[1], -d[0]))
+                theta_epsilon_supremum(K, theta, d, Fraction(1, 2))
+        argv = ["theta-scan", "--kronecker", str(m), "--theta", "1,-2", "--delta", "1/2"]
+        assert run(argv + ["--dmax", "30"]) == 0
+    capsys.readouterr()
+    assert walked == []
+    generic_subdims(BIPARTITE, (1, 1, 1))
+    assert walked == [(1, 1, 1)]
 
 
 def test_theta_scan_walk_count_and_budget(monkeypatch, capsys, tmp_path):
