@@ -204,7 +204,7 @@ def _cmd_curve(args) -> int:
         raise ValueError("--d must be a pair D1,D2")
     ctx = KroneckerContext(args.m, args.d)
     _require_negative_form(ctx)  # refused before the first row is printed
-    rows = ((x, str(v), v.decimal(12), c) for x, v, c in _curve_rows(ctx))
+    rows = _curve_rows(ctx)
     if args.format == "json":
         rows = [{"x": x, "c_exact": e, "c_approx": a, "c_ceil": c} for x, e, a, c in rows]
         return _emit(args, {"rows": rows})

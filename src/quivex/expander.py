@@ -8,7 +8,10 @@ the one rule of expander_exists (for a general representation) and of
 finfield.is_expander_rep.  Over K(m) the least embeddable e2 of a level,
 on the cone or off it, is read off kronecker._column_floors, so no K(m)
 question walks a box.  Uniform existence along a fixed slope reduces to
-one exact comparison against a closed-form coefficient.
+one exact comparison against a closed-form coefficient.  The
+theta-relative supremum of d reads Sub(v), for each v <= d, only at totals
+1..floor(delta |v|), so a walk of box(d) for it stops at total
+floor(delta |d|).
 
 All thresholds are compared inclusively and exactly (Fraction against
 QuadraticSurd); no floating point enters any decision.
@@ -245,7 +248,8 @@ def _row_suprema(
     theta: StabilityFunction, delta: Fraction, d: DimVector, targets, box, member
 ) -> dict[DimVector, Fraction | None]:
     """The supremum of each target v <= d, read off row v of the walk of
-    box(d): per total s, the largest theta(e) over e in Sub(v) with |e| = s,
+    box(d), whose columns are walked up to total floor(delta |d|) at least:
+    per total s, the largest theta(e) over e in Sub(v) with |e| = s,
     then the least -theta(e) / s over 0 < s <= delta * |v|.  Every total
     0..|v| occurs in Sub(v): a subrepresentation U of dimension e != 0 stays
     one when U loses a vector at a vertex of e's support that no arrow from
@@ -309,8 +313,10 @@ def _theta_suprema(
     any other vector the cache holds from generic_subdims.  Any other d
     still unanswered gets one walk of its box, charged as generic_subdims
     charges it, and every unanswered vector v <= d that no cache holds is
-    answered from row v; the table is then dropped.  So only the maximal
-    vectors that no cache holds are walked, one table at a time."""
+    answered from row v; the table is then dropped.  Row v is read only at
+    totals 1..floor(delta |v|) <= floor(delta |d|), so the walk stops at
+    that total (_walk's top).  So only the maximal vectors that no cache
+    holds are walked, one table at a time."""
     delta = _check_delta(delta)
     pending = sorted({quiver.check_dim(d) for d in vectors}, reverse=True)
     for d in pending:
@@ -330,7 +336,8 @@ def _theta_suprema(
             sups[d] = min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)
         else:
             below = [v for v in from_rows if v not in sups and all(a <= b for a, b in zip(v, d))]
-            sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d)))
+            top = delta.numerator * sum(d) // delta.denominator
+            sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d, top)))
     return sups
 
 

@@ -17,7 +17,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .quiver import MAX_DIM_ENTRY, check_count, check_int
-from .surd import QuadraticSurd, _exact_dtype, _icbrt, _isqrt_array, _primes, _square_free_split
+from .surd import (
+    QuadraticSurd,
+    _exact_dtype,
+    _icbrt,
+    _isqrt_array,
+    _primes,
+    _square_free_split,
+    _surd_texts,
+)
 
 
 # x values per chunk of _boundary_rows where a range is scanned (curve, the
@@ -25,6 +33,9 @@ from .surd import QuadraticSurd, _exact_dtype, _icbrt, _isqrt_array, _primes, _s
 # are alive at once, 256 KB, so a scan of 10**6 levels reads the same max
 # RSS as one of 10**2 (2**18 per chunk read 15 MB more)
 _ROW_CHUNK = 1 << 12
+# curve rows rendered at once (surd._surd_texts): their Python ints and
+# strings stay near 100 KB, so curve's max RSS does not grow with d1
+_TEXT_ROWS = 1 << 9
 
 
 class ClosedFormInapplicableError(ValueError):
@@ -125,23 +136,25 @@ def _boundary_rows(ctx: KroneckerContext, x: np.ndarray):
     return apex_doubled, radicand, root, (apex_doubled - root + 1) >> 1
 
 
-def _curve_rows(ctx: KroneckerContext) -> Iterator[tuple[int, QuadraticSurd, int]]:
-    """(x, c_d_exact(x), c_d_ceil(x)) for x = 0..d1, for <d, d> <= 0:
-    _boundary_rows in chunks of _ROW_CHUNK, each chunk's radicands
-    split in one pass (surd._square_free_split), so no surd is factored
-    again on construction.  The primes are sieved once, up to the cube
-    root of the larger end value of the convex D (see _boundary_rows)."""
+def _curve_rows(ctx: KroneckerContext) -> Iterator[tuple[int, str, str, int]]:
+    """(x, str(c_d_exact(x)), c_d_exact(x).decimal(12), c_d_ceil(x)) for
+    x = 0..d1, for <d, d> <= 0: _boundary_rows in chunks of _ROW_CHUNK, each
+    chunk's radicands split in one pass (surd._square_free_split) and its
+    surds (B - s sqrt(k)) / 2 rendered _TEXT_ROWS at a time
+    (surd._surd_texts), so no surd is factored again, and each block is
+    written before the next is rendered.  The primes are sieved once, up
+    to the cube root of the larger end value of the convex D (see
+    _boundary_rows)."""
     d1 = ctx.d[0]
     primes = _primes(_icbrt(max(_boundary(ctx, 0)[1], _boundary(ctx, d1)[1])))
     for start in range(0, d1 + 1, _ROW_CHUNK):
         stop = min(start + _ROW_CHUNK, d1 + 1)
         apex_doubled, radicand, _, ceil = _boundary_rows(ctx, np.arange(start, stop))
         square, free = _square_free_split(radicand, primes)
-        for x, b, s, k, c in zip(
-            range(start, stop), apex_doubled.tolist(), square.tolist(), free.tolist(),
-            ceil.tolist(),
-        ):
-            yield x, QuadraticSurd._normal(b, -s, k, 2), c
+        for at in range(0, stop - start, _TEXT_ROWS):
+            block = slice(at, at + _TEXT_ROWS)
+            texts, decimals = _surd_texts(apex_doubled[block], -square[block], free[block], 2)
+            yield from zip(range(start + at, stop), texts, decimals, ceil[block].tolist())
 
 
 def _ext_vanishes(m: int, a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -13,6 +13,12 @@ exact.  K(m) walks no box: one rule, kronecker._ext_vanishes, decides
 every pair, reflecting it onto the cone where the closed form decides,
 and Sub(d) is listed column by column from its floors
 (kronecker._column_floors), charged the box size first.
+
+embeds(e, d) on any other quiver tries two exact bounds on the least
+<e', d - e> = e' . w over Sub(e), w the form weights of d - e, before it
+walks box(e): e lies in Sub(e), so e . w < 0 answers False, and Sub(e)
+lies in box(e), so w_i >= 0 wherever e_i > 0 answers True.  A pair either
+bound decides is charged nothing.
 """
 
 from __future__ import annotations
@@ -35,12 +41,17 @@ class SubdimCache(dict):
     """
 
 
-def _walk(quiver: Quiver, d: DimVector) -> tuple[np.ndarray, np.ndarray]:
+def _walk(
+    quiver: Quiver, d: DimVector, top: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The box of d, every e <= d as a row in lexicographic order, and the
     walk's table member[v, e]: e lies in Sub(v), for every v and e of the
     box.  Rows are weighed by e F with <e, x> = (e F) @ x: F's columns are the
     form weights of the unit vectors.  The up-box of e is a slice of one
-    index grid."""
+    index grid.  Given top, only the columns e with |e| <= top are walked,
+    and the others hold False off the diagonal: walking column e reads row e,
+    whose members e' <= e have |e'| <= |e|, so every walked column is
+    complete."""
     shape = [x + 1 for x in d]
     size = math.prod(shape)
     _Budget(DEFAULT_BUDGET, "subdims").charge(size * size, f" at {d}")
@@ -48,8 +59,10 @@ def _walk(quiver: Quiver, d: DimVector) -> tuple[np.ndarray, np.ndarray]:
     weights = box @ np.array([quiver.form_weights(u) for u in np.eye(len(d), dtype=np.int64)]).T
     index = np.arange(size).reshape(shape)
     member = np.eye(size, dtype=bool)
-    for k, e in enumerate(box.tolist()):
-        up = index[tuple(slice(x, None) for x in e)].ravel()
+    rows = box.tolist()
+    walked = range(size) if top is None else np.flatnonzero(box.sum(axis=1) <= top).tolist()
+    for k in walked:
+        up = index[tuple(slice(x, None) for x in rows[k])].ravel()
         values = weights[member[k]] @ box[up - k].T  # box[up - k] = up-box - e
         member[up, k] = values.min(axis=0) >= 0
     return box, member
@@ -107,6 +120,10 @@ def embeds(
     if m := quiver.kronecker_m:
         return _ext_vanishes(m, ev, (dv[0] - ev[0], dv[1] - ev[1]))
     w = quiver.form_weights(tuple(a - b for a, b in zip(dv, ev)))
+    if sum(x * y for x, y in zip(ev, w)) < 0:  # e itself lies in Sub(e)
+        return False
+    if all(y >= 0 for x, y in zip(ev, w) if x):  # Sub(e) lies in box(e)
+        return True
     subs = _cached_subdims(quiver, ev, cache)
     return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
 

@@ -14,6 +14,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
+from itertools import repeat
 
 import numpy as np
 
@@ -297,12 +298,7 @@ class QuadraticSurd:
             head, exponent = head // 10, exponent + 1
         if not -6 <= exponent < digits:
             return None
-        text = str(head)
-        if exponent < 0:
-            text = "0." + "0" * (-exponent - 1) + text
-        elif exponent < digits - 1:
-            text = text[: exponent + 1] + "." + text[exponent + 1 :]
-        return "-" + text if value < 0 else text
+        return _plain(head, exponent, digits, value < 0)
 
     def exact_parts(self) -> dict:
         return {"p": self.p, "q": self.q, "n": self.n, "r": self.r}
@@ -424,11 +420,89 @@ class QuadraticSurd:
     def __str__(self) -> str:
         if self.q == 0:
             return str(Fraction(self.p, self.r))
-        radical = f"sqrt({self.n})" if abs(self.q) == 1 else f"{abs(self.q)}*sqrt({self.n})"
-        if self.p == 0:
-            core = radical if self.q > 0 else f"-{radical}"
-        else:
-            core = f"{self.p}{'+' if self.q > 0 else '-'}{radical}"
-        if self.r == 1:
-            return core
-        return f"({core})/{self.r}"
+        return _irrational_text(self.p, self.q, self.n, self.r)
+
+
+def _irrational_text(p: int, q: int, n: int, r: int) -> str:
+    """str of the irrational normal form (p + q*sqrt(n)) / r."""
+    radical = f"sqrt({n})" if abs(q) == 1 else f"{abs(q)}*sqrt({n})"
+    if p == 0:
+        core = radical if q > 0 else f"-{radical}"
+    else:
+        core = f"{p}{'+' if q > 0 else '-'}{radical}"
+    return core if r == 1 else f"({core})/{r}"
+
+
+def _plain(head: int, exponent: int, digits: int, negative: bool) -> str:
+    """The digits figures of head as a plain decimal of exponent
+    -6 <= exponent < digits, as Decimal prints it (_float_decimal)."""
+    text = str(head)
+    if exponent < 0:
+        text = "0." + "0" * (-exponent - 1) + text
+    elif exponent < digits - 1:
+        text = text[: exponent + 1] + "." + text[exponent + 1 :]
+    return "-" + text if negative else text
+
+
+# 10.0 ** k as Python's float power gives it, for _surd_texts's scaling
+_POW10 = np.array([10.0**k for k in range(32)])
+
+
+def _surd_texts(
+    p: np.ndarray, q: np.ndarray, n: np.ndarray, r: int
+) -> tuple[list[str], list[str]]:
+    """str and decimal(12) of QuadraticSurd._normal(p, q, n, r) at every
+    entry of arrays p, q and n of one shape, n square-free, 0 or 1, r >= 1.
+
+    On int64 arrays the normal form (a gcd with r) and _float_decimal's
+    IEEE steps are array passes: the same float operations in the same
+    order, each correctly rounded, so the same head, guard and exponent.
+    A row is rendered from its surd instead where it is rational, where
+    _float_decimal would give None, where an int (p*p - q*q*n too) could
+    round on its way to a float (past 2**52), and where numpy's log10 lies
+    within 10**-9 of an integer, so math.log10 could floor to another
+    exponent.  Object arrays are rendered from their surds alone.
+    """
+    digits = 12
+    p0, q0, n0 = p.tolist(), q.tolist(), n.tolist()
+    if p.dtype == object or r >= 2**52:
+        texts, decimals, scalar = [""] * len(p0), [""] * len(p0), range(len(p0))
+    else:
+        g = np.gcd(np.gcd(p, q), r)
+        p, q, rr = p // g, q // g, r // g
+        pf, qf, nf, rf = (a.astype(np.float64) for a in (p, q, n, rr))
+        with np.errstate(all="ignore"):  # rows that overflow are not ok
+            ok = (q != 0) & (n > 1) & (pf * pf < 2.0**52) & (qf * qf * nf < 2.0**52)
+            root = np.sqrt(nf)
+            conjugate = (p != 0) & ((p < 0) != (q < 0))
+            value = np.where(
+                conjugate, (p * p - q * q * n) / (rf * (pf - qf * root)), (pf + qf * root) / rf
+            )
+            size = np.abs(value)
+            ok &= (1e-7 < size) & (size < 10.0**digits) & ~(np.abs(pf) > 1e20 * rf * size)
+        size = np.where(ok, size, 1.0)
+        log = np.log10(size)
+        ok &= np.abs(log - np.rint(log)) > 1e-9
+        exponent = np.floor(log).astype(np.int64)
+        for _ in range(3):  # _float_decimal's loop: at most one step a row
+            scaled = np.rint(size * _POW10[digits + 3 - exponent]).astype(np.int64)
+            head, guard = np.divmod(scaled, 10**4)
+            step = (head >= 10**digits).astype(np.int64) - (head < 10 ** (digits - 1))
+            if not step.any():
+                break
+            exponent += step
+        ok &= (step == 0) & (np.abs(guard - 5000) >= _GUARD)
+        head += guard > 5000
+        carry = head == 10**digits
+        head[carry] //= 10
+        exponent += carry
+        ok &= (-6 <= exponent) & (exponent < digits)
+        texts = list(map(_irrational_text, p.tolist(), q.tolist(), n0, rr.tolist()))
+        decimals = list(map(
+            _plain, head.tolist(), exponent.tolist(), repeat(digits), (value < 0).tolist()
+        ))
+        scalar = np.flatnonzero(~ok).tolist()
+    for i in scalar:
+        surd = QuadraticSurd._normal(p0[i], q0[i], n0[i], r)
+        texts[i], decimals[i] = str(surd), surd.decimal(digits)
+    return texts, decimals

@@ -32,6 +32,7 @@ from quivex import (
 from quivex.cli import run
 
 K3_TEXT = "vertices 2\n1 -> 2\n1 -> 2\n1 -> 2\n"
+BIPARTITE_TEXT = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
 
 
 def _run_json(capsys, argv):
@@ -467,6 +468,13 @@ GOLDEN = [
         "2,(11-sqrt(57))/2,1.72508278236,2\n3,(15-3*sqrt(13))/2,2.09167308680,3\n"
         "4,(19-sqrt(201))/2,2.41127656062,3\n5,(23-sqrt(309))/2,2.71080208438,3\n6,3,3,3\n",
     ),
+    # an exit 3 while every bipartite pair walked box(e); recorded from that
+    # walk under a raised budget.  e itself pairs to -192 with d - e
+    (
+        ["embed", "--quiver", "{bipartite}", "--e", "14,20,14", "--d", "20,30,20"],
+        '{"command": "embed", "inputs": {"quiver": "{bipartite}", "e": [14, 20, 14], '
+        '"d": [20, 30, 20]}, "result": {"embeds": false}, "exact": null, "approx": null}\n',
+    ),
     # K(m) off the cone, each an exit 3 while it walked a box of box**2 cells;
     # all but the second were recorded from that walk under a raised budget
     (
@@ -497,8 +505,10 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
 def test_golden_stdout(capsys, tmp_path, argv, expected):
-    files = {"{quiver}": tmp_path / "k3.quiver", "{rep}": tmp_path / "rep.json"}
+    files = {"{quiver}": tmp_path / "k3.quiver", "{rep}": tmp_path / "rep.json",
+             "{bipartite}": tmp_path / "bipartite.quiver"}
     files["{quiver}"].write_text(K3_TEXT, encoding="utf-8")
+    files["{bipartite}"].write_text(BIPARTITE_TEXT, encoding="utf-8")
     rep = FiniteFieldRep(2, make_kronecker(2), (2, 2), (np.eye(2, dtype=np.int64),) * 2)
     rep.save(files["{rep}"])
     for key, path in files.items():
@@ -656,14 +666,16 @@ def test_cached_parser_matches_fresh_parser(capsys):
     "argv, vector, box",
     [
         (["subdims", "--d", "20,30,20"], "(20, 30, 20)", 21 * 31 * 21),
-        (["embed", "--e", "14,20,14", "--d", "20,30,20"], "(14, 20, 14)", 15 * 21 * 15),
+        # neither bound of embeds decides it: e pairs to 66 with d - e, whose
+        # weight at vertex 1 is -4, so box(e) is walked
+        (["embed", "--e", "10,23,11", "--d", "20,30,20"], "(10, 23, 11)", 11 * 24 * 12),
     ],
 )
 def test_schofield_budget_exit_3(capsys, tmp_path, argv, vector, box):
     # the bipartite quiver 1 => 2 <= 3 is walked: the member table would hold
     # box**2 cells, which is charged, and refused, before anything is allocated
     path = tmp_path / "bipartite.quiver"
-    path.write_text("vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n", encoding="utf-8")
+    path.write_text(BIPARTITE_TEXT, encoding="utf-8")
     tracemalloc.start()
     start = time.monotonic()
     code = run([argv[0], "--quiver", str(path), *argv[1:]])
@@ -732,6 +744,36 @@ def test_main_exit_status():
     cube = ("--kronecker", "3", "--theta", "1,-1", "--delta", "1/2", "--dmax", "1000000")
     done = main("theta-scan", *cube)
     assert done.returncode == 3 and "subdims budget exceeded" in done.stderr
+
+
+def test_curve_memory_does_not_grow_with_its_rows():
+    # rows are rendered 512 at a time and written before the next block: on a
+    # 2-vCPU VM (Python 3.11, numpy 2.4) the 200,001 rows below raised max RSS
+    # by 0.15 MB over a 21-row curve, to 33.3 MB, where rendering every row
+    # through its own surd raised it by 0.26 MB, to 33.2 MB, and rendering
+    # 4,096 rows at a time by 1.8 MB
+    # VmHWM is this process's own max RSS; ru_maxrss would also count the
+    # forked copy of the test process that ran before exec
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads VmHWM from /proc")
+    script = """if True:
+        import os, re, sys
+        from quivex.cli import run
+        sys.stdout = open(os.devnull, "w")
+        status = lambda: open("/proc/self/status").read()
+        peak = lambda: int(re.search(r"VmHWM:\\s+(\\d+) kB", status())[1])
+        assert run(["curve", "--m", "3", "--d", "20,20", "--format", "csv"]) == 0
+        small = peak()
+        assert run(["curve", "--m", "3", "--d", "200000,200000", "--format", "csv"]) == 0
+        print(small, peak(), file=sys.stderr)
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    small, large = map(int, done.stderr.split())  # kB
+    assert large - small < 1024, (small, large)
+    assert large < 44 * 1024, large
 
 
 @pytest.mark.parametrize(

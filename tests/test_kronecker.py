@@ -208,9 +208,36 @@ def test_curve_rows_match_c_d_exact_and_c_d_ceil():
     contexts += [KroneckerContext(3, (2 * _ROW_CHUNK + 5, 3 * _ROW_CHUNK)),
                  KroneckerContext(4, (300, 200)), KroneckerContext(1000, (150, 1))]
     for ctx in contexts:
-        rows = [(x, _parts(v), c) for x, v, c in _curve_rows(ctx)]
-        expected = [(x, _parts(c_d_exact(ctx, x)), c_d_ceil(ctx, x)) for x in range(ctx.d[0] + 1)]
+        rows = list(_curve_rows(ctx))
+        values = [c_d_exact(ctx, x) for x in range(ctx.d[0] + 1)]
+        expected = [(x, str(v), v.decimal(12), c_d_ceil(ctx, x)) for x, v in enumerate(values)]
         assert rows == expected, ctx
+
+
+# curves fixed before the run: rational rows at x = 0, x = d1 and where D is
+# a square between them, rows in _float_decimal's guard band, values next to
+# 1, 10 and 100, blocks of _TEXT_ROWS and chunks of _ROW_CHUNK, m up to 100
+RENDER_GRID = [(3, (1000, 1000)), (3, (4100, 5000)), (4, (600, 300)), (4, (6, 3)),
+               (5, (200, 900)), (7, (150, 40)), (10, (300, 1000)), (30, (90, 2000)),
+               (100, (3000, 40)), (100, (40, 3000)), (2, (500, 500)), (6, (100, 500))]
+
+
+def test_curve_rows_render_as_their_surds_do():
+    from quivex.kronecker import _curve_rows
+
+    rational = guarded = 0
+    near = set()
+    for m, d in RENDER_GRID:
+        ctx = KroneckerContext(m, d)
+        for (x, text, approx, c), expected in zip(_curve_rows(ctx), range(d[0] + 1)):
+            v = c_d_exact(ctx, x)
+            assert x == expected
+            assert (text, approx, c) == (str(v), v.decimal(12), c_d_ceil(ctx, x)), (m, d, x)
+            rational += v.is_rational and 0 < x < d[0]
+            guarded += not v.is_rational and v._float_decimal(12) is None
+            near.update(k for k in (1, 10, 100) if abs(float(v) / k - 1) < 1e-2)
+        assert x == d[0]
+    assert rational and guarded and near == {1, 10, 100}
 
 
 # -- the one K(m) rule: _ext_vanishes and the column floors it gives ---------

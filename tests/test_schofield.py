@@ -10,13 +10,16 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivex import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ExpanderParams,
     KroneckerContext,
+    Quiver,
     StabilityFunction,
     SubdimCache,
     beta,
@@ -103,6 +106,98 @@ def test_embeds_matches_reference(quiver, dmax):
     for d in _box(dmax):
         for e in _box(d):
             assert embeds(quiver, e, d, warm) == expected[e, d], (e, d)
+
+
+# quivers off K(m), with every d <= (3, 3, 3), or (3, 3, 3, 3) for FOUR
+ONE_SOURCE = Quiver(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
+PATH_3 = parse_quiver("vertices 3\n1 -> 2\n2 -> 3\n2 -> 3\n2 -> 3\n")
+FOUR = parse_quiver("vertices 4\n1 -> 2\n1 -> 3\n2 -> 4\n3 -> 4\n1 -> 4\n1 -> 4\n")
+BOUND_GRIDS = [(BIPARTITE, (3, 3, 3)), (PATH_DOUBLE, (3, 3, 3)), (ONE_SOURCE, (3, 3, 3)),
+               (PATH_3, (3, 3, 3)), (FOUR, (3, 3, 3, 3))]
+
+
+def _bound(quiver, e, d):
+    # embeds' answer from its two bounds, or None: e lies in Sub(e), so
+    # <e, d - e> < 0 refuses, and Sub(e) lies in box(e), so a weight of d - e
+    # that is >= 0 wherever e is nonzero admits
+    w = quiver.form_weights(tuple(a - b for a, b in zip(d, e)))
+    if sum(x * y for x, y in zip(e, w)) < 0:
+        return False
+    return True if all(y >= 0 for x, y in zip(e, w) if x) else None
+
+
+@pytest.mark.parametrize(
+    "quiver, dmax", BOUND_GRIDS, ids=["bipartite", "path_double", "one_source", "path_3", "four"]
+)
+def test_embeds_bounds_match_the_walk_and_skip_it(monkeypatch, quiver, dmax):
+    # every pair e <= d of the grid against the walk's last row, Sub(d);
+    # a pair a bound decides walks nothing, even with no cache
+    import quivex.schofield
+
+    walked = []
+    real_walk = quivex.schofield._walk
+    monkeypatch.setattr(
+        quivex.schofield, "_walk", lambda q, d, top=None: walked.append(d) or real_walk(q, d, top)
+    )
+    cache, decided, pairs = SubdimCache(), 0, 0
+    for d in _box(dmax):
+        subs = _subdims(quiver, d)
+        for e in _box(d):
+            pairs += 1
+            assert embeds(quiver, e, d, cache) == (e in subs), (e, d)
+            if any(e) and e != d and (bound := _bound(quiver, e, d)) is not None:
+                decided += 1
+                walked.clear()
+                assert embeds(quiver, e, d) == bound, (e, d)
+                assert walked == [], (e, d)
+    assert pairs == (10**4 if len(dmax) == 4 else 10**3)
+    assert 0 < decided < pairs
+
+
+@st.composite
+def _acyclic_vectors(draw):
+    n = draw(st.integers(2, 4))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    arrows = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+    return Quiver(n, tuple(arrows)), draw(st.tuples(*[st.integers(0, 2)] * n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_acyclic_vectors())
+def test_walk_rows_and_embeds_match_reference_on_random_acyclic_quivers(quiver_and_d):
+    # arrows s -> t with s < t, K(m) included: every row of the walk of box(d)
+    # is Sub(v) by the top-down recursion, and embeds(e, v) reads it
+    quiver, d = quiver_and_d
+    table: dict = {}
+    box, member = _walk(quiver, d)
+    for k, v in enumerate(map(tuple, box.tolist())):
+        row = frozenset(map(tuple, box[member[k]].tolist()))
+        assert row == _subdims_reference(quiver.form_weights, v, table), (quiver.arrows, v)
+        for e in _box(v):
+            assert embeds(quiver, e, v) == (e in row), (quiver.arrows, e, v)
+
+
+@pytest.mark.parametrize(
+    "quiver, d",
+    [(BIPARTITE, (3, 6, 3)), (BIPARTITE, (4, 4, 2)), (PATH_DOUBLE, (3, 4, 3)),
+     (ONE_SOURCE, (4, 3, 3)), (FOUR, (2, 2, 3, 2))],
+)
+def test_walk_cut_at_a_total_matches_the_full_walk(quiver, d):
+    # theta-scan walks only the columns e with |e| <= floor(delta |d|); they
+    # hold every cell _row_suprema reads, 1 <= |e| <= floor(delta |v|) for
+    # each v <= d, and equal the full walk's; the others are not walked
+    box, full = _walk(quiver, d)
+    sizes = box.sum(axis=1)
+    for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+        top = delta.numerator * sum(d) // delta.denominator
+        cut_box, cut = _walk(quiver, d, top)
+        assert (cut_box == box).all()
+        for k, v in enumerate(box.tolist()):
+            read = (sizes >= 1) & (sizes <= delta.numerator * sum(v) // delta.denominator)
+            assert (cut[k, read] == full[k, read]).all(), (d, delta, v)
+        kept = sizes <= top
+        assert (cut[:, kept] == full[:, kept]).all(), (d, delta)
+        assert (cut[:, ~kept] == np.eye(len(box), dtype=bool)[:, ~kept]).all(), (d, delta)
 
 
 def test_walk_matches_reference_on_the_cone():
@@ -329,7 +424,7 @@ def _spy_walks(monkeypatch) -> list:
     walked = []
     real_walk = quivex.expander._walk
     monkeypatch.setattr(
-        quivex.expander, "_walk", lambda q, d: walked.append(d) or real_walk(q, d)
+        quivex.expander, "_walk", lambda q, d, top=None: walked.append(d) or real_walk(q, d, top)
     )
     return walked
 
@@ -382,7 +477,7 @@ def test_no_k_m_question_reaches_the_walk(monkeypatch, capsys):
     walked = _spy_walks(monkeypatch)
     real_walk = quivex.schofield._walk
     monkeypatch.setattr(
-        quivex.schofield, "_walk", lambda q, d: walked.append(d) or real_walk(q, d)
+        quivex.schofield, "_walk", lambda q, d, top=None: walked.append(d) or real_walk(q, d, top)
     )
     for m in (1, 2, 3, 5):
         K = make_kronecker(m)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quivex import QuadraticSurd
 from quivex.cli import run
 from quivex.kronecker import KroneckerContext, c_d_exact
-from quivex.surd import _icbrt, _primes, _square_free, _square_free_split
+from quivex.surd import _icbrt, _primes, _square_free, _square_free_split, _surd_texts
 
 
 def _square_free_reference(n):
@@ -435,3 +435,41 @@ def test_decimal_float_path_edge_values():
     assert QuadraticSurd._normal(10**15, -1, 2, 10**15)._float_decimal(12) == "1.00000000000"
     assert QuadraticSurd._normal(1234567890125 * 10**8, 1, 2, 10**20)._float_decimal(12) is None
     assert QuadraticSurd._normal(10**21 + 7, -1, 10**42 + 3, 1)._float_decimal(12) is None
+
+
+def _texts_grid(r):
+    # (p, q, n) rows fixed before the run, for one denominator r
+    rows = []
+    for k, sign in product(range(-7, 13), (1, -1)):  # 10**k +- sqrt(2)/r, rounded to ints
+        p = 10**k * r if k >= 0 else r // 10**-k
+        rows += [(p + j, sign * q, 2) for j in (-1, 0, 1) for q in (1, 7)]
+    # 10**k + sqrt(a*a + 1) - a, within 10**-9 of 10**k for a = 60000001 and k >= 1
+    for a, k in product((60000001, 10000000, 999), (0, 1, 2)):
+        rows += [((10**k - a) * r, r, a * a + 1), ((-(10**k) - a) * r, r, a * a + 1)]
+    rows += [(p, q, n) for p, q, n in product(range(-40, 41, 7), (-3, -1, 1, 5), (2, 3, 5, 999983))]
+    rows += [(0, 1, 2), (0, -2, 3), (5, 0, 0), (7, 3, 1), (6, 0, 0)]  # p = 0 and rationals
+    rows += [(3 * x + 1000, -1, n) for x, n in product(range(2000), (5, 17))]  # guard bands
+    rows += [(2**40, -1, 2), (1, 2**30, 3), (2**27, -1, 2**53 - 111)]  # ints past 2**52
+    return [(p, q, n) for p, q, n in rows if n < 2 or _square_free(n)[0] == 1]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 10, 10**6, 2**51 + 1])
+def test_surd_texts_match_str_and_decimal(monkeypatch, r):
+    rows = _texts_grid(r)
+    surds = [QuadraticSurd._normal(p, q, n, r) for p, q, n in rows]
+    expected = ([str(s) for s in surds], [s.decimal(12) for s in surds])
+    built = []
+    normal = QuadraticSurd._normal.__func__
+    monkeypatch.setattr(QuadraticSurd, "_normal",
+                        classmethod(lambda cls, *parts: built.append(parts) or normal(cls, *parts)))
+    columns = list(zip(*rows))
+    dtypes = [object] if max(map(abs, columns[0])) >= 2**63 else [np.int64, object]
+    for dtype in dtypes:
+        built.clear()
+        p, q, n = (np.array(column, dtype=dtype) for column in columns)
+        assert _surd_texts(p, q, n, r) == expected, (r, dtype)
+        # object rows are rendered from their surds, int64 rows mostly by the arrays
+        assert len(built) == len(rows) if dtype is object else len(built) < len(rows) / 10
+    # the grid reaches the guard band, and values within 10**-9 of a power of 10
+    assert any(s.q and s._float_decimal(12) is None for s in surds)
+    assert any(s.q and 0 < abs(float(s) / 10 - 1) < 1e-9 for s in surds)
