@@ -18,10 +18,8 @@ from itertools import repeat
 
 import numpy as np
 
-# decimal's float path keeps 4 guard digits past the printed ones and
-# refuses a value whose guard digits lie within _GUARD units of the
-# rounding midpoint 5000; its float and Decimal's own evaluation stay
-# within 14 units of the true value together (QuadraticSurd._float_decimal)
+# _surd_texts's float rendering refuses a value whose 4 guard digits lie
+# within _GUARD units of the rounding midpoint 5000
 _GUARD = 100
 
 
@@ -240,65 +238,16 @@ class QuadraticSurd:
         return (self.p + self.q * math.sqrt(self.n)) / self.r
 
     def decimal(self, digits: int = 12) -> str:
-        """Decimal string rounded to the given number of significant digits:
-        Decimal's, evaluated at digits + 25 places, or the same string from a
-        float where _float_decimal proves it equal."""
-        text = self._float_decimal(digits) if self.q else None
-        if text is not None:
-            return text
+        """Decimal string rounded to the given number of significant digits,
+        a positive int: Decimal's, evaluated at digits + 25 places."""
+        if _as_int(digits) < 1:
+            raise ValueError(f"digits must be at least 1, got {digits}")
         with localcontext() as ctx:
             ctx.prec = digits + 25
             value = (Decimal(self.p) + Decimal(self.q) * Decimal(self.n).sqrt()) / Decimal(self.r)
             ctx.prec = digits
             value = +value
         return str(value)
-
-    def _float_decimal(self, digits: int) -> str | None:
-        """decimal's string for an irrational value, from a float, or None.
-
-        The float is evaluated without cancellation (in the conjugate form
-        (p*p - q*q*n) / (r (p - q sqrt(n))) when p and q differ in sign) and
-        scaled by an exact power of 10 to digits + 4 figures, so it is within
-        12 units of the last of them.  Decimal's evaluation cancels at most
-        20 of its digits + 25 places when |p| <= 10**20 |p + q sqrt(n)|, so
-        it is within 2 units there.  So where the 4 guard figures lie
-        _GUARD units from the midpoint 5000, both round the same way.
-        Decimal's sum is inexact, so it has all digits + 25 figures; divided
-        by r < 10**24 it keeps more than digits of them, so Decimal prints
-        exactly digits figures, trailing zeros included, as built here in
-        plain notation for 10**-6 <= rounded value < 10**digits.  Anything
-        else, or digits outside 1..12 (a float holds 16 figures), gives None.
-        """
-        p, q, n, r = self.p, self.q, self.n, self.r
-        if not 1 <= digits <= 12:
-            return None
-        try:
-            if (p < 0) == (q < 0) or p == 0:
-                value = (p + q * math.sqrt(n)) / r
-            else:
-                value = (p * p - q * q * n) / (r * (p - q * math.sqrt(n)))
-        except OverflowError:
-            return None
-        size = abs(value)
-        if not 1e-7 < size < 10.0**digits or abs(p) > 1e20 * r * size or r >= 10**24:
-            return None
-        exponent = math.floor(math.log10(size))
-        while True:  # log10 may be one off next to a power of 10
-            head, guard = divmod(round(size * 10.0 ** (digits + 3 - exponent)), 10**4)
-            if head >= 10**digits:
-                exponent += 1
-            elif head < 10 ** (digits - 1):
-                exponent -= 1
-            else:
-                break
-        if abs(guard - 5000) < _GUARD:
-            return None
-        head += guard > 5000
-        if head == 10**digits:
-            head, exponent = head // 10, exponent + 1
-        if not -6 <= exponent < digits:
-            return None
-        return _plain(head, exponent, digits, value < 0)
 
     def exact_parts(self) -> dict:
         return {"p": self.p, "q": self.q, "n": self.n, "r": self.r}
@@ -434,8 +383,7 @@ def _irrational_text(p: int, q: int, n: int, r: int) -> str:
 
 
 def _plain(head: int, exponent: int, digits: int, negative: bool) -> str:
-    """The digits figures of head as a plain decimal of exponent
-    -6 <= exponent < digits, as Decimal prints it (_float_decimal)."""
+    """head's digits figures as Decimal prints them at -6 <= exponent < digits."""
     text = str(head)
     if exponent < 0:
         text = "0." + "0" * (-exponent - 1) + text
@@ -454,14 +402,21 @@ def _surd_texts(
     """str and decimal(12) of QuadraticSurd._normal(p, q, n, r) at every
     entry of arrays p, q and n of one shape, n square-free, 0 or 1, r >= 1.
 
-    On int64 arrays the normal form (a gcd with r) and _float_decimal's
-    IEEE steps are array passes: the same float operations in the same
-    order, each correctly rounded, so the same head, guard and exponent.
-    A row is rendered from its surd instead where it is rational, where
-    _float_decimal would give None, where an int (p*p - q*q*n too) could
-    round on its way to a float (past 2**52), and where numpy's log10 lies
-    within 10**-9 of an integer, so math.log10 could floor to another
-    exponent.  Object arrays are rendered from their surds alone.
+    On int64 arrays the normal form (a gcd with r) and the decimal are
+    array passes.  The float is evaluated without cancellation (as
+    (p*p - q*q*n) / (r (p - q sqrt(n))) where p and q differ in sign) and
+    scaled by an exact power of 10 to 16 figures, so it is within 12 units
+    of the last of them.  decimal's evaluation at 37 places cancels at most
+    20 of them where |p| <= 10**20 |value| r, so it is within 2 units there.
+    So where the 4 guard figures lie _GUARD units from the midpoint 5000,
+    both round the same way.  decimal's sum has all 37 figures, and its
+    quotient by r < 2**52 more than 12, so it prints 12 figures, trailing
+    zeros included: in plain notation for 10**-6 <= value < 10**12.
+    A row is rendered from its surd instead, through Decimal, where it is
+    rational, where any of those conditions fails, where an int
+    (p*p - q*q*n too) could round on its way to a float (past 2**52), and
+    where log10 lies within 10**-9 of an integer.  Object arrays are
+    rendered from their surds alone.
     """
     digits = 12
     p0, q0, n0 = p.tolist(), q.tolist(), n.tolist()
@@ -484,7 +439,7 @@ def _surd_texts(
         log = np.log10(size)
         ok &= np.abs(log - np.rint(log)) > 1e-9
         exponent = np.floor(log).astype(np.int64)
-        for _ in range(3):  # _float_decimal's loop: at most one step a row
+        for _ in range(3):  # a floor one off: at most one step a row
             scaled = np.rint(size * _POW10[digits + 3 - exponent]).astype(np.int64)
             head, guard = np.divmod(scaled, 10**4)
             step = (head >= 10**digits).astype(np.int64) - (head < 10 ** (digits - 1))

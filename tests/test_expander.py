@@ -340,7 +340,7 @@ def _first_violation_by_levels(m, d, params):
     return ExpanderDecision(True, None)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=1, max_value=400),

@@ -26,6 +26,7 @@ from quivex import (
     parse_quiver,
     random_rep,
 )
+from quivex.expander import _levels
 from quivex.finfield import (
     _PENCIL_MIN_LINES,
     _backtrack,
@@ -1648,7 +1649,7 @@ def _small_acyclic_reps(draw):
     return random_rep(Quiver(n, tuple(arrows)), d, p, seed)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_small_acyclic_reps())
 def test_has_subrep_matches_naive_search_on_small_acyclic_quivers(rep):
     # arrows s -> t with s < t: one-sink quivers, one-source quivers decided
@@ -1694,3 +1695,43 @@ def test_oracle_vs_theory_statistics():
     assert worst_pos >= 6, worst_pos
     assert Fraction(neg_admits, neg_total) <= Fraction(6, 100)
     assert Fraction(pos_found, pos_total) >= Fraction(95, 100)
+
+
+# -- explicit K(m) representations whose profile is a theorem ---------------
+
+# (p, n, m) cells fixed before the run, each with n prime and m <= n
+FIELD_CELLS = [(2, 3, 2), (3, 3, 2), (2, 3, 3), (5, 3, 3), (2, 5, 2), (3, 5, 2), (2, 5, 3),
+               (5, 5, 3), (7, 5, 2), (13, 5, 2), (3, 7, 2), (2, 7, 3), (2, 5, 5), (3, 5, 4)]
+
+
+def _field_rep(p, n, m):
+    # K(m) on F_p^n = F_{p^n}, d = (n, n): arrow i multiplies by gamma**i,
+    # as C**i for the companion matrix C of the first monic irreducible f
+    # of degree n over F_p, its coefficients below x**n read in lexical order
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    tail = next(c for c in product(range(p), repeat=n)
+                if sympy.Poly((1, *c), x, modulus=p).is_irreducible)
+    C = np.eye(n, k=-1, dtype=np.int64)  # gamma * gamma**k = gamma**(k+1)
+    C[:, -1] = [-c % p for c in reversed(tail)]  # gamma**n = -(c_0 + c_1 gamma + ...)
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(m - 1):
+        powers.append(C @ powers[-1] % p)
+    return FiniteFieldRep(p, make_kronecker(m), (n, n), tuple(powers))
+
+
+def test_field_reps_have_the_linear_kneser_profile():
+    # Hou, Leung & Xiang (J. Number Theory 97, 2002): for n prime and m <= n,
+    # every j-plane U of F_{p^n} has dim U * span(1, ..., gamma**(m-1)) at
+    # least min(n, j + m - 1), and U = span(1, ..., gamma**(j-1)) reaches it
+    verdicts = set()
+    for p, n, m in FIELD_CELLS:
+        rep = _field_rep(p, n, m)
+        for j, r in product(range(1, n + 1), range(n + 1)):
+            assert has_subrep_of_dim(rep, (j, r)) == (r >= min(n, j + m - 1)), (p, n, m, j, r)
+        for eps in (Fraction(1, 3), Fraction(1)):
+            params = ExpanderParams(HALF, eps)
+            expected = all(s < min(n, j + m - 1) for j, s in _levels(params, n, n))
+            assert is_expander_rep(rep, params).ok == expected, (p, n, m, eps)
+            verdicts.add((eps, expected))
+    assert {(Fraction(1), True), (Fraction(1), False)} <= verdicts

@@ -271,7 +271,7 @@ def test_topological_order_takes_the_smallest_ready_vertex():
     assert Quiver(5, ((5, 1), (3, 2))).topological_order() == (3, 2, 4, 5, 1)
 
 
-@settings(derandomize=True, max_examples=300)
+@settings(max_examples=300)
 @given(_acyclic_quivers())
 def test_topological_order_matches_sorted_list_kahn(quiver):
     assert quiver.topological_order() == _sorted_list_kahn(quiver)

@@ -162,7 +162,7 @@ def _acyclic_vectors(draw):
     return Quiver(n, tuple(arrows)), draw(st.tuples(*[st.integers(0, 2)] * n))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_acyclic_vectors())
 def test_walk_rows_and_embeds_match_reference_on_random_acyclic_quivers(quiver_and_d):
     # arrows s -> t with s < t, K(m) included: every row of the walk of box(d)

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from quivex import QuadraticSurd
 from quivex.cli import run
 from quivex.kronecker import KroneckerContext, c_d_exact
-from quivex.surd import _icbrt, _primes, _square_free, _square_free_split, _surd_texts
+from quivex.surd import (
+    _GUARD, _icbrt, _primes, _square_free, _square_free_split, _surd_texts,
+)
 
 
 def _square_free_reference(n):
@@ -31,7 +33,7 @@ def _square_free_reference(n):
 
 
 def _decimal_reference(surd, digits=12):
-    """QuadraticSurd.decimal as it was before its float path: the oracle."""
+    """decimal's Decimal evaluation, kept apart from the code: the oracle."""
     with localcontext() as ctx:
         ctx.prec = digits + 25
         value = (Decimal(surd.p) + Decimal(surd.q) * Decimal(surd.n).sqrt()) / Decimal(surd.r)
@@ -349,7 +351,7 @@ def _split_pairs(values, dtype, limit=None):
     return list(zip(s.tolist(), k.tolist()))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=40))
 def test_square_free_split_matches_scalar(values):
     assert _split_pairs(values, np.int64) == [_square_free(n) for n in values]
@@ -395,14 +397,48 @@ surd_parts = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=1000, deadline=None)
+def _spy_normal(monkeypatch):
+    # the parts of every surd built by QuadraticSurd._normal from now on
+    built = []
+    normal = QuadraticSurd._normal.__func__
+    monkeypatch.setattr(QuadraticSurd, "_normal",
+                        classmethod(lambda cls, *parts: built.append(parts) or normal(cls, *parts)))
+    return built
+
+
+def _texts_decimals(surds, dtype):
+    # _surd_texts's decimal(12) of surds of one denominator, from dtype arrays
+    columns = [[getattr(s, name) for s in surds] for name in "pqn"]
+    p, q, n = (np.array(column, dtype=dtype) for column in columns)
+    return _surd_texts(p, q, n, surds[0].r)[1]
+
+
+def _in_guard_band(text):
+    # figures 13-16 of a 16-figure decimal lie within _GUARD of 5000
+    return abs(int("".join(map(str, Decimal(text).as_tuple().digits[12:16]))) - 5000) < _GUARD
+
+
+@settings(max_examples=1000)
 @given(surd_parts, st.sampled_from([1, 6, 12, 13]))
 def test_decimal_matches_decimal_oracle(parts, digits):
     surd = QuadraticSurd(*parts)
     assert surd.decimal(digits) == _decimal_reference(surd, digits)
+    for dtype in (np.int64, object):
+        assert _texts_decimals([surd], dtype) == [_decimal_reference(surd)], dtype
 
 
-def test_decimal_float_path_edge_values():
+def test_decimal_refuses_digits_that_are_not_a_positive_int():
+    surd = QuadraticSurd(3, -1, 5, 2)
+    for digits in (11.9, 1.5, True, Fraction(12)):
+        with pytest.raises(TypeError):
+            surd.decimal(digits)
+    for digits in (0, -3):
+        with pytest.raises(ValueError):
+            surd.decimal(digits)
+    assert surd.decimal(1) == "0.4" and surd.decimal(5) == "0.38197"
+
+
+def test_decimal_float_path_edge_values(monkeypatch):
     cases = [
         QuadraticSurd(3, -1, 5, 2),  # 0.381966011250: a kept trailing zero
         QuadraticSurd(-3, 1, 5, 2),  # negative
@@ -417,7 +453,7 @@ def test_decimal_float_path_edge_values():
         QuadraticSurd(10**12, 1, 2, 1),
     ]
     for k, sign, den in product(range(-8, 14), (1, -1), (10**15, 10**30)):
-        # 10**k +- sqrt(2) / den: by the float below 10**24, else by Decimal
+        # 10**k +- sqrt(2) / den: int64 rows below 2**63, else Python ints
         cases.append(QuadraticSurd._normal(10**k * den if k >= 0 else den // 10**-k,
                                            sign, 2, den))
     # guard digits next to the midpoint: 1.234567890125 + sqrt(2) / 10**20
@@ -425,16 +461,34 @@ def test_decimal_float_path_edge_values():
     cases.append(QuadraticSurd._normal(1234567890125 * 10**8, -1, 2, 10**20))
     # p and q sqrt(n) cancel in more than 20 digits
     cases.append(QuadraticSurd._normal(10**21 + 7, -1, 10**42 + 3, 1))
+    # the same two kinds as int64 rows with r < 2**52: figures 13-20 of
+    # sqrt(5831) = 7 sqrt(119) read 50000880 and of sqrt(6184) 49999878;
+    # x - y sqrt(2) = 1 / (x + y sqrt(2)) for x*x - 2*y*y = 1, x > 7.1 * 10**9
+    midpoints = [QuadraticSurd(0, sign, n) for n, sign in product((5831, 6184), (1, -1))]
+    midpoints += [QuadraticSurd._normal(1234567890125 * 10**2, sign, 2, 10**14) for sign in (1, -1)]
+    cancelling = [QuadraticSurd._normal(26102926097, -18457556052, 2, r) for r in (1, 10**6)]
+    cases += midpoints + cancelling
+    built = _spy_normal(monkeypatch)
+    by_r = {}
     for surd in cases:
-        for digits in (12, 5, 1):
-            assert surd.decimal(digits) == _decimal_reference(surd, digits), (surd, digits)
+        by_r.setdefault(surd.r, []).append(surd)
+    for r, surds in by_r.items():
+        small = [s for s in surds if max(abs(s.p), abs(s.q), s.n) < 2**63]
+        for dtype, rows in [(np.int64, small), (object, surds)]:
+            if rows:
+                expected = [_decimal_reference(s) for s in rows]
+                assert _texts_decimals(rows, dtype) == expected, (r, dtype)
     assert QuadraticSurd(1, 1, 2, 10**7).decimal(12) == "2.41421356237E-7"
     assert QuadraticSurd(10**12, -1, 2, 1).decimal(12) == "999999999999"
-    # the float path answers a plain value and refuses the midpoint and cancellation
-    assert QuadraticSurd(5, -1, 5, 2)._float_decimal(12) == "1.38196601125"
-    assert QuadraticSurd._normal(10**15, -1, 2, 10**15)._float_decimal(12) == "1.00000000000"
-    assert QuadraticSurd._normal(1234567890125 * 10**8, 1, 2, 10**20)._float_decimal(12) is None
-    assert QuadraticSurd._normal(10**21 + 7, -1, 10**42 + 3, 1)._float_decimal(12) is None
+    assert [_texts_decimals([s], np.int64) for s in midpoints[:4]] == [
+        ["76.3609848025"], ["-76.3609848025"], ["78.6384130053"], ["-78.6384130053"]]
+    # the arrays answer a plain value and refuse the midpoint and cancellation
+    for surd, refused in [(QuadraticSurd(5, -1, 5, 2), False), (QuadraticSurd(3, -1, 5, 2), False),
+                          *((s, True) for s in midpoints + cancelling)]:
+        built.clear()
+        assert _texts_decimals([surd], np.int64) == [_decimal_reference(surd)]
+        assert built == ([(surd.p, surd.q, surd.n, surd.r)] if refused else []), surd
+    assert all(_in_guard_band(_decimal_reference(s, 16)) for s in midpoints[:4])
 
 
 def _texts_grid(r):
@@ -457,11 +511,8 @@ def _texts_grid(r):
 def test_surd_texts_match_str_and_decimal(monkeypatch, r):
     rows = _texts_grid(r)
     surds = [QuadraticSurd._normal(p, q, n, r) for p, q, n in rows]
-    expected = ([str(s) for s in surds], [s.decimal(12) for s in surds])
-    built = []
-    normal = QuadraticSurd._normal.__func__
-    monkeypatch.setattr(QuadraticSurd, "_normal",
-                        classmethod(lambda cls, *parts: built.append(parts) or normal(cls, *parts)))
+    expected = ([str(s) for s in surds], [_decimal_reference(s) for s in surds])
+    built = _spy_normal(monkeypatch)
     columns = list(zip(*rows))
     dtypes = [object] if max(map(abs, columns[0])) >= 2**63 else [np.int64, object]
     for dtype in dtypes:
@@ -471,5 +522,5 @@ def test_surd_texts_match_str_and_decimal(monkeypatch, r):
         # object rows are rendered from their surds, int64 rows mostly by the arrays
         assert len(built) == len(rows) if dtype is object else len(built) < len(rows) / 10
     # the grid reaches the guard band, and values within 10**-9 of a power of 10
-    assert any(s.q and s._float_decimal(12) is None for s in surds)
+    assert any(s.q and _in_guard_band(_decimal_reference(s, 16)) for s in surds)
     assert any(s.q and 0 < abs(float(s) / 10 - 1) < 1e-9 for s in surds)
