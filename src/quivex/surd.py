@@ -414,9 +414,10 @@ def _surd_texts(
     zeros included: in plain notation for 10**-6 <= value < 10**12.
     A row is rendered from its surd instead, through Decimal, where it is
     rational, where any of those conditions fails, where an int
-    (p*p - q*q*n too) could round on its way to a float (past 2**52), and
-    where log10 lies within 10**-9 of an integer.  Object arrays are
-    rendered from their surds alone.
+    (p*p - q*q*n too) could round on its way to a float (past 2**52),
+    where log10 lies within 10**-9 of an integer, and where the scaling
+    by the floor of log10 leaves other than 12 figures before the guard.
+    Object arrays are rendered from their surds alone.
     """
     digits = 12
     p0, q0, n0 = p.tolist(), q.tolist(), n.tolist()
@@ -439,14 +440,10 @@ def _surd_texts(
         log = np.log10(size)
         ok &= np.abs(log - np.rint(log)) > 1e-9
         exponent = np.floor(log).astype(np.int64)
-        for _ in range(3):  # a floor one off: at most one step a row
-            scaled = np.rint(size * _POW10[digits + 3 - exponent]).astype(np.int64)
-            head, guard = np.divmod(scaled, 10**4)
-            step = (head >= 10**digits).astype(np.int64) - (head < 10 ** (digits - 1))
-            if not step.any():
-                break
-            exponent += step
-        ok &= (step == 0) & (np.abs(guard - 5000) >= _GUARD)
+        scaled = np.rint(size * _POW10[digits + 3 - exponent]).astype(np.int64)
+        head, guard = np.divmod(scaled, 10**4)
+        ok &= (10 ** (digits - 1) <= head) & (head < 10**digits)
+        ok &= np.abs(guard - 5000) >= _GUARD
         head += guard > 5000
         carry = head == 10**digits
         head[carry] //= 10

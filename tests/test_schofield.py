@@ -1,10 +1,13 @@
 """Unit tests for the generic-subrepresentation decision.
 
 ``_subdims_reference`` is the memoised top-down recursion the bottom-up
-engine replaced; the differential tests below hold the engine to it.
+engine replaced, and ``_walk_reference`` the column walk that took the least
+form value over Sub(e) at every cell before the two bounds decided most of
+them; the differential tests below hold the engine to both.
 """
 
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +35,7 @@ from quivex import (
     theta_epsilon_supremum,
 )
 from quivex.cli import run
-from quivex.schofield import _subdims, _walk
+from quivex.schofield import _bounds, _subdims, _walk
 
 BIPARTITE_TEXT = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
 BIPARTITE = parse_quiver(BIPARTITE_TEXT)
@@ -56,6 +59,40 @@ def _subdims_reference(weights, d, table: dict) -> frozenset:
     result = frozenset(members)
     table[d] = result
     return result
+
+
+def _walk_reference(quiver, d, top=None):
+    # every walked column e in lexicographic order, each v >= e by one int64
+    # product over the whole row Sub(e); no bound decides a cell first
+    shape = [x + 1 for x in d]
+    size = math.prod(shape)
+    box = np.indices(shape).reshape(len(d), -1).T
+    weights = box @ np.array([quiver.form_weights(u) for u in np.eye(len(d), dtype=np.int64)]).T
+    index = np.arange(size).reshape(shape)
+    member = np.eye(size, dtype=bool)
+    rows = box.tolist()
+    walked = range(size) if top is None else np.flatnonzero(box.sum(axis=1) <= top).tolist()
+    for k in walked:
+        up = index[tuple(slice(x, None) for x in rows[k])].ravel()
+        values = weights[member[k]] @ box[up - k].T  # box[up - k] = up-box - e
+        member[up, k] = values.min(axis=0) >= 0
+    return box, member
+
+
+def _assert_walk_matches_reference(quiver, d, top=None):
+    box, member = _walk(quiver, d, top)
+    ref_box, ref_member = _walk_reference(quiver, d, top)
+    assert (box == ref_box).all() and (member == ref_member).all(), (quiver.arrows, d, top)
+
+
+def _open_cells(quiver, d):
+    # per column of the box, its cells (v, e), v >= e, that neither bound decides
+    box = np.indices([x + 1 for x in d]).reshape(len(d), -1).T
+    counts = []
+    for e in box.tolist():
+        cells = [tuple(a - b for a, b in zip(v, e)) for v in _box(d) if all(map(int.__le__, e, v))]
+        counts.append(sum(not any(_bounds(e, quiver.form_weights(x))) for x in cells))
+    return counts
 
 
 def _embeds_reference(quiver, e, d, table: dict) -> bool:
@@ -175,6 +212,56 @@ def test_walk_rows_and_embeds_match_reference_on_random_acyclic_quivers(quiver_a
         assert row == _subdims_reference(quiver.form_weights, v, table), (quiver.arrows, v)
         for e in _box(v):
             assert embeds(quiver, e, v) == (e in row), (quiver.arrows, e, v)
+
+
+@settings(max_examples=60)
+@given(_acyclic_vectors())
+def test_walk_matches_the_column_walk_on_random_acyclic_quivers(quiver_and_d):
+    # the same box and every cell of the table, whole and cut at every total
+    quiver, d = quiver_and_d
+    for top in [None, *range(sum(d) + 1)]:
+        _assert_walk_matches_reference(quiver, d, top)
+
+
+BIPARTITE_WALKS = [(k, 2 * k, k) for k in range(7)]
+BIPARTITE_WALKS += [(6, 12, 1), (1, 12, 6), (6, 3, 6), (0, 12, 0), (6, 0, 6), (5, 7, 2)]
+
+
+@pytest.mark.parametrize("d", BIPARTITE_WALKS, ids=map(str, BIPARTITE_WALKS))
+def test_walk_matches_the_column_walk_on_the_bipartite_grid(d):
+    for top in (None, sum(d) // 3, sum(d) // 2, sum(d)):
+        _assert_walk_matches_reference(BIPARTITE, d, top)
+
+
+def test_walk_matches_the_column_walk_at_8_16_8():
+    # 309,825 cells in about thirty chunks
+    _assert_walk_matches_reference(BIPARTITE, (8, 16, 8))
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64, 1000])
+def test_walk_matches_the_column_walk_in_small_chunks(monkeypatch, entries):
+    # a chunk of one column, chunks that split between columns, and a
+    # column of more cells than a chunk holds (its chunk boundary repeats)
+    monkeypatch.setattr("quivex.schofield._CHUNK_ENTRIES", entries)
+    for quiver, d in [(BIPARTITE, (2, 5, 3)), (PATH_DOUBLE, (3, 2, 3)), (FOUR, (2, 1, 2, 2))]:
+        for top in (None, sum(d) // 2):
+            _assert_walk_matches_reference(quiver, d, top)
+
+
+def test_walk_with_no_open_cell_and_with_a_column_all_open():
+    # bipartite (0, k, 0): e and x lie at vertex 2, whose weight x_2 is >= 0,
+    # so the bounds admit every cell and no column is walked
+    for k in range(6):
+        assert _open_cells(BIPARTITE, (0, k, 0)) == [0] * (k + 1)
+        _assert_walk_matches_reference(BIPARTITE, (0, k, 0))
+    # K(1) at d = (1, k): above e = (1, 1) every x = (0, j), j > 0, has
+    # <e, x> = 0 and weight -j at vertex 1, so each cell but the diagonal is
+    # open; _walk is called directly, since K(m) questions never walk
+    K1 = make_kronecker(1)
+    for k in range(1, 6):
+        column = (k + 1) + 1  # (1, 1) in box(1, k)
+        assert _open_cells(K1, (1, k))[column] == k - 1
+        _assert_walk_matches_reference(K1, (1, k))
 
 
 @pytest.mark.parametrize(
