@@ -211,20 +211,6 @@ def expander_exists_uniform(slope: SlopeParams, delta, epsilon) -> bool:
     return _uniform_decision(slope, delta, epsilon)[0]
 
 
-def _theta_constraints(
-    quiver: Quiver, theta: StabilityFunction, d: Sequence[int], delta: Fraction, cache
-) -> list[DimVector]:
-    """The nonzero generic subdimension vectors e of d with total dimension
-    at most delta * (total of d): the vectors that constrain a
-    theta-relative expander.  Requires theta(d) = 0."""
-    dv = quiver.check_dim(d)
-    if theta(dv) != 0:
-        raise ValueError(f"theta(d) = {theta(dv)} != 0")
-    bound = delta * sum(dv)
-    subs = generic_subdims(quiver, dv, cache)
-    return [e for e in subs if 0 < sum(e) <= bound]
-
-
 def theta_expander_exists(
     quiver: Quiver,
     theta: StabilityFunction,
@@ -239,8 +225,15 @@ def theta_expander_exists(
     theta(e) <= -eps * (total of e); the lexicographically smallest
     violating e is reported otherwise.
     """
-    constraints = _theta_constraints(quiver, theta, d, params.delta, cache)
-    violating = [e for e in constraints if theta(e) > -params.epsilon * sum(e)]
+    dv = quiver.check_dim(d)
+    if theta(dv) != 0:
+        raise ValueError(f"theta(d) = {theta(dv)} != 0")
+    bound = params.delta * sum(dv)
+    violating = [
+        e
+        for e in generic_subdims(quiver, dv, cache)
+        if 0 < sum(e) <= bound and theta(e) > -params.epsilon * sum(e)
+    ]
     return ExpanderDecision(False, min(violating)) if violating else ExpanderDecision(True, None)
 
 
@@ -300,57 +293,41 @@ def _kronecker_supremum(
 
 
 def _theta_suprema(
-    quiver: Quiver,
-    theta: StabilityFunction,
-    vectors: Iterable[Sequence[int]],
-    delta,
-    cache: SubdimCache | None = None,
+    quiver: Quiver, theta: StabilityFunction, vectors: Iterable[Sequence[int]], delta
 ) -> dict[DimVector, Fraction | None]:
     """theta_epsilon_supremum of every vector of vectors, each with
     theta(d) = 0, one vector at a time in descending lexicographic order.
 
-    A K(m) vector is answered from its columns' ends (_kronecker_supremum),
-    any other vector the cache holds from generic_subdims.  Any other d
-    still unanswered gets one walk of its box, charged as generic_subdims
-    charges it, and every unanswered vector v <= d that no cache holds is
-    answered from row v; the table is then dropped.  Row v is read only at
-    totals 1..floor(delta |v|) <= floor(delta |d|), so the walk stops at
-    that total (_walk's top).  So only the maximal vectors that no cache
-    holds are walked, one table at a time."""
+    A K(m) vector is answered from its columns' ends (_kronecker_supremum).
+    On any other quiver a d still unanswered gets one walk of its box,
+    charged as generic_subdims charges it, and every unanswered vector
+    v <= d is answered from row v; the table is then dropped.  Row v is
+    read only at totals 1..floor(delta |v|) <= floor(delta |d|), so the walk
+    stops at that total (_walk's top).  So only the maximal vectors are
+    walked, one table at a time."""
     delta = _check_delta(delta)
     pending = sorted({quiver.check_dim(d) for d in vectors}, reverse=True)
     for d in pending:
         if theta(d) != 0:
             raise ValueError(f"theta(d) = {theta(d)} != 0")
-    held = {} if cache is None else cache
-    m = quiver.kronecker_m
-    from_rows = set() if m else {d for d in pending if (quiver, d) not in held}
+    if m := quiver.kronecker_m:
+        return {d: _kronecker_supremum(m, d, theta, delta) for d in pending}
     sups: dict[DimVector, Fraction | None] = {}
     for d in pending:
-        if d in sups:
-            continue
-        if m:
-            sups[d] = _kronecker_supremum(m, d, theta, delta)
-        elif d not in from_rows:
-            constraints = _theta_constraints(quiver, theta, d, delta, cache)
-            sups[d] = min((Fraction(-theta(e), sum(e)) for e in constraints), default=None)
-        else:
-            below = [v for v in from_rows if v not in sups and all(a <= b for a, b in zip(v, d))]
+        if d not in sups:
+            below = [v for v in pending if v not in sups and all(a <= b for a, b in zip(v, d))]
             top = delta.numerator * sum(d) // delta.denominator
             sups.update(_row_suprema(theta, delta, d, below, *_walk(quiver, d, top)))
     return sups
 
 
 def theta_epsilon_supremum(
-    quiver: Quiver,
-    theta: StabilityFunction,
-    d: Sequence[int],
-    delta,
-    cache: SubdimCache | None = None,
+    quiver: Quiver, theta: StabilityFunction, d: Sequence[int], delta
 ) -> Fraction | None:
     """Largest eps for which d carries a theta-relative expander: the minimum
     of -theta(e) / (total of e) over constraining nonzero e, or None when no
     subdimension vector constrains the decision.  Requires theta(d) = 0 and
-    0 < delta < 1."""
+    0 < delta < 1.  Answered by _theta_suprema: from the columns' ends over
+    K(m), else from one walk of box(d) up to total floor(delta |d|)."""
     dv = quiver.check_dim(d)
-    return _theta_suprema(quiver, theta, [dv], delta, cache)[dv]
+    return _theta_suprema(quiver, theta, [dv], delta)[dv]

@@ -381,6 +381,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         raise ValueError(f"p must be at least 2, got {p}")
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # [n, k]_p = [n, n - k]_p
     num = 1
     den = 1
     for i in range(k):

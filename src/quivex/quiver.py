@@ -41,7 +41,11 @@ class BudgetExceededError(RuntimeError):
     it would reach and ``limit`` the budget."""
 
     def __init__(self, phase: str, spent: int, limit: int, where: str = ""):
-        super().__init__(f"{phase} budget exceeded{where}: spent {spent} > limit {limit}")
+        shown = spent
+        if spent >= 10**30:  # str() refuses ints of over 4,300 digits
+            # a true lower bound: 10**k <= 2**(bits - 1) <= spent, as log10(2) > 0.3010
+            shown = f"more than 10**{(spent.bit_length() - 1) * 3010 // 10000}"
+        super().__init__(f"{phase} budget exceeded{where}: spent {shown} > limit {limit}")
         self.phase, self.spent, self.limit = phase, spent, limit
 
 

@@ -23,7 +23,8 @@ where the closed form decides, and Sub(d) is listed column by column from
 its floors (kronecker._column_floors), charged the box size first.
 
 embeds(e, d) on any other quiver asks _bounds at its one cell (d, e) before
-it walks box(e); a pair either bound decides is charged nothing.
+it walks box(e); a pair either bound decides, e = 0 and e = d among them,
+is charged nothing.
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ def embeds(
     dv = quiver.check_dim(d)
     if any(a > b for a, b in zip(ev, dv)):
         return False
-    if ev == dv or not any(ev):
-        return True
     if m := quiver.kronecker_m:
         return _ext_vanishes(m, ev, (dv[0] - ev[0], dv[1] - ev[1]))
     w = quiver.form_weights(tuple(a - b for a, b in zip(dv, ev)))

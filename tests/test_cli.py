@@ -728,6 +728,18 @@ def test_theta_scan_cube_budget_exit_3(capsys):
     )
 
 
+def test_sample_refusal_of_a_count_past_the_str_digit_limit_exit_3(capsys):
+    # about 10**12,035 lines of F_1048573^2000: the message prints a lower bound, so
+    # the refusal exits 3 where formatting the count raised ValueError (exit 2)
+    argv = ["sample", "--kronecker", "3", "--d", "2000,10", "--p", "1048573", "--seed", "0",
+            "--count", "1", "--delta", "1/2", "--epsilon", "1000"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: frontier budget exceeded listing the lines of F_1048573^2000: "
+        f"spent more than 10**12033 > limit {DEFAULT_BUDGET}\n"
+    )
+
+
 def test_main_exit_status():
     # python -m quivex.cli passes run's code to the process exit status
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -283,7 +283,7 @@ def test_theta_epsilon_supremum_matches_decision():
     theta = StabilityFunction((1, -1))
     cache = SubdimCache()
     for n in (1, 2, 3, 4):
-        sup = theta_epsilon_supremum(K3, theta, (n, n), HALF, cache)
+        sup = theta_epsilon_supremum(K3, theta, (n, n), HALF)
         assert sup is not None
         assert theta_expander_exists(K3, theta, (n, n), ExpanderParams(HALF, sup), cache).exists
         bumped = sup + Fraction(1, 1000)
@@ -417,15 +417,17 @@ def test_cone_supremum_matches_the_listing():
 
 
 def test_cone_suprema_skip_the_listing_unless_cached():
-    # a K(m) vector is answered from its columns' ends, held in the cache or not,
-    # and is never listed into the cache
+    # a K(m) vector is answered from its columns' ends, never listed into a
+    # cache, and agrees with the least ratio over the listing once one is made
     K3, theta = make_kronecker(3), StabilityFunction((1, -1))
     cache = SubdimCache()
     expected = theta_epsilon_supremum(K3, theta, (40, 40), HALF)
-    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF, cache) == expected
+    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF) == expected
     assert (K3, (40, 40)) not in cache
     generic_subdims(K3, (40, 40), cache)
-    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF, cache) == expected
+    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF) == expected
+    listed = cache[K3, (40, 40)]
+    assert expected == min(Fraction(-theta(e), sum(e)) for e in listed if 0 < sum(e) <= 40)
 
 
 def test_epsilon_and_arrow_counts_are_capped():

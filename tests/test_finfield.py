@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivex import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ExpanderParams,
     FiniteFieldRep,
@@ -70,6 +71,36 @@ def test_gaussian_binomial_values():
     for n in range(6):
         for k in range(n + 1):
             assert gaussian_binomial(n, k, 3) == gaussian_binomial(n, n - k, 3)
+
+
+def test_gaussian_binomial_loops_over_the_smaller_of_k_and_n_minus_k():
+    # [n, k]_p = [n, n - k]_p: k = n - 2 takes two factors, not n - 2; the
+    # one-sink backtrack test asks it at gap d_t - e_t, and K(2) (3, 800) at
+    # (2, 2) took over 25 s to reach the same refusal when it looped k times
+    start = time.monotonic()
+    assert gaussian_binomial(2000, 1998, 1048573) == gaussian_binomial(2000, 2, 1048573)
+    rep = random_rep(make_kronecker(2), (3, 800), 1048573, 0)
+    with pytest.raises(BudgetExceededError, match="subrep budget exceeded listing the lines"):
+        has_subrep_of_dim(rep, (2, 2))
+    assert time.monotonic() - start < 1
+
+
+def test_budget_refusal_of_a_count_past_the_str_digit_limit():
+    # about 10**12,035 lines: the message prints a true lower bound where
+    # str() would refuse the count, and spent keeps it exact; below 10**30 in full
+    p = 1048573
+    with pytest.raises(BudgetExceededError) as refused:
+        enumerate_subspaces(p, 2000, 1)
+    assert refused.value.spent == gaussian_binomial(2000, 1, p)
+    assert str(refused.value) == (
+        f"enumerate budget exceeded at k = 1 in F_{p}^2000: "
+        f"spent more than 10**12033 > limit {DEFAULT_BUDGET}"
+    )
+    assert refused.value.spent > 10**12033
+    below = BudgetExceededError("subrep", 10**30 - 1, 5)
+    assert str(below) == f"subrep budget exceeded: spent {10**30 - 1} > limit 5"
+    above = BudgetExceededError("subrep", 10**30, 5)
+    assert str(above) == "subrep budget exceeded: spent more than 10**29 > limit 5"
 
 
 def test_gaussian_binomial_refuses_p_below_2():

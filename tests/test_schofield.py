@@ -35,6 +35,7 @@ from quivex import (
     theta_epsilon_supremum,
 )
 from quivex.cli import run
+from quivex.expander import _theta_suprema, _theta_zeros
 from quivex.schofield import _bounds, _subdims, _walk
 
 BIPARTITE_TEXT = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
@@ -192,11 +193,17 @@ def test_embeds_bounds_match_the_walk_and_skip_it(monkeypatch, quiver, dmax):
 
 
 @st.composite
-def _acyclic_vectors(draw):
+def _acyclic_quivers(draw):
     n = draw(st.integers(2, 4))
     pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
     arrows = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
-    return Quiver(n, tuple(arrows)), draw(st.tuples(*[st.integers(0, 2)] * n))
+    return Quiver(n, tuple(arrows))
+
+
+@st.composite
+def _acyclic_vectors(draw):
+    quiver = draw(_acyclic_quivers())
+    return quiver, draw(st.tuples(*[st.integers(0, 2)] * quiver.vertex_count))
 
 
 @settings(max_examples=60)
@@ -554,6 +561,31 @@ def test_theta_scan_matches_per_vector_reference_bipartite(monkeypatch, capsys, 
     thetas.append((2**62, -(2**62), 2**62))
     _scan_against_reference(monkeypatch, capsys, BIPARTITE, ["--quiver", str(path)],
                             thetas, 6, walks=True)
+
+
+@st.composite
+def _acyclic_theta_scans(draw):
+    quiver = draw(_acyclic_quivers())
+    theta = draw(st.tuples(*[st.integers(-3, 3)] * quiver.vertex_count))
+    delta = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]))
+    return quiver, theta, delta, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200)
+@given(_acyclic_theta_scans())
+def test_theta_suprema_match_per_vector_reference_on_random_acyclic_quivers(scan):
+    # every theta-zero of the cube, read off the walk rows of its maximal
+    # vectors (or off K(m)'s columns), against the least -theta(e) / |e| over
+    # the top-down Sub(d) at 0 < |e| <= floor(delta |d|)
+    quiver, theta, delta, dmax = scan
+    function = StabilityFunction(theta)
+    zeros = _theta_zeros(function, dmax)
+    sups = _theta_suprema(quiver, function, zeros, delta)
+    assert sorted(sups) == sorted(zeros)
+    table: dict = {}
+    for d in zeros:
+        expected = _supremum_reference(quiver, theta, d, delta, table)
+        assert sups[d] == expected, (quiver.arrows, theta, delta, d)
 
 
 def test_no_k_m_question_reaches_the_walk(monkeypatch, capsys):
