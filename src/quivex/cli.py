@@ -3,12 +3,18 @@
 Rationals are entered as ``P/Q`` (or plain integers), never as decimals,
 so exactness is preserved end to end.  argparse converts every value; a
 malformed one, or a missing or doubled quiver source, gets a usage line
-and exit 2.  Every command prints one JSON envelope {command, inputs,
-result, exact, approx}, whose inputs echo the parsed arguments; ``curve``
-can emit CSV instead.  Exit codes: 0 for a computed decision (true or
-false alike), 2 for input errors, 3 for an exceeded work budget.  Vertex,
-arrow and sample counts and dimension entries are capped at 10**6, and a
-sampled representation at 10**7 matrix entries, before anything is built.
+and exit 2.  argv is parsed once: when its first word names a command,
+that command's parser alone reads the rest, and a word it leaves over is
+refused by the top-level parser, as argparse's own two passes (top-level
+parser, then the command's) would refuse it; any other argv (no words,
+-h, an unknown command) goes through the top-level parser.  Every
+command prints one JSON envelope {command, inputs, result, exact,
+approx}, whose inputs echo the parsed arguments; ``curve`` streams its
+rows into that envelope, or emits CSV instead.  Exit codes: 0 for a
+computed decision (true or false alike), 2 for input errors, 3 for an
+exceeded work budget.  Vertex, arrow and sample counts and dimension
+entries are capped at 10**6, and a sampled representation at 10**7
+matrix entries, before anything is built.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .schofield import embeds, generic_subdims
 from .surd import QuadraticSurd
 
 _COUNTEREXAMPLE_QUIVER = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
+# json.dumps of {"x": x, "c_exact": text, "c_approx": decimal, "c_ceil": ceil}
+_CURVE_ROW = '{"x": %d, "c_exact": "%s", "c_approx": "%s", "c_ceil": %d}'
 
 
 # -- argument types: argparse reports their errors and exits 2 ---------------
@@ -88,16 +96,21 @@ def _plain(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
-def _emit(args, result, surd: QuadraticSurd | None = None) -> int:
-    """Print the envelope of one decision; its inputs are the parsed arguments."""
+def _head(args) -> dict:
+    """The envelope's command and inputs: the parsed arguments, in parse order."""
     inputs = {
         key: _plain(value)
         for key, value in vars(args).items()
         if value is not None and key not in ("subcommand", "func")
     }
+    return {"command": args.subcommand, "inputs": inputs}
+
+
+def _emit(args, result, surd: QuadraticSurd | None = None) -> int:
+    """Print the envelope of one decision."""
     exact, approx = (None, None) if surd is None else (surd.exact_parts(), surd.decimal(12))
-    payload = {"command": args.subcommand, "inputs": inputs, "result": result}
-    sys.stdout.write(json.dumps(dict(payload, exact=exact, approx=approx)) + "\n")
+    payload = dict(_head(args), result=result, exact=exact, approx=approx)
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
@@ -154,7 +167,7 @@ def _cmd_sample(args) -> int:
     if (args.delta is None) != (args.epsilon is None):
         raise ValueError("--delta and --epsilon must be given together")
     check_count(args.count, "--count", low=0)
-    quiver = make_kronecker(args.kronecker)
+    quiver = make_kronecker(check_count(args.kronecker, "--kronecker"))
     params = None if args.delta is None else ExpanderParams(args.delta, args.epsilon)
     samples = []
     for seed in range(args.seed, args.seed + args.count):
@@ -205,11 +218,16 @@ def _cmd_curve(args) -> int:
     ctx = KroneckerContext(args.m, args.d)
     _require_negative_form(ctx)  # refused before the first row is printed
     rows = _curve_rows(ctx)
-    if args.format == "json":
-        rows = [{"x": x, "c_exact": e, "c_approx": a, "c_ceil": c} for x, e, a, c in rows]
-        return _emit(args, {"rows": rows})
-    sys.stdout.write("x,c_exact,c_approx,c_ceil\n")
-    sys.stdout.writelines("%d,%s,%s,%d\n" % row for row in rows)
+    if args.format == "csv":
+        sys.stdout.write("x,c_exact,c_approx,c_ceil\n")
+        sys.stdout.writelines("%d,%s,%s,%d\n" % row for row in rows)
+        return 0
+    # the envelope _emit prints, written a row at a time: the row texts hold
+    # no quote, backslash, control or non-ASCII character for JSON to escape
+    head = json.dumps(_head(args))[:-1]
+    sys.stdout.write(head + ', "result": {"rows": [' + _CURVE_ROW % next(rows))
+    sys.stdout.writelines(", " + _CURVE_ROW % row for row in rows)
+    sys.stdout.write(']}, "exact": null, "approx": null}\n')
     return 0
 
 
@@ -225,53 +243,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "A value may start with '-' (--theta -1,1 or --theta=-1,1).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # each subcommand's parser by name, so run parses a command's words once
+    parser.commands = {}
+
+    def command(name, func, summary):
+        p = parser.commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
     def add_quiver_source(p):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--quiver", help="quiver file (vertices N / i -> j lines)")
         source.add_argument("--kronecker", type=int, help="use K(M): two vertices, M arrows")
 
-    p = sub.add_parser("embed", help="does e embed generically into d?")
+    p = command("embed", _cmd_embed, "does e embed generically into d?")
     add_quiver_source(p)
     p.add_argument("--e", type=_ints, required=True, help="dimension vector, comma separated")
     p.add_argument("--d", type=_ints, required=True, help="dimension vector, comma separated")
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("subdims", help="all generic subdimension vectors of d")
+    p = command("subdims", _cmd_subdims, "all generic subdimension vectors of d")
     add_quiver_source(p)
     p.add_argument("--d", type=_ints, required=True)
-    p.set_defaults(func=_cmd_subdims)
 
-    p = sub.add_parser("epsilon", help="sharp expansion coefficients")
+    p = command("epsilon", _cmd_epsilon, "sharp expansion coefficients")
     p.add_argument("--k", type=int, help="operator count (equal dimensions)")
     p.add_argument("--m", type=int, help="arrow count")
     p.add_argument("--alpha", type=_rational, help="slope as P/Q")
     p.add_argument("--delta", type=_rational, help="size bound as P/Q")
-    p.set_defaults(func=_cmd_epsilon)
 
-    p = sub.add_parser("exists", help="expander existence for one dimension vector")
+    p = command("exists", _cmd_exists, "expander existence for one dimension vector")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=_ints, required=True, help="D1,D2")
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--epsilon", type=_rational, required=True)
-    p.set_defaults(func=_cmd_exists)
 
-    p = sub.add_parser(
-        "exists-uniform", help="expander existence for all vectors along a slope"
+    p = command(
+        "exists-uniform", _cmd_exists_uniform, "expander existence for all vectors along a slope"
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--epsilon", type=_rational, required=True)
-    p.set_defaults(func=_cmd_exists_uniform)
 
-    p = sub.add_parser("verify", help="check one stored representation")
+    p = command("verify", _cmd_verify, "check one stored representation")
     p.add_argument("--rep", required=True, help="representation JSON file")
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--epsilon", type=_rational, required=True)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample", help="verify seeded random representations")
+    p = command("sample", _cmd_sample, "verify seeded random representations")
     p.add_argument("--kronecker", type=int, required=True)
     p.add_argument("--d", type=_ints, required=True, help="D1,D2")
     p.add_argument("--p", type=int, required=True)
@@ -279,16 +298,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--delta", type=_rational)
     p.add_argument("--epsilon", type=_rational)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser(
+    p = command(
         "counterexample",
-        help="bipartite quiver where the one-shot form test disagrees with the recursion",
+        _cmd_counterexample,
+        "bipartite quiver where the one-shot form test disagrees with the recursion",
     )
-    p.set_defaults(func=_cmd_counterexample, d=(3, 6, 5), e=(3, 5, 1))
+    p.set_defaults(d=(3, 6, 5), e=(3, 5, 1))
 
-    p = sub.add_parser(
-        "theta-scan", help="per-d supremum of the stability-relative expansion margin"
+    p = command(
+        "theta-scan",
+        _cmd_theta_scan,
+        "per-d supremum of the stability-relative expansion margin",
     )
     add_quiver_source(p)
     p.add_argument(
@@ -299,13 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    p.set_defaults(func=_cmd_theta_scan)
 
-    p = sub.add_parser("curve", help="boundary values c_d(x) for x = 0..D1")
+    p = command("curve", _cmd_curve, "boundary values c_d(x) for x = 0..D1")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=_ints, required=True, help="D1,D2")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.set_defaults(func=_cmd_curve)
 
     return parser
 
@@ -325,10 +344,23 @@ def _joined(argv: list[str]) -> list[str]:
     return words
 
 
-def run(argv: list[str]) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once: a command's words by its own parser alone, where the
+    top-level parser would hand them to that parser after parsing them too."""
     parser = _build_parser()
+    words = _joined(argv)
+    command = parser.commands.get(words[0]) if words else None
+    if command is None:  # no words, -h, or an unknown command
+        return parser.parse_args(words)
+    args, extras = command.parse_known_args(words[1:], argparse.Namespace(subcommand=words[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(_joined(argv))
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -29,7 +29,9 @@ from quivex import (
     expander_exists,
     make_kronecker,
 )
-from quivex.cli import run
+from quivex.cli import _build_parser, _emit, _joined, _parse, run
+from quivex.kronecker import _curve_rows
+from test_kronecker import RENDER_GRID
 
 K3_TEXT = "vertices 2\n1 -> 2\n1 -> 2\n1 -> 2\n"
 BIPARTITE_TEXT = "vertices 3\n1 -> 2\n1 -> 2\n3 -> 2\n3 -> 2\n"
@@ -288,6 +290,37 @@ def test_curve_csv_equals_json_rows(capsys):
     }
 
 
+# the exact_sweep benchmark pool's 30 curves, (m, (D1, D2))
+POOL_CURVES = [
+    (3, (272, 193)), (4, (244, 247)), (4, (181, 202)), (4, (174, 181)), (4, (151, 266)),
+    (4, (186, 256)), (4, (196, 275)), (4, (278, 283)), (4, (258, 207)), (4, (245, 289)),
+    (3, (154, 291)), (4, (158, 155)), (3, (155, 293)), (3, (281, 188)), (3, (265, 181)),
+    (3, (246, 265)), (3, (228, 258)), (4, (297, 212)), (4, (252, 299)), (4, (224, 180)),
+    (3, (241, 288)), (4, (168, 234)), (3, (273, 280)), (3, (209, 262)), (3, (223, 221)),
+    (4, (269, 217)), (4, (282, 162)), (3, (184, 243)), (3, (180, 239)), (3, (295, 241)),
+]
+
+
+@pytest.mark.parametrize("m, d", RENDER_GRID + [(2, (3, 3))] + POOL_CURVES, ids=str)
+def test_curve_json_rows_match_the_dict_writer_and_csv(capsys, m, d):
+    # the oracle is the writer the JSON rows had before they were streamed:
+    # one dict per row, the whole list encoded by _emit; K(2) (3, 3) has the
+    # rational row 0, "0"
+    argv = ["curve", "--m", str(m), "--d", f"{d[0]},{d[1]}"]
+    assert run(argv) == 0
+    streamed = capsys.readouterr()
+    rows = [{"x": x, "c_exact": e, "c_approx": a, "c_ceil": c}
+            for x, e, a, c in _curve_rows(KroneckerContext(m, d))]
+    _emit(_parse(argv), {"rows": rows})
+    # row by row, so that a failure is reported without diffing one long line
+    assert streamed.out.split("}, {") == capsys.readouterr().out.split("}, {")
+    assert streamed.err == ""
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,c_exact,c_approx,c_ceil"
+    assert lines[1:] == [f"{r['x']},{r['c_exact']},{r['c_approx']},{r['c_ceil']}" for r in rows]
+
+
 def test_curve_refuses_positive_form(capsys):
     assert run(["curve", "--m", "3", "--d", "5,1"]) == 2
     capsys.readouterr()
@@ -321,6 +354,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
     scan = ["theta-scan", "--kronecker", "3", "--delta", "1/2"]
     for argv, message in [
         (["embed", "--kronecker", "0", "--e", "1,1", "--d", "2,2"],
+         "--kronecker must be a positive integer"),
+        (["sample", "--kronecker", "0", "--d", "2,2", "--p", "5", "--seed", "0", "--count", "1"],
          "--kronecker must be a positive integer"),
         (scan + ["--theta", "1,-1,2", "--dmax", "2"],
          "theta weight count does not match the quiver"),
@@ -662,6 +697,46 @@ def test_cached_parser_matches_fresh_parser(capsys):
     assert _build_parser() is _build_parser()
 
 
+def _parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr, the namespace's items in order) of one parse."""
+    try:
+        code, items = None, list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        code, items = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, items
+
+
+def _two_passes(argv):
+    # the top-level parser parses every word, then hands them to the command's
+    return _build_parser().parse_args(_joined(argv))
+
+
+PARSE_CASES = [argv for argv, _ in GOLDEN] + [
+    [],
+    ["-h"],
+    ["embed", "-h"],
+    ["no-such-command"],
+    ["epsilon", "--k", "2", "--bogus"],
+    ["exists", "--m", "3", "--d", "2,2", "--delta", "1/2"],
+    ["embed", "--quiver", "x", "--kronecker", "2", "--e", "1,0", "--d", "1,1"],
+    ["embed", "--kron", "3", "--e", "1,1", "--d", "2,2"],
+    ["theta-scan", "--kronecker", "3", "--theta", "-1,1", "--delta", "1/2", "--dmax", "3"],
+    ["epsilon", "extra", "--k", "2"],
+    ["embed", "--", "--kronecker", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no words")
+def test_one_parse_matches_two(capsys, argv):
+    # a command's words are parsed by its parser alone; the two-pass parse
+    # is the oracle, down to the order of the namespace's keys, which the
+    # JSON inputs follow
+    once = _parsed(capsys, _parse, argv)
+    assert once == _parsed(capsys, _two_passes, argv)
+    assert once[0] in (None, 0, 2)
+
+
 @pytest.mark.parametrize(
     "argv, vector, box",
     [
@@ -763,7 +838,8 @@ def test_curve_memory_does_not_grow_with_its_rows():
     # 2-vCPU VM (Python 3.11, numpy 2.4) the 200,001 rows below raised max RSS
     # by 0.15 MB over a 21-row curve, to 33.3 MB, where rendering every row
     # through its own surd raised it by 0.26 MB, to 33.2 MB, and rendering
-    # 4,096 rows at a time by 1.8 MB
+    # 4,096 rows at a time by 1.8 MB; as JSON they reached 151 MB while
+    # every row was collected as a dict and the list encoded at once
     # VmHWM is this process's own max RSS; ru_maxrss would also count the
     # forked copy of the test process that ran before exec
     if not Path("/proc/self/status").exists():
@@ -776,7 +852,8 @@ def test_curve_memory_does_not_grow_with_its_rows():
         peak = lambda: int(re.search(r"VmHWM:\\s+(\\d+) kB", status())[1])
         assert run(["curve", "--m", "3", "--d", "20,20", "--format", "csv"]) == 0
         small = peak()
-        assert run(["curve", "--m", "3", "--d", "200000,200000", "--format", "csv"]) == 0
+        for fmt in ("csv", "json"):
+            assert run(["curve", "--m", "3", "--d", "200000,200000", "--format", fmt]) == 0
         print(small, peak(), file=sys.stderr)
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
