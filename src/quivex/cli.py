@@ -1,14 +1,21 @@
 """Command-line front end with machine-readable JSON/CSV output.
 
 Rationals are entered as ``P/Q`` (or plain integers), never as decimals,
-so exactness is preserved end to end.  argparse converts every value; a
-malformed one, or a missing or doubled quiver source, gets a usage line
-and exit 2.  argv is parsed once: when its first word names a command,
-that command's parser alone reads the rest, and a word it leaves over is
-refused by the top-level parser, as argparse's own two passes (top-level
-parser, then the command's) would refuse it; any other argv (no words,
--h, an unknown command) goes through the top-level parser.  Every
-command prints one JSON envelope {command, inputs, result, exact,
+so exactness is preserved end to end.  Each command and option is one
+entry of the option table ``_COMMANDS``, and the argparse parsers are
+built from it.  Well-formed argv, ``COMMAND (--flag VALUE |
+--flag=VALUE)...`` with exact flags each given once, is read straight
+from the table, each value through the type function argparse would call.
+Any other argv (no words, -h, an unknown command or flag, an
+abbreviation, a doubled flag, a value argparse refuses) goes to argparse,
+so help, usage lines and every refusal are argparse's own: a malformed
+value, or a missing or doubled quiver source, gets a usage line and exit
+2.  argparse parses a command's words once, by that command's parser
+alone, and a word it leaves over is refused by the top-level parser, as
+argparse's own two passes (top-level parser, then the command's) would
+refuse it.
+
+Every command prints one JSON envelope {command, inputs, result, exact,
 approx}, whose inputs echo the parsed arguments; ``curve`` streams its
 rows into that envelope, or emits CSV instead.  Exit codes: 0 for a
 computed decision (true or false alike), 2 for input errors, 3 for an
@@ -25,6 +32,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .expander import (
     ExpanderParams,
@@ -231,6 +239,114 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+# -- option table ------------------------------------------------------------
+
+
+class _Option(NamedTuple):
+    """One ``--flag VALUE`` option: add_argument's keywords for it, and
+    whether it is one of its command's required --quiver/--kronecker pair."""
+
+    flag: str
+    type: Callable[[str], object] | None = None
+    required: bool = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    source: bool = False
+
+
+class _Command(NamedTuple):
+    """A command: its handler, its help line, its options in declaration
+    order (the namespace's key order) and the keys no option sets, which
+    follow func in the namespace."""
+
+    func: Callable[[argparse.Namespace], int]
+    summary: str
+    options: tuple[_Option, ...] = ()
+    defaults: dict = {}
+
+
+_SOURCE = (
+    _Option("--quiver", help="quiver file (vertices N / i -> j lines)", source=True),
+    _Option("--kronecker", int, help="use K(M): two vertices, M arrows", source=True),
+)
+
+_COMMANDS = {
+    "embed": _Command(_cmd_embed, "does e embed generically into d?", (
+        *_SOURCE,
+        _Option("--e", _ints, True, "dimension vector, comma separated"),
+        _Option("--d", _ints, True, "dimension vector, comma separated"),
+    )),
+    "subdims": _Command(_cmd_subdims, "all generic subdimension vectors of d", (
+        *_SOURCE,
+        _Option("--d", _ints, True),
+    )),
+    "epsilon": _Command(_cmd_epsilon, "sharp expansion coefficients", (
+        _Option("--k", int, help="operator count (equal dimensions)"),
+        _Option("--m", int, help="arrow count"),
+        _Option("--alpha", _rational, help="slope as P/Q"),
+        _Option("--delta", _rational, help="size bound as P/Q"),
+    )),
+    "exists": _Command(_cmd_exists, "expander existence for one dimension vector", (
+        _Option("--m", int, True),
+        _Option("--d", _ints, True, "D1,D2"),
+        _Option("--delta", _rational, True),
+        _Option("--epsilon", _rational, True),
+    )),
+    "exists-uniform": _Command(
+        _cmd_exists_uniform, "expander existence for all vectors along a slope", (
+            _Option("--m", int, True),
+            _Option("--alpha", _rational, True),
+            _Option("--delta", _rational, True),
+            _Option("--epsilon", _rational, True),
+        ),
+    ),
+    "verify": _Command(_cmd_verify, "check one stored representation", (
+        _Option("--rep", required=True, help="representation JSON file"),
+        _Option("--delta", _rational, True),
+        _Option("--epsilon", _rational, True),
+    )),
+    "sample": _Command(_cmd_sample, "verify seeded random representations", (
+        _Option("--kronecker", int, True),
+        _Option("--d", _ints, True, "D1,D2"),
+        _Option("--p", int, True),
+        _Option("--seed", int, True),
+        _Option("--count", int, True),
+        _Option("--delta", _rational),
+        _Option("--epsilon", _rational),
+    )),
+    "counterexample": _Command(
+        _cmd_counterexample,
+        "bipartite quiver where the one-shot form test disagrees with the recursion",
+        defaults={"d": (3, 6, 5), "e": (3, 5, 1)},
+    ),
+    "theta-scan": _Command(
+        _cmd_theta_scan, "per-d supremum of the stability-relative expansion margin", (
+            *_SOURCE,
+            _Option(
+                "--theta",
+                _rationals,
+                True,
+                "weights, comma separated (P/Q allowed), as in --theta -1,1 or --theta=-1,1",
+            ),
+            _Option("--delta", _rational, True),
+            _Option("--dmax", int, True),
+        ),
+    ),
+    "curve": _Command(_cmd_curve, "boundary values c_d(x) for x = 0..D1", (
+        _Option("--m", int, True),
+        _Option("--d", _ints, True, "D1,D2"),
+        _Option("--format", choices=("csv", "json"), default="json"),
+    )),
+}
+
+# each command's options by flag, with the namespace key argparse derives from it
+_FLAGS = {
+    name: {o.flag: (o.flag[2:].replace("-", "_"), o) for o in command.options}
+    for name, command in _COMMANDS.items()
+}
+
+
 # -- parser ------------------------------------------------------------------
 
 
@@ -243,89 +359,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "A value may start with '-' (--theta -1,1 or --theta=-1,1).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # each subcommand's parser by name, so run parses a command's words once
+    # each subcommand's parser by name, so _parse parses a command's words once
     parser.commands = {}
-
-    def command(name, func, summary):
-        p = parser.commands[name] = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        return p
-
-    def add_quiver_source(p):
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--quiver", help="quiver file (vertices N / i -> j lines)")
-        source.add_argument("--kronecker", type=int, help="use K(M): two vertices, M arrows")
-
-    p = command("embed", _cmd_embed, "does e embed generically into d?")
-    add_quiver_source(p)
-    p.add_argument("--e", type=_ints, required=True, help="dimension vector, comma separated")
-    p.add_argument("--d", type=_ints, required=True, help="dimension vector, comma separated")
-
-    p = command("subdims", _cmd_subdims, "all generic subdimension vectors of d")
-    add_quiver_source(p)
-    p.add_argument("--d", type=_ints, required=True)
-
-    p = command("epsilon", _cmd_epsilon, "sharp expansion coefficients")
-    p.add_argument("--k", type=int, help="operator count (equal dimensions)")
-    p.add_argument("--m", type=int, help="arrow count")
-    p.add_argument("--alpha", type=_rational, help="slope as P/Q")
-    p.add_argument("--delta", type=_rational, help="size bound as P/Q")
-
-    p = command("exists", _cmd_exists, "expander existence for one dimension vector")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=_ints, required=True, help="D1,D2")
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--epsilon", type=_rational, required=True)
-
-    p = command(
-        "exists-uniform", _cmd_exists_uniform, "expander existence for all vectors along a slope"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--epsilon", type=_rational, required=True)
-
-    p = command("verify", _cmd_verify, "check one stored representation")
-    p.add_argument("--rep", required=True, help="representation JSON file")
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--epsilon", type=_rational, required=True)
-
-    p = command("sample", _cmd_sample, "verify seeded random representations")
-    p.add_argument("--kronecker", type=int, required=True)
-    p.add_argument("--d", type=_ints, required=True, help="D1,D2")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--delta", type=_rational)
-    p.add_argument("--epsilon", type=_rational)
-
-    p = command(
-        "counterexample",
-        _cmd_counterexample,
-        "bipartite quiver where the one-shot form test disagrees with the recursion",
-    )
-    p.set_defaults(d=(3, 6, 5), e=(3, 5, 1))
-
-    p = command(
-        "theta-scan",
-        _cmd_theta_scan,
-        "per-d supremum of the stability-relative expansion margin",
-    )
-    add_quiver_source(p)
-    p.add_argument(
-        "--theta",
-        type=_rationals,
-        required=True,
-        help="weights, comma separated (P/Q allowed), as in --theta -1,1 or --theta=-1,1",
-    )
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-
-    p = command("curve", _cmd_curve, "boundary values c_d(x) for x = 0..D1")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=_ints, required=True, help="D1,D2")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-
+    for name, command in _COMMANDS.items():
+        p = parser.commands[name] = sub.add_parser(name, help=command.summary)
+        p.set_defaults(func=command.func, **command.defaults)
+        source = None
+        for o in command.options:
+            if o.source and source is None:
+                source = p.add_mutually_exclusive_group(required=True)
+            (source if o.source else p).add_argument(
+                o.flag, type=o.type, required=o.required, choices=o.choices,
+                default=o.default, help=o.help,
+            )
     return parser
 
 
@@ -344,11 +390,61 @@ def _joined(argv: list[str]) -> list[str]:
     return words
 
 
+def _read(words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds from words of the shape COMMAND
+    (--flag VALUE | --flag=VALUE)..., read straight from the option table:
+    exact flags, each given once, a value starting with '-' only after '='.
+    None for words of any other shape, and for words argparse refuses."""
+    flags = _FLAGS.get(words[0]) if words else None
+    if flags is None:
+        return None
+    given = {}
+    i, n = 1, len(words)
+    while i < n:
+        flag, joined, value = words[i].partition("=")
+        if flag not in flags or flag in given:
+            return None
+        if not joined:
+            i += 1
+            if i == n or words[i][:1] == "-":
+                return None
+            value = words[i]
+        i += 1
+        option = flags[flag][1]
+        if value == "--":  # argparse strips it from the value, leaving []
+            return None
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[flag] = value
+    command = _COMMANDS[words[0]]
+    sources = [o.flag in given for o in command.options if o.source]
+    if sources and sum(sources) != 1:
+        return None
+    if any(o.required and o.flag not in given for o in command.options):
+        return None
+    args = argparse.Namespace(subcommand=words[0])
+    for flag, (dest, option) in flags.items():
+        setattr(args, dest, given.get(flag, option.default))
+    args.func = command.func
+    for key, value in command.defaults.items():
+        setattr(args, key, value)
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once: a command's words by its own parser alone, where the
+    """Parse argv: well-formed words from the option table, any other words
+    by argparse, once: a command's words by its own parser alone, where the
     top-level parser would hand them to that parser after parsing them too."""
-    parser = _build_parser()
     words = _joined(argv)
+    args = _read(words)
+    if args is not None:
+        return args
+    parser = _build_parser()
     command = parser.commands.get(words[0]) if words else None
     if command is None:  # no words, -h, or an unknown command
         return parser.parse_args(words)

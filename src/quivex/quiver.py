@@ -106,14 +106,23 @@ class Quiver:
 
     def __post_init__(self):
         vertex_count = check_count(self.vertex_count, "vertex_count")
-        arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in self.arrows)
+        arrows = self.arrows
+        # a tuple of pairs of exact ints is kept as it is: K(m) repeats one
+        # pair m times, and check_int would build m new ones.  The scan stops
+        # at the first entry check_int must see, and raises on an arrow that
+        # is not a pair where the rebuild would have raised.
+        exact = (
+            type(arrows) is tuple
+            and set(map(type, arrows)) <= {tuple}
+            and all(type(s) is int and type(t) is int for s, t in arrows)
+        )
+        if not exact:
+            arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in arrows)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
-        for s, t in arrows:
-            if not (1 <= s <= self.vertex_count and 1 <= t <= self.vertex_count):
-                raise QuiverError(
-                    f"arrow {s} -> {t} out of range [1, {self.vertex_count}]"
-                )
+        for s, t in dict.fromkeys(arrows):  # each distinct arrow once, in arrow order
+            if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
+                raise QuiverError(f"arrow {s} -> {t} out of range [1, {vertex_count}]")
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -158,8 +167,9 @@ class Quiver:
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a topological order, smallest index first among ties."""
         indeg = [0] * (self.vertex_count + 1)
-        targets: list[list[int]] = [[] for _ in indeg]  # per source, in arrow order
-        for s, t in self.arrows:
+        targets: list[list[int]] = [[] for _ in indeg]  # per source, in first-arrow order
+        # a parallel arrow adds no constraint, so each distinct arrow counts once
+        for s, t in dict.fromkeys(self.arrows):
             indeg[t] += 1
             targets[s].append(t)
         order: list[int] = []

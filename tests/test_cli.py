@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quivex import (
     DEFAULT_BUDGET,
@@ -29,7 +30,17 @@ from quivex import (
     expander_exists,
     make_kronecker,
 )
-from quivex.cli import _build_parser, _emit, _joined, _parse, run
+from quivex.cli import (
+    _COMMANDS,
+    _build_parser,
+    _emit,
+    _ints,
+    _joined,
+    _parse,
+    _rational,
+    _rationals,
+    run,
+)
 from quivex.kronecker import _curve_rows
 from test_kronecker import RENDER_GRID
 
@@ -724,6 +735,22 @@ PARSE_CASES = [argv for argv, _ in GOLDEN] + [
     ["theta-scan", "--kronecker", "3", "--theta", "-1,1", "--delta", "1/2", "--dmax", "3"],
     ["epsilon", "extra", "--k", "2"],
     ["embed", "--", "--kronecker", "2"],
+    # every command's help, as rebuilt from the option table (embed's is above)
+    *([name, "-h"] for name in _COMMANDS if name != "embed"),
+    # one argv per class of words the table leaves to argparse: a doubled
+    # flag (argparse keeps the last), an abbreviation, a value outside the
+    # choices, a flag where a value belongs, and a value its type refuses
+    ["exists", "--m", "4", "--m", "3", "--d", "10,10", "--delta", "1/2", "--epsilon", "1/2"],
+    ["embed", "--kron=3", "--e", "1,1", "--d", "2,2"],
+    ["curve", "--m", "3", "--d", "2,2", "--format", "xml"],
+    ["exists", "--d", "--m", "3", "--delta", "1/2", "--epsilon", "1/2"],
+    ["embed", "--kronecker", "3", "--e", "1,1", "--d", ""],
+    # an ambiguous abbreviation, and a '--' value, which argparse reads as []
+    ["theta-scan", "--kronecker", "3", "--theta", "1,-1", "--d", "1/2", "--dmax", "3"],
+    ["embed", "--quiver=--", "--e", "1,1", "--d", "2,2"],
+    # the '=' forms the table reads
+    ["exists", "--m=3", "--d", "10,10", "--delta", "1/2", "--epsilon", "1/2"],
+    ["theta-scan", "--kronecker", "3", "--delta", "1/2", "--dmax", "3", "--theta=-1,1"],
 ]
 
 
@@ -732,6 +759,84 @@ def test_one_parse_matches_two(capsys, argv):
     # a command's words are parsed by its parser alone; the two-pass parse
     # is the oracle, down to the order of the namespace's keys, which the
     # JSON inputs follow
+    once = _parsed(capsys, _parse, argv)
+    assert once == _parsed(capsys, _two_passes, argv)
+    assert once[0] in (None, 0, 2)
+
+
+# -- the parse fuzzer: argv drawn from the option table ----------------------
+
+_DIGITS = st.integers(1, 30).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+_INT = st.one_of(
+    st.sampled_from([0, -1, 10**6 - 1, 10**6, 10**6 + 1, 10**20]), st.integers(-9, 9)
+).map(str)
+_RATIONAL = st.one_of(
+    _INT,
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), _DIGITS, _DIGITS),
+)
+_MALFORMED = st.sampled_from(
+    ["", "x", "1,x", "1/0", "1/", "/2", "0.5", "1e3", "1,,2", " 1", "1 2", "٣",
+     "=", "-", "--", "-x", "-h", "--m", "--bogus", "xml"]
+)
+
+
+def _comma_list(part):
+    return st.lists(part, min_size=1, max_size=3).map(",".join)
+
+
+# well-formed values by type function; a value of another type is malformed
+_VALUES = {
+    int: _INT,
+    _ints: _comma_list(_INT),
+    _rational: _RATIONAL,
+    _rationals: _comma_list(_RATIONAL),
+    None: st.sampled_from(["k3.quiver", "rep.json", "a b", "x=y"]),
+}
+
+
+@st.composite
+def _table_argv(draw):
+    """A command, then its options in any order.  A well-formed draw gives
+    each required option (and one quiver source) once, any other option at
+    most once, plain or '='-joined, each value of its type.  A noisy draw
+    may also drop an option, double or abbreviate it, give a malformed value
+    and put -h anywhere."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[name].options
+    noisy = draw(st.booleans())
+    source = draw(st.sampled_from([o.flag for o in options if o.source] or [None]))
+    groups = []
+    for option in options:
+        forms = ("absent", "given", "joined")
+        if option.required or option.flag == source:
+            forms = forms[1:]
+        elif option.source:
+            forms = forms[:1]
+        values = st.sampled_from(option.choices) if option.choices else _VALUES[option.type]
+        if noisy:
+            forms = forms * 4 + ("absent", "doubled", "abbreviated")
+            values = st.one_of(values, values, values, _MALFORMED)
+        form = draw(st.sampled_from(forms))
+        if form == "absent":
+            continue
+        flag = option.flag
+        if form == "abbreviated":  # "--" itself when the name has one letter
+            flag = flag[: draw(st.integers(2, len(flag) - 1))]
+        for _ in range(2 if form == "doubled" else 1):
+            value = draw(values)
+            groups.append([f"{flag}={value}"] if form == "joined" else [flag, value])
+    argv = [name] + [word for group in draw(st.permutations(groups)) for word in group]
+    if noisy and draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_table_argv())
+def test_table_parse_matches_two_passes(capsys, argv):
+    # argv read from the option table must parse as argparse parses it, and
+    # every argv the table leaves to argparse must be argparse's alone; this
+    # only parses, so no command runs
     once = _parsed(capsys, _parse, argv)
     assert once == _parsed(capsys, _two_passes, argv)
     assert once[0] in (None, 0, 2)

@@ -100,6 +100,27 @@ def test_constructor_rejects_bad_indices():
         Quiver(10**6 + 1, ())
 
 
+def test_exact_arrows_are_kept_and_any_other_entry_is_checked():
+    # a tuple of pairs of exact ints is kept as given, so K(10**6) builds no
+    # 10**6 new pairs; any other entry, however late, still goes through
+    # check_int or the range check
+    arrows = ((1, 2),) * 10**6
+    assert Quiver(2, arrows).arrows is arrows
+    many = ((1, 2),) * 1000
+    for bad, message in [
+        ((1, True), "arrow must be an integer, got True"),
+        ((1.0, 2), "arrow must be an integer, got 1.0"),
+        ((1, 3), r"arrow 1 -> 3 out of range \[1, 2\]"),
+    ]:
+        with pytest.raises(QuiverError, match=message):
+            Quiver(2, many + (bad,))
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        Quiver(3, many + ((1, 2, 3),))
+    listed = Quiver(2, [[1, 2], [np.int64(1), 2]])
+    assert listed.arrows == ((1, 2), (1, 2))
+    assert {type(x) for arrow in listed.arrows for x in arrow} == {int}
+
+
 def test_one_integer_rule_refuses_bools_and_floats():
     # int() would read True as 1 and truncate 2.7 to 2, so each of these
     # used to answer for other inputs than it was given
