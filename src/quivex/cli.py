@@ -9,11 +9,8 @@ from the table, each value through the type function argparse would call.
 Any other argv (no words, -h, an unknown command or flag, an
 abbreviation, a doubled flag, a value argparse refuses) goes to argparse,
 so help, usage lines and every refusal are argparse's own: a malformed
-value, or a missing or doubled quiver source, gets a usage line and exit
-2.  argparse parses a command's words once, by that command's parser
-alone, and a word it leaves over is refused by the top-level parser, as
-argparse's own two passes (top-level parser, then the command's) would
-refuse it.
+value, or a missing or doubled quiver source, gets a usage line and
+exit 2.
 
 Every command prints one JSON envelope {command, inputs, result, exact,
 approx}, whose inputs echo the parsed arguments; ``curve`` streams its
@@ -359,10 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "A value may start with '-' (--theta -1,1 or --theta=-1,1).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # each subcommand's parser by name, so _parse parses a command's words once
-    parser.commands = {}
     for name, command in _COMMANDS.items():
-        p = parser.commands[name] = sub.add_parser(name, help=command.summary)
+        p = sub.add_parser(name, help=command.summary)
         p.set_defaults(func=command.func, **command.defaults)
         source = None
         for o in command.options:
@@ -438,20 +433,9 @@ def _read(words: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv: well-formed words from the option table, any other words
-    by argparse, once: a command's words by its own parser alone, where the
-    top-level parser would hand them to that parser after parsing them too."""
+    by argparse."""
     words = _joined(argv)
-    args = _read(words)
-    if args is not None:
-        return args
-    parser = _build_parser()
-    command = parser.commands.get(words[0]) if words else None
-    if command is None:  # no words, -h, or an unknown command
-        return parser.parse_args(words)
-    args, extras = command.parse_known_args(words[1:], argparse.Namespace(subcommand=words[0]))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    return _read(words) or _build_parser().parse_args(words)
 
 
 def run(argv: list[str]) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .kronecker import _ROW_CHUNK, _column_floors
 from .quiver import DimVector, Quiver, check_count, check_int
-from .schofield import SubdimCache, _charge_box, _walk, generic_subdims
+from .schofield import _charge_box, _walk, generic_subdims
 from .surd import QuadraticSurd, _exact_dtype
 
 
@@ -216,7 +216,6 @@ def theta_expander_exists(
     theta: StabilityFunction,
     d: Sequence[int],
     params: ExpanderParams,
-    cache: SubdimCache | None = None,
 ) -> ExpanderDecision:
     """Generic existence of expanders relative to a stability function.
 
@@ -231,7 +230,7 @@ def theta_expander_exists(
     bound = params.delta * sum(dv)
     violating = [
         e
-        for e in generic_subdims(quiver, dv, cache)
+        for e in generic_subdims(quiver, dv)
         if 0 < sum(e) <= bound and theta(e) > -params.epsilon * sum(e)
     ]
     return ExpanderDecision(False, min(violating)) if violating else ExpanderDecision(True, None)

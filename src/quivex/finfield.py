@@ -191,7 +191,7 @@ def rref_mod(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 def rank_mod(mat, p: int) -> int:
     """Rank of a matrix over F_p: _eliminate on its rows with limit cols - 1,
     so the scan stops once the rank reaches the column count.  Entries may
-    be negative or at least p.  ``len(rref_mod(mat, p)[1])`` is the same
+    be negative or at least p.  ``len(_rref_rows(mat, p)[1])`` is the same
     rank.
     """
     arr = np.asarray(mat, dtype=np.int64)

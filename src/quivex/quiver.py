@@ -120,7 +120,9 @@ class Quiver:
             arrows = tuple((check_int(s, "arrow"), check_int(t, "arrow")) for s, t in arrows)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
-        for s, t in dict.fromkeys(arrows):  # each distinct arrow once, in arrow order
+        # each distinct arrow once, in first-arrow order (not a field: == and hash ignore it)
+        object.__setattr__(self, "_distinct", tuple(dict.fromkeys(arrows)))
+        for s, t in self._distinct:
             if not (1 <= s <= vertex_count and 1 <= t <= vertex_count):
                 raise QuiverError(f"arrow {s} -> {t} out of range [1, {vertex_count}]")
         self._check_acyclic()
@@ -137,12 +139,12 @@ class Quiver:
     @cached_property
     def kronecker_m(self) -> int:
         """m when this is K(m), m >= 1 (two vertices, every arrow 1 -> 2), else 0."""
-        return len(self.arrows) if self.vertex_count == 2 and set(self.arrows) == {(1, 2)} else 0
+        return len(self.arrows) if self.vertex_count == 2 and self._distinct == ((1, 2),) else 0
 
     @cached_property
     def one_sink(self) -> int:
         """t when every arrow ends at vertex t (at least one arrow), else 0."""
-        targets = {t for _, t in self.arrows}
+        targets = {t for _, t in self._distinct}
         return targets.pop() if len(targets) == 1 else 0
 
     @cached_property
@@ -169,7 +171,7 @@ class Quiver:
         indeg = [0] * (self.vertex_count + 1)
         targets: list[list[int]] = [[] for _ in indeg]  # per source, in first-arrow order
         # a parallel arrow adds no constraint, so each distinct arrow counts once
-        for s, t in dict.fromkeys(self.arrows):
+        for s, t in self._distinct:
             indeg[t] += 1
             targets[s].append(t)
         order: list[int] = []

@@ -45,11 +45,11 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 class SubdimCache(dict):
-    """Complete generic-subdimension sets, keyed by (quiver, vector).
-
-    A vector it holds is answered without a walk; the sets are facts and are
-    never invalidated.  Not synchronized: confine an instance to one thread
-    of control, or guard it externally.  Warm and cold caches agree.
+    """The generic-subdimension sets embeds walks for, keyed by (quiver,
+    vector), so a vector it holds is answered without a walk; the sets are
+    facts and are never invalidated.  Not synchronized: confine an instance
+    to one thread of control, or guard it externally.  Warm and cold caches
+    agree.
     """
 
 
@@ -140,16 +140,6 @@ def _kronecker_subdims(m: int, d: DimVector) -> frozenset:
     return frozenset((x, y) for x, low in enumerate(floors) for y in range(low, d2 + 1))
 
 
-def _cached_subdims(quiver: Quiver, d: DimVector, cache: SubdimCache | None) -> frozenset:
-    cache = {} if cache is None else cache
-    subs = cache.get((quiver, d))
-    if subs is None:
-        m = quiver.kronecker_m
-        subs = _kronecker_subdims(m, d) if m else _subdims(quiver, d)
-        cache[quiver, d] = subs
-    return subs
-
-
 def embeds(
     quiver: Quiver,
     e: Sequence[int],
@@ -172,18 +162,19 @@ def embeds(
     admitted, refused = _bounds(ev, w)
     if admitted or refused:
         return admitted
-    subs = _cached_subdims(quiver, ev, cache)
+    cache = {} if cache is None else cache
+    subs = cache.get((quiver, ev))
+    if subs is None:
+        subs = cache[quiver, ev] = _subdims(quiver, ev)
     return all(sum(x * y for x, y in zip(ep, w)) >= 0 for ep in subs)
 
 
-def generic_subdims(
-    quiver: Quiver,
-    d: Sequence[int],
-    cache: SubdimCache | None = None,
-) -> frozenset:
+def generic_subdims(quiver: Quiver, d: Sequence[int]) -> frozenset:
     """The complete set { e <= d : e embeds generically into d }.
 
     Always contains the zero vector and d itself.  No early exit: the full
     set is needed by callers.
     """
-    return _cached_subdims(quiver, quiver.check_dim(d), cache)
+    dv = quiver.check_dim(d)
+    m = quiver.kronecker_m
+    return _kronecker_subdims(m, dv) if m else _subdims(quiver, dv)

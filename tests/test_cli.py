@@ -708,6 +708,41 @@ def test_cached_parser_matches_fresh_parser(capsys):
     assert _build_parser() is _build_parser()
 
 
+# one exact_sweep-shaped argv per benchmark stratum
+SWEEP_ARGV = [
+    ["subdims", "--kronecker", "4", "--d", "7,3"],
+    ["subdims", "--quiver", "bipartite.quiver", "--d", "2,5,1"],
+    ["embed", "--kronecker", "5", "--e", "3,1", "--d", "9,4"],
+    ["embed", "--quiver", "bipartite.quiver", "--e", "1,3,0", "--d", "4,9,2"],
+    ["theta-scan", "--kronecker", "3", "--theta", "2,-1", "--delta", "1/3", "--dmax", "8"],
+    ["theta-scan", "--quiver", "bipartite.quiver", "--theta", "1,-3,2", "--delta", "2/3",
+     "--dmax", "4"],
+    ["exists", "--m", "3", "--d", "812,905", "--delta", "2/5", "--epsilon", "1/5"],
+    ["curve", "--m", "4", "--d", "231,288"],
+    *(["epsilon", "--m", "3", "--alpha", alpha, "--delta", delta]
+      for alpha, delta in [("1234/1567", "987/1999"), ("12345/16789", "5432/19999"),
+                           ("123456/119999", "65432/119993")]),
+    *(["exists-uniform", "--m", "4", "--alpha", alpha, "--delta", delta, "--epsilon", "1/3"]
+      for alpha, delta in [("1234/1567", "987/1999"), ("12345/16789", "5432/19999"),
+                           ("123456/119999", "65432/119993")]),
+]
+
+
+def test_well_formed_argv_never_builds_the_parser():
+    # the option table reads every well-formed GOLDEN argv and every
+    # exact_sweep shape, so argparse's parser is built only for a refusal
+    # or for help
+    _build_parser.cache_clear()
+    for argv in [argv for argv, _ in GOLDEN] + SWEEP_ARGV:
+        _parse(argv)
+    assert _build_parser.cache_info().misses == 0
+    for argv in (["epsilon", "extra", "--k", "2"], ["-h"]):
+        _build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            _parse(argv)
+        assert _build_parser.cache_info().misses == 1
+
+
 def _parsed(capsys, parse, argv):
     """(exit code, stdout, stderr, the namespace's items in order) of one parse."""
     try:
@@ -756,9 +791,9 @@ PARSE_CASES = [argv for argv, _ in GOLDEN] + [
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no words")
 def test_one_parse_matches_two(capsys, argv):
-    # a command's words are parsed by its parser alone; the two-pass parse
-    # is the oracle, down to the order of the namespace's keys, which the
-    # JSON inputs follow
+    # words the option table reads parse as argparse parses them, which is
+    # the oracle, down to the order of the namespace's keys, which the JSON
+    # inputs follow
     once = _parsed(capsys, _parse, argv)
     assert once == _parsed(capsys, _two_passes, argv)
     assert once[0] in (None, 0, 2)

@@ -19,7 +19,6 @@ from quivex import (
     beta,
     SlopeParams,
     StabilityFunction,
-    SubdimCache,
     epsilon_k,
     generic_subdims,
     epsilon_m_alpha_delta,
@@ -281,15 +280,12 @@ def test_theta_expander_rejects_nonzero_theta_d():
 def test_theta_epsilon_supremum_matches_decision():
     K3 = make_kronecker(3)
     theta = StabilityFunction((1, -1))
-    cache = SubdimCache()
     for n in (1, 2, 3, 4):
         sup = theta_epsilon_supremum(K3, theta, (n, n), HALF)
         assert sup is not None
-        assert theta_expander_exists(K3, theta, (n, n), ExpanderParams(HALF, sup), cache).exists
+        assert theta_expander_exists(K3, theta, (n, n), ExpanderParams(HALF, sup)).exists
         bumped = sup + Fraction(1, 1000)
-        assert not theta_expander_exists(
-            K3, theta, (n, n), ExpanderParams(HALF, bumped), cache
-        ).exists
+        assert not theta_expander_exists(K3, theta, (n, n), ExpanderParams(HALF, bumped)).exists
 
 
 def test_theta_epsilon_supremum_frozen_values():
@@ -416,17 +412,22 @@ def test_cone_supremum_matches_the_listing():
         assert str(ends.value) == str(listing.value)
 
 
-def test_cone_suprema_skip_the_listing_unless_cached():
-    # a K(m) vector is answered from its columns' ends, never listed into a
-    # cache, and agrees with the least ratio over the listing once one is made
+def test_cone_suprema_skip_the_listing_unless_cached(monkeypatch):
+    # a K(m) vector is answered from its columns' ends, never listed, and
+    # agrees with the least ratio over generic_subdims' listing
+    import quivex.schofield
+
     K3, theta = make_kronecker(3), StabilityFunction((1, -1))
-    cache = SubdimCache()
+    listings = []
+    real_listing = quivex.schofield._kronecker_subdims
+    monkeypatch.setattr(
+        quivex.schofield, "_kronecker_subdims",
+        lambda m, d: listings.append(d) or real_listing(m, d),
+    )
     expected = theta_epsilon_supremum(K3, theta, (40, 40), HALF)
-    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF) == expected
-    assert (K3, (40, 40)) not in cache
-    generic_subdims(K3, (40, 40), cache)
-    assert theta_epsilon_supremum(K3, theta, (40, 40), HALF) == expected
-    listed = cache[K3, (40, 40)]
+    assert listings == []
+    listed = generic_subdims(K3, (40, 40))
+    assert listings == [(40, 40)]
     assert expected == min(Fraction(-theta(e), sum(e)) for e in listed if 0 < sum(e) <= 40)
 
 

@@ -121,6 +121,42 @@ def test_exact_arrows_are_kept_and_any_other_entry_is_checked():
     assert {type(x) for arrow in listed.arrows for x in arrow} == {int}
 
 
+def _smallest_first_order(n, arrows):
+    # the least vertex whose every source is placed, again and again
+    order = []
+    while len(order) < n:
+        order.append(min(
+            v for v in range(1, n + 1)
+            if v not in order and all(s in order for s, t in arrows if t == v)
+        ))
+    return tuple(order)
+
+
+@pytest.mark.parametrize("n, arrows", [
+    (2, ()),
+    (2, ((1, 2),) * 5),
+    (3, ((1, 2),) * 3),
+    (3, ((1, 3), (2, 3), (1, 3), (2, 3))),
+    (3, ((1, 2), (3, 2), (1, 2), (3, 2), (1, 2))),
+    (4, ((3, 4), (1, 2), (2, 4), (3, 4), (1, 2), (3, 1), (2, 4))),
+    (2, ((np.int64(1), 2), (1, 2), (1, np.int32(2)))),
+])
+def test_distinct_arrow_readers_match_their_definitions(n, arrows):
+    # kronecker_m, one_sink and topological_order read each distinct arrow
+    # once; on the raw arrow list, repeats and all, they are defined as here
+    quiver = Quiver(n, arrows)
+    raw = [(int(s), int(t)) for s, t in arrows]
+    assert quiver.kronecker_m == (len(raw) if n == 2 and set(raw) == {(1, 2)} else 0)
+    targets = {t for _, t in raw}
+    assert quiver.one_sink == (targets.pop() if len(targets) == 1 else 0)
+    assert quiver.topological_order() == _smallest_first_order(n, raw)
+    # == and hash read the fields alone
+    twin = Quiver(n, tuple(raw))
+    object.__setattr__(twin, "_distinct", ())
+    assert twin == quiver and hash(twin) == hash(quiver)
+    assert "_distinct" not in repr(quiver)
+
+
 def test_one_integer_rule_refuses_bools_and_floats():
     # int() would read True as 1 and truncate 2.7 to 2, so each of these
     # used to answer for other inputs than it was given

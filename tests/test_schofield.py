@@ -118,15 +118,8 @@ GRID_IDS = [f"K{m}" for m in range(1, 6)] + ["bipartite", "path_double"]
 @pytest.mark.parametrize("quiver, dmax", GRIDS, ids=GRID_IDS)
 def test_generic_subdims_matches_reference(quiver, dmax):
     table: dict = {}
-    warm = SubdimCache()
     for d in _box(dmax):
-        expected = _subdims_reference(quiver.form_weights, d, table)
-        assert generic_subdims(quiver, d) == expected, d
-        assert generic_subdims(quiver, d, warm) == expected, d
-    size = len(warm)
-    for d in _box(dmax):
-        assert generic_subdims(quiver, d, warm) == table[d], d
-    assert len(warm) == size
+        assert generic_subdims(quiver, d) == _subdims_reference(quiver.form_weights, d, table), d
 
 
 @pytest.mark.parametrize("quiver, dmax", GRIDS, ids=GRID_IDS)
@@ -378,55 +371,60 @@ def test_generic_subdims_kronecker_grid_values():
 
 
 def test_reflexivity_and_zero_membership():
-    cache = SubdimCache()
     for quiver, dmax in [(make_kronecker(2), 4), (BIPARTITE, 2)]:
         n = quiver.vertex_count
         for d in product(range(dmax + 1), repeat=n):
-            subs = generic_subdims(quiver, d, cache)
+            subs = generic_subdims(quiver, d)
             assert (0,) * n in subs
             assert tuple(d) in subs
 
 
 def test_cache_determinism_cold_vs_warm():
-    K3 = make_kronecker(3)
+    # embeds' cache, on the bipartite quiver (K(m) never reads it): one warm
+    # cache answers every pair e <= d <= (3, 6, 3) as a fresh one does, while
+    # it fills and again once full
+    cold = {
+        (e, d): embeds(BIPARTITE, e, d, SubdimCache()) for d in _box((3, 6, 3)) for e in _box(d)
+    }
     warm = SubdimCache()
-    warm_sets = {d: generic_subdims(K3, d, warm) for d in product(range(5), repeat=2)}
-    for d, expected in warm_sets.items():
-        assert generic_subdims(K3, d, SubdimCache()) == expected
-    # warm reuse gives the same answers again
-    for d, expected in warm_sets.items():
-        assert generic_subdims(K3, d, warm) == expected
+    for _ in range(2):
+        assert {pair: embeds(BIPARTITE, *pair, warm) for pair in cold} == cold
+    assert len(warm) == 33
 
 
-def test_cache_is_shared_between_equal_quivers():
+def test_cache_is_shared_between_equal_quivers(monkeypatch):
+    # an equal quiver built apart reads the entry the first one's walk made
+    import quivex.schofield
+
     cache = SubdimCache()
-    generic_subdims(make_kronecker(2), (3, 3), cache)
-    size = len(cache)
-    generic_subdims(make_kronecker(2), (3, 3), cache)
-    assert len(cache) == size
+    assert embeds(BIPARTITE, (0, 1, 1), (0, 2, 2), cache)
+    assert list(cache) == [(BIPARTITE, (0, 1, 1))]
+    twin = Quiver(3, ((1, 2), (1, 2), (3, 2), (3, 2)))
+    assert twin is not BIPARTITE
+    monkeypatch.setattr(quivex.schofield, "_walk", None)  # a walk would raise
+    assert embeds(twin, (0, 1, 1), (0, 2, 2), cache)
+    assert list(cache) == [(BIPARTITE, (0, 1, 1))]
 
 
 def test_kronecker_duality_small_grid():
-    cache = SubdimCache()
     for m in (2, 3):
         K = make_kronecker(m)
         for d1, d2 in product(range(6), repeat=2):
-            subs = generic_subdims(K, (d1, d2), cache)
-            reversed_subs = generic_subdims(K, (d2, d1), cache)
+            subs = generic_subdims(K, (d1, d2))
+            reversed_subs = generic_subdims(K, (d2, d1))
             image = {(d2 - e2, d1 - e1) for e1, e2 in subs}
             assert image == set(reversed_subs), (m, d1, d2)
 
 
 def test_preprojective_bound_exact():
     # d2 > beta * d1 forces e2 > beta * e1 for every nonzero subdimension pair
-    cache = SubdimCache()
     for m in (2, 3, 4):
         b = beta(m)
         K = make_kronecker(m)
         for d1, d2 in product(range(9), repeat=2):
             if (d1, d2) == (0, 0) or not Fraction(d2) > b * d1:
                 continue
-            for e1, e2 in generic_subdims(K, (d1, d2), cache):
+            for e1, e2 in generic_subdims(K, (d1, d2)):
                 if (e1, e2) == (0, 0):
                     continue  # the zero vector sits on the strict boundary
                 assert Fraction(e2) > b * e1, (m, (d1, d2), (e1, e2))
@@ -459,9 +457,8 @@ def test_subdims_independent_of_candidate_order():
 
     for quiver, dmax in [(make_kronecker(3), 4), (BIPARTITE, 2)]:
         memo = {}
-        cache = SubdimCache()
         for d in product(range(dmax + 1), repeat=quiver.vertex_count):
-            assert generic_subdims(quiver, d, cache) == reference_subdims(quiver, d, memo)
+            assert generic_subdims(quiver, d) == reference_subdims(quiver, d, memo)
 
 
 def test_bipartite_counterexample_witness():
