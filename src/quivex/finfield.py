@@ -41,9 +41,10 @@ Lines are built and eliminated in chunks of at most _BATCH_ENTRIES
 image entries, each keeping only the lines within the bound, so a
 listing's memory is one chunk's and the lines it keeps.
 The frontier keeps each plane's image span reduced, so each extension by a
-line is tested on that line's images alone, in batches that run across
-the level's blocks: about one forward pass per level, and one
-back-substitution of the planes it keeps.  has_subrep_of_dim
+line is tested on that line's images alone, in batches of the level's
+(line, plane) pairs that _level_pairs lists by array passes alone:
+about one forward pass per level, and one back-substitution of the
+planes it keeps.  has_subrep_of_dim
 decides every quiver whose arrows all end at one vertex, K(m) among
 them, by one set of rules: two that need no rank, a few single ranks,
 and otherwise the same frontier over the sum of the free source spaces,
@@ -822,28 +823,28 @@ def _grown_spans(rows, pivots, R, rpiv, p: int, width: int) -> tuple[np.ndarray,
     return joined[at, order], keys[at, order]
 
 
-def _pair_batches(blocks, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (new, old) pairs of a sequence of (ext, planes) blocks, in batches.
-
-    Each block lists ext x planes row-major; the blocks follow one another
-    and a batch of step pairs may cross from one into the next.  A batch
-    is gathered from arange slices of the blocks it covers, so no block is
-    ever built whole.
-    """
-    news, olds, size = [], [], 0
-    for ext, planes in blocks:
-        total, lo = len(ext) * len(planes), 0
-        while lo < total:
-            hi = min(total, lo + step - size)
-            k = np.arange(lo, hi)
-            news.append(ext[k // len(planes)])
-            olds.append(planes[k % len(planes)])
-            size, lo = size + hi - lo, hi
-            if size == step:
-                yield np.concatenate(news), np.concatenate(olds)
-                news, olds, size = [], [], 0
-    if size:
-        yield np.concatenate(news), np.concatenate(olds)
+def _level_pairs(
+    leads: np.ndarray, zero: np.ndarray, sets: np.ndarray, floor: int, hi: int, step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A frontier level's (new, old) pairs, step at a time: every candidate
+    leading in [floor, hi), before the plane's first pivot and zero on its
+    pivots, by leading column, pivot set, line, then plane.  sets holds
+    each plane's pivots, a pivot set's planes in one run; each (line, set)
+    entry stands for all its set's planes."""
+    starts = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
+    piv = sets[starts]
+    a, b = np.searchsorted(leads, (floor, hi))
+    line, group = np.nonzero(zero[a:b][:, piv].all(axis=2) & (leads[a:b, None] < piv[:, 0]))
+    order = np.lexsort((line, group, leads[a + line]))
+    line, group = a + line[order], group[order]
+    sizes = np.diff(np.r_[starts, len(sets)])[group]
+    ends = np.cumsum(sizes)
+    shift = starts[group] + sizes - ends  # pair k of an entry pairs with plane k + shift
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, step):
+        k = np.arange(lo, min(total, lo + step))
+        e = np.searchsorted(ends, k, "right")
+        yield line[e], k + shift[e]
 
 
 def _frontier_scan(
@@ -879,9 +880,9 @@ def _frontier_scan(
     d2 past its rank r.  W = [row; S] is tested on the new line's reduced
     rows alone, reduced against S's span: W stays within s iff they have
     rank <= s - r, which the forward pass gives.  Only the planes kept for
-    the next level are back-substituted and get their span rebuilt.  A
-    level's planes are tested in canonical order, in numpy batches of
-    _BATCH_ENTRIES // ((i + 1) * m * d2) planes.  Every candidate is
+    the next level are back-substituted and get their span rebuilt.
+    Level i's planes are tested in canonical order, in _level_pairs'
+    batches of _BATCH_ENTRIES // (i * m * d2) pairs.  Every candidate is
     charged at level 1, floor or not, and each plane tested once at its
     level; a budget error names that level.
     """
@@ -913,25 +914,11 @@ def _frontier_scan(
         zero_rows, zero_pivs, line_rows[first], line_pivs[first], p, min(s, m)
     )
     for i in range(1, j):
-        hi = draws[i][1]
-        # the level is in canonical order, so each pivot set is one run
-        sets = leads[level]
-        starts = np.flatnonzero(np.r_[True, (sets[1:] != sets[:-1]).any(axis=1)])
-        pivsets = sets[starts]
-        members = [np.arange(a, b) for a, b in zip(starts, [*starts[1:], len(level)])]
-        # the lines that may extend each pivot set, cut by leading column
-        exts = [np.flatnonzero(zero[:, piv].all(axis=1) & (leads < piv[0])) for piv in pivsets]
-        cuts = [np.searchsorted(leads[ext], np.arange(n + 1)).tolist() for ext in exts]
-        blocks = (
-            (ext[cut[lead] : cut[lead + 1]], planes)
-            for lead in range(floors[i], hi)
-            for ext, cut, planes in zip(exts, cuts, members)
-        )
         room = s - (span_pivs < d2).sum(axis=1)  # rank the new images may add
         step = max(1, _BATCH_ENTRIES // ((i + 1) * m * d2))
         width = min(s, (i + 1) * m)  # span rows kept per (i+1)-plane
         grown = []
-        for new, old in _pair_batches(blocks, step):
+        for new, old in _level_pairs(leads, zero, leads[level], floors[i], draws[i][1], step):
             budget.charge(len(new), where(i + 1))
             X = _reduced(gimgs[new], span_rows[old], span_pivs[old], p)
             E, rpiv = _forward(X, p)

@@ -31,6 +31,8 @@ from quivex.expander import _levels
 from quivex.finfield import (
     _PENCIL_MIN_LINES,
     _backtrack,
+    _canonical_lines,
+    _level_pairs,
     batch_rank,
     batch_rank_le,
     rank_mod,
@@ -663,6 +665,98 @@ def test_frontier_eliminates_once_per_level(monkeypatch):
                 assert kept <= tested, (seed, events)
         tested = sum(n for kind, n in frontier if kind == "forward")
         assert sum(n for kind, n in frontier if kind == "back") < tested, (seed, events)
+
+
+def _reference_pairs(leads, zero, sets, floor, hi):
+    # plain Python: every (line c, plane q) with floor <= lead(c) < hi,
+    # lead(c) before q's first pivot and c zero on q's pivots, sorted by
+    # (lead, rank of q's pivot set, c, q)
+    zero, sets = zero.tolist(), [tuple(q) for q in sets.tolist()]
+    rank = {q: r for r, q in enumerate(sorted(set(sets)))}
+    planes = {}
+    for k, q in enumerate(sets):
+        planes.setdefault(q, []).append(k)
+    pairs = sorted(
+        (lead, rank[q], c, k)
+        for c, lead in enumerate(leads.tolist())
+        if floor <= lead < hi
+        for q, ks in planes.items()
+        if lead < q[0] and all(zero[c][x] for x in q)
+        for k in ks
+    )
+    return [(c, k) for _, _, c, k in pairs]
+
+
+def _check_level_pairs(leads, zero, sets, floor, hi, steps) -> int:
+    # _level_pairs lists the reference's pairs in order, in full batches
+    # of step but the last, and no batch for a level with no pair
+    want = _reference_pairs(leads, zero, sets, floor, hi)
+    for step in steps:
+        batches = list(_level_pairs(leads, zero, sets, floor, hi, step))
+        got = [pair for new, old in batches for pair in zip(new.tolist(), old.tolist())]
+        assert got == want, step
+        full, rest = divmod(len(want), step)
+        assert [len(new) for new, _ in batches] == [step] * full + [rest] * (rest > 0), step
+    return len(want)
+
+
+def test_level_pairs_match_a_plain_python_listing(monkeypatch):
+    # every level the frontier builds on the oracle's K(m) cells and on the
+    # bipartite (3, 6, 5) vectors, at the scan's own step and at others
+    import quivex.finfield as ff
+
+    levels = []
+
+    def spy(*args):
+        levels.append(args)
+        return _level_pairs(*args)
+
+    monkeypatch.setattr(ff, "_level_pairs", spy)
+    cells = [
+        (3, (5, 5), 5, HALF, Fraction(19, 50)),
+        (3, (6, 6), 3, HALF, Fraction(19, 50)),
+        (3, (8, 8), 3, Fraction(1, 4), Fraction(19, 50)),
+        (3, (9, 6), 2, Fraction(4, 9), Fraction(1, 10)),
+        (4, (6, 6), 2, HALF, HALF),
+    ]
+    for m, d, p, delta, eps in cells:
+        for seed in range(3):
+            is_expander_rep(random_rep(make_kronecker(m), d, p, seed), ExpanderParams(delta, eps))
+    vectors = {
+        2: [(3, 5, 1), (2, 4, 4), (1, 2, 1), (0, 1, 3), (1, 4, 4), (3, 6, 4)],
+        3: [(3, 5, 1), (1, 2, 1), (0, 1, 3), (3, 6, 4)],
+    }
+    for p, es in vectors.items():
+        for seed in range(3):
+            rep = random_rep(BIPARTITE, (3, 6, 5), p, seed)
+            for e in es:
+                has_subrep_of_dim(rep, e)
+    counts = [_check_level_pairs(*level[:5], (1, 7, 64, level[5])) for level in levels]
+    assert 0 in counts and sum(counts) > 10_000, counts
+
+
+@st.composite
+def _small_levels(draw):
+    # canonical lines of F_p^n and a level of planes, pivot sets in
+    # lexicographic order, each set's planes in one run
+    p, n = draw(st.sampled_from((2, 3))), draw(st.integers(1, 5))
+    lines = _canonical_lines(p, n)
+    keep = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    gens = lines[np.array(keep, dtype=bool)]
+    i = draw(st.integers(1, n))
+    pivsets = draw(st.sets(st.sampled_from(list(combinations(range(n), i))), min_size=1))
+    runs = draw(st.lists(st.integers(1, 3), min_size=len(pivsets), max_size=len(pivsets)))
+    sets = [q for q, run in zip(sorted(pivsets), runs) for _ in range(run)]
+    floor = draw(st.integers(0, n))
+    hi = draw(st.integers(floor, n))
+    leads = np.argmax(gens != 0, axis=1)
+    return leads, gens == 0, np.array(sets, dtype=np.intp), floor, hi, draw(st.integers(1, 9))
+
+
+@settings(max_examples=200)
+@given(_small_levels())
+def test_level_pairs_match_a_plain_python_listing_on_small_levels(level):
+    _check_level_pairs(*level[:5], (1, 7, 64, level[5]))
 
 
 def test_has_subrep_examples():
